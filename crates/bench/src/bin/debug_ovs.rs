@@ -5,7 +5,7 @@ use datagen::{Dataset, TodPattern};
 use eval::harness::DatasetInput;
 use eval::metrics::evaluate_tod;
 use ovs_core::estimator::matrix_to_tod;
-use ovs_core::trainer::OvsTrainer;
+use ovs_core::trainer::{OvsTrainer, RunOptions};
 
 fn main() {
     let profile = bench::Profile::from_env();
@@ -29,7 +29,7 @@ fn main() {
         cfg.g_max, cfg.epochs_v2s, cfg.epochs_tod2v, cfg.epochs_fit
     );
     let trainer = OvsTrainer::new(cfg);
-    let (mut model, report) = trainer.run(&input).unwrap();
+    let (mut model, report) = trainer.run(&input, RunOptions::default()).unwrap();
     let trace = |name: &str, l: &[f64]| {
         println!(
             "{name} loss: {:.4} -> {:.4} (min {:.4})",

@@ -20,7 +20,7 @@ use neural::layers::{
 use neural::optim::{Adam, Optimizer};
 use neural::rng::Rng64;
 use neural::{loss, Matrix, Tensor3};
-use ovs_core::trainer::OvsTrainer;
+use ovs_core::trainer::{OvsTrainer, RunOptions};
 use ovs_core::{EstimatorInput, OvsConfig};
 use roadnet::{presets, OdSet, TodTensor};
 use serde::Serialize;
@@ -256,7 +256,9 @@ fn bench_end_to_end(name: &str, build: impl FnOnce() -> Dataset, cfg: OvsConfig)
         .observed_speed(&ds.observed_speed)
         .build();
     let t1 = Instant::now();
-    let (mut model, _report) = OvsTrainer::new(cfg).run(&input).expect("OVS trains");
+    let (mut model, _report) = OvsTrainer::new(cfg)
+        .run(&input, RunOptions::default())
+        .expect("OVS trains");
     let train_s = t1.elapsed().as_secs_f64();
     let tod = model.recovered_tod();
     if !tod.is_finite() {

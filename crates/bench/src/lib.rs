@@ -17,7 +17,7 @@
 use checkpoint::Snapshot;
 use datagen::dataset::DatasetSpec;
 use ovs_core::estimator::matrix_to_tod;
-use ovs_core::trainer::OvsTrainer;
+use ovs_core::trainer::{OvsTrainer, RunOptions, Start};
 use ovs_core::{EstimatorInput, OvsConfig, TodEstimator};
 use roadnet::{Result, RoadnetError, TodTensor};
 use std::path::PathBuf;
@@ -203,9 +203,13 @@ impl TodEstimator for CachedOvsEstimator {
                 let snapshot = Snapshot::read_from(path).map_err(ckpt_err)?;
                 let weights = ovs_core::artifact::model_weights(snapshot.artifact(), &self.cfg)
                     .map_err(ckpt_err)?;
-                trainer.run_warm(input, &weights)?
+                let warm = RunOptions {
+                    start: Start::Warm(&weights),
+                    ..RunOptions::default()
+                };
+                trainer.run(input, warm)?
             }
-            None => trainer.run(input)?,
+            None => trainer.run(input, RunOptions::default())?,
         };
         let tod = matrix_to_tod(&model.recovered_tod());
         if let Some(path) = &self.cache.save {

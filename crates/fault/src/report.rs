@@ -18,7 +18,7 @@ use datagen::Dataset;
 use eval::{evaluate_tod_masked, RmseTriple};
 use neural::rng::Rng64;
 use ovs_core::estimator::matrix_to_tod;
-use ovs_core::{EstimatorInput, OvsConfig, OvsTrainer, RecoveryPolicy, Stage, TrainError};
+use ovs_core::{EstimatorInput, OvsConfig, OvsTrainer, RunOptions, Stage, TrainError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -124,14 +124,13 @@ pub fn degradation_report(
         let mut tamper = |stage: Stage, step: usize, loss: &mut f64, norm: &mut f64| {
             injector.tamper(stage, step, loss, norm);
         };
-        let mut no_hook = |_cp: &ovs_core::PipelineCheckpoint| Ok(());
-        let run = trainer.run_resumable_guarded(
+        let run = trainer.run(
             &input,
-            SWEEP_CHECKPOINT_EVERY,
-            &mut no_hook,
-            None,
-            RecoveryPolicy::default(),
-            Some(&mut tamper),
+            RunOptions {
+                checkpoint_every: SWEEP_CHECKPOINT_EVERY,
+                tamper: Some(&mut tamper),
+                ..RunOptions::default()
+            },
         );
         let (rmse, diverged) = match run {
             Ok((mut model, _report)) => {

@@ -2,7 +2,7 @@
 //! checkpoint writes.
 //!
 //! [`TrainingFaultInjector`] plugs into the trainer's tamper tap
-//! (`StageOptions::tamper` / `run_resumable_guarded`) and forces the loss
+//! (`RunOptions::tamper` of `OvsTrainer::run`) and forces the loss
 //! to `NaN` at the planned steps; [`CkptInterrupter`] wraps a
 //! checkpoint-write hook and fails it at the planned steps. Both are
 //! transient by default — a fault fires once per `(stage, step)`, so the
@@ -59,7 +59,7 @@ impl TrainingFaultInjector {
 
     /// The tamper-tap entry point: pass
     /// `&mut |s, st, l, n| injector.tamper(s, st, l, n)` as
-    /// `StageOptions::tamper`. The gradient norm is left untouched — a
+    /// `RunOptions::tamper`. The gradient norm is left untouched — a
     /// non-finite loss alone must trip the guard.
     pub fn tamper(&mut self, stage: Stage, step: usize, loss: &mut f64, _norm: &mut f64) {
         if !self.stage.matches(stage) || !self.steps.contains(&step) {
@@ -75,7 +75,7 @@ impl TrainingFaultInjector {
 }
 
 /// Fails checkpoint writes at planned steps, simulating an interrupted
-/// write. Wrap the real hook:
+/// write. Wrap the real hook and pass it as `RunOptions::on_checkpoint`:
 ///
 /// ```ignore
 /// let mut interrupter = CkptInterrupter::new(&plan.training);

@@ -8,7 +8,7 @@ use datagen::{Dataset, TodPattern};
 use fault::observation::{OBS_DROPPED, OBS_NOISY, OBS_NONFINITE, OBS_STUCK};
 use fault::training::TRAIN_POISONED;
 use fault::{corrupt_observation, ObservationFaults, TrainingFaultInjector, TrainingFaults};
-use ovs_core::{EstimatorInput, OvsConfig, OvsTrainer, RecoveryPolicy, Stage};
+use ovs_core::{EstimatorInput, OvsConfig, OvsTrainer, RunOptions, Stage};
 use proptest::prelude::*;
 use roadnet::parallel::Parallelism;
 use roadnet::LinkTensor;
@@ -114,13 +114,13 @@ fn faulted_run_deltas(par: Parallelism) -> Vec<u64> {
             injector.tamper(stage, step, loss, norm);
         };
         OvsTrainer::new(cfg)
-            .run_resumable_guarded(
+            .run(
                 &input,
-                7,
-                &mut |_| Ok(()),
-                None,
-                RecoveryPolicy::default(),
-                Some(&mut tamper),
+                RunOptions {
+                    checkpoint_every: 7,
+                    tamper: Some(&mut tamper),
+                    ..RunOptions::default()
+                },
             )
             .expect("transient fault must heal");
         assert_eq!(injector.injected(), 1);

@@ -13,7 +13,8 @@ use fault::{
     TrainingFaultInjector, TrainingFaults,
 };
 use ovs_core::{
-    artifact, EstimatorInput, OvsConfig, OvsTrainer, RecoveryPolicy, Stage, TrainError,
+    artifact, EstimatorInput, OvsConfig, OvsTrainer, RecoveryPolicy, RunOptions, Stage, Start,
+    TrainError,
 };
 
 fn tiny_dataset() -> Dataset {
@@ -62,7 +63,7 @@ fn combined_faults_heal_to_a_bit_identical_model() {
     let trainer = OvsTrainer::new(cfg());
 
     // Reference: clean, uninjected run.
-    let (mut ref_model, ref_report) = trainer.run(&inp).unwrap();
+    let (mut ref_model, ref_report) = trainer.run(&inp, RunOptions::default()).unwrap();
     let ref_weights = ref_model.export_weights();
 
     // Faulted run: the plan poisons fit step 9 and fails the checkpoint
@@ -99,13 +100,14 @@ fn combined_faults_heal_to_a_bit_identical_model() {
         Ok(())
     };
     let (mut healed_model, healed_report) = trainer
-        .run_resumable_guarded(
+        .run(
             &inp,
-            7,
-            &mut hook,
-            None,
-            RecoveryPolicy::default(),
-            Some(&mut tamper),
+            RunOptions {
+                checkpoint_every: 7,
+                on_checkpoint: Some(&mut hook),
+                tamper: Some(&mut tamper),
+                ..RunOptions::default()
+            },
         )
         .expect("transient faults must heal");
 
@@ -135,9 +137,11 @@ fn combined_faults_heal_to_a_bit_identical_model() {
     assert!(!store.names().unwrap().contains(&newest), "quarantined");
 
     let cp = artifact::load_pipeline(good.artifact(), &cfg()).unwrap();
-    let (mut resumed_model, resumed_report) = trainer
-        .run_resumable(&inp, 0, &mut |_| Ok(()), Some(cp))
-        .unwrap();
+    let resume = RunOptions {
+        start: Start::Resume(Box::new(cp)),
+        ..RunOptions::default()
+    };
+    let (mut resumed_model, resumed_report) = trainer.run(&inp, resume).unwrap();
     assert_eq!(resumed_report.fit_losses, ref_report.fit_losses);
     assert_eq!(resumed_model.export_weights(), ref_weights);
 
@@ -162,16 +166,16 @@ fn persistent_poison_exhausts_retries_and_diverges() {
     let mut tamper = |stage: Stage, step: usize, loss: &mut f64, norm: &mut f64| {
         injector.tamper(stage, step, loss, norm);
     };
-    let outcome = trainer.run_resumable_guarded(
+    let outcome = trainer.run(
         &inp,
-        0,
-        &mut |_| Ok(()),
-        None,
-        RecoveryPolicy {
-            max_retries: 2,
-            lr_backoff: 0.5,
+        RunOptions {
+            recovery: RecoveryPolicy {
+                max_retries: 2,
+                lr_backoff: 0.5,
+            },
+            tamper: Some(&mut tamper),
+            ..RunOptions::default()
         },
-        Some(&mut tamper),
     );
     let Err(err) = outcome else {
         panic!("a persistent fault must not heal");

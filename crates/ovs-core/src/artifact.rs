@@ -152,7 +152,8 @@ pub fn load_model(
 
 /// Extracts an `"ovs-model"` artifact's weight matrices after validating
 /// its recorded structural config against `cfg` — the warm-start path:
-/// feed the result to [`crate::trainer::OvsTrainer::run_warm`].
+/// feed the result to [`crate::trainer::OvsTrainer::run`] as
+/// [`crate::trainer::Start::Warm`].
 pub fn model_weights(
     artifact: &Artifact,
     cfg: &OvsConfig,

@@ -41,6 +41,6 @@ pub use config::{OvsConfig, OvsVariant};
 pub use estimator::{EstimatorInput, TodEstimator};
 pub use model::OvsModel;
 pub use trainer::{
-    OvsTrainer, PipelineCheckpoint, RecoveryPolicy, Stage, StageOptions, StageState, TrainError,
-    TrainReport, TrainResult,
+    OvsTrainer, PipelineCheckpoint, RecoveryPolicy, RunOptions, Stage, StageState, Start,
+    TrainError, TrainReport, TrainResult,
 };

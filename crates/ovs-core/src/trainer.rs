@@ -177,7 +177,7 @@ impl StageMetrics {
     }
 
     /// Runs a checkpoint hook, timing the write.
-    fn record_checkpoint(&self, write: impl FnOnce() -> Result<()>) -> Result<()> {
+    fn record_checkpoint<T>(&self, write: impl FnOnce() -> Result<T>) -> Result<T> {
         // lint: allow(determinism) — write latency goes to a Timing histogram.
         let t0 = Instant::now();
         let r = write();
@@ -283,35 +283,57 @@ pub struct StageState {
     pub since_best: usize,
 }
 
-/// Per-stage checkpoint/resume options for the `*_with` trainer entry
-/// points. The default (`resume: None`, `checkpoint_every: 0`) is the
-/// plain uninterrupted behaviour of [`OvsTrainer::train_v2s`] et al.
+/// Checkpoint hook of a pipeline run: called with every whole-pipeline
+/// snapshot. A failing hook does **not** abort training: the failure is
+/// counted (`trainer_{tag}_ckpt_failures_total`) and the stage keeps its
+/// previous rollback anchor, exactly as if the write never happened.
+pub type CheckpointHook<'a> = dyn FnMut(&PipelineCheckpoint) -> Result<()> + 'a;
+
+/// Fault-injection tap: called with `(stage, step, &mut loss, &mut
+/// grad_norm)` after the backward pass and gradient clip, right before the
+/// non-finite guard scans those two values. Tests poison them here to
+/// exercise the recovery path.
+pub type Tamper<'a> = dyn FnMut(Stage, usize, &mut f64, &mut f64) + 'a;
+
+/// Where [`OvsTrainer::run`] starts.
 #[derive(Default)]
-pub struct StageOptions<'h> {
-    /// Resume mid-stage from this state instead of starting at step 0.
-    pub resume: Option<StageState>,
-    /// Emit a checkpoint every this many steps (0 = never).
+pub enum Start<'a> {
+    /// A freshly initialised model: all three stages.
+    #[default]
+    Cold,
+    /// Import the weights of a model already trained on another scenario
+    /// (same network topology and shapes), re-level the generator to this
+    /// input's calibrated demand and run only the test-time fit, so only
+    /// the fine structure has to be re-learned — the step-count saving
+    /// `examples/warm_start.rs` measures.
+    Warm(&'a [Matrix]),
+    /// Continue bit-exactly from a snapshot an earlier run's
+    /// [`RunOptions::on_checkpoint`] received. Completed stages are not
+    /// re-run; their traces travel in the checkpoint.
+    Resume(Box<PipelineCheckpoint>),
+}
+
+/// Options of [`OvsTrainer::run`]. The default is a plain cold run: no
+/// checkpoints, the default [`RecoveryPolicy`], no tamper tap.
+#[derive(Default)]
+pub struct RunOptions<'a> {
+    /// Cold, warm or resumed start.
+    pub start: Start<'a>,
+    /// Emit a checkpoint every this many steps of whichever stage is
+    /// running (0 = never).
     pub checkpoint_every: usize,
-    /// Called with the model and the stage state at each checkpoint. A
-    /// failing hook does **not** abort training: the failure is counted
-    /// (`trainer_{tag}_ckpt_failures_total`) and the stage keeps its
-    /// previous rollback anchor, exactly as if the write never happened.
-    #[allow(clippy::type_complexity)]
-    pub on_checkpoint: Option<&'h mut dyn FnMut(&mut OvsModel, &StageState) -> Result<()>>,
+    /// Receives each checkpoint; see [`CheckpointHook`].
+    pub on_checkpoint: Option<&'a mut CheckpointHook<'a>>,
     /// Non-finite recovery policy (rollback + LR backoff + bounded
-    /// retries). `None` uses [`RecoveryPolicy::default`].
-    pub recovery: Option<RecoveryPolicy>,
-    /// Fault-injection tap: called with `(stage, step, &mut loss,
-    /// &mut grad_norm)` after the backward pass and gradient clip, right
-    /// before the non-finite guard scans those two values. Tests poison
-    /// them here to exercise the recovery path.
-    #[allow(clippy::type_complexity)]
-    pub tamper: Option<&'h mut dyn FnMut(Stage, usize, &mut f64, &mut f64)>,
+    /// retries) every stage runs under.
+    pub recovery: RecoveryPolicy,
+    /// Fault-injection tap; see [`Tamper`].
+    pub tamper: Option<&'a mut Tamper<'a>>,
 }
 
 /// A whole-pipeline snapshot: the full model weights plus the in-flight
 /// stage's state and the traces of any completed stages. This is what
-/// [`OvsTrainer::run_resumable`] emits and accepts.
+/// [`RunOptions::on_checkpoint`] receives and [`Start::Resume`] accepts.
 #[derive(Debug, Clone)]
 pub struct PipelineCheckpoint {
     /// Full model weights ([`OvsModel::export_weights`] order) at the
@@ -329,13 +351,63 @@ pub struct PipelineCheckpoint {
 /// `(param, grad)` pair of a module.
 type ParamVisitor<'v> = dyn FnMut(&mut dyn FnMut(&mut Matrix, &mut Matrix)) + 'v;
 
-/// Restores a stage's module weights and optimiser from a [`StageState`],
-/// validating the stage tag and every weight shape first.
-fn restore_stage(
+/// Visits the `(param, grad)` pairs of the module a stage trains.
+type StageVisit = fn(&mut OvsModel, &mut dyn FnMut(&mut Matrix, &mut Matrix));
+
+/// One gradient step's forward and backward pass: leaves the stage
+/// module's gradients accumulated and returns the step's loss.
+type StepFn<'p> = Box<dyn FnMut(&mut OvsModel, &mut Workspace) -> f64 + 'p>;
+
+/// What a stage supplies to the shared driver ([`OvsTrainer::drive`]);
+/// everything else — resume, metrics, the non-finite guard, Adam,
+/// checkpoints — is the driver's.
+struct StagePlan<'p> {
+    stage: Stage,
+    visit: StageVisit,
+    /// Stage learning rate as a multiple of `OvsConfig::lr`.
+    lr_mult: f64,
+    /// Gradient-step budget.
+    epochs: usize,
+    /// Early-stopping patience; `None` runs the whole budget.
+    patience: Option<usize>,
+    step: StepFn<'p>,
+}
+
+/// The loop state of a running stage: a [`StageState`] minus the module
+/// weights, which live in the model.
+struct Progress {
+    step: usize,
+    opt: Adam,
+    losses: Vec<f64>,
+    best: f64,
+    since_best: usize,
+}
+
+impl Progress {
+    /// Captures the full stage state (module weights + loop state) for a
+    /// later bit-exact resume.
+    fn capture(&self, visit: &mut ParamVisitor<'_>, stage: Stage) -> StageState {
+        StageState {
+            stage,
+            step: self.step,
+            weights: checkpoint::module::export_visit(visit),
+            opt: self.opt.snapshot(),
+            losses: self.losses.clone(),
+            best: self.best,
+            since_best: self.since_best,
+        }
+    }
+}
+
+/// Rewinds a stage to `state`: validates the stage tag, every weight shape
+/// and every Adam moment shape, then imports the weights and returns the
+/// loop state to continue from.
+fn load_stage(
     visit: &mut ParamVisitor<'_>,
     state: &StageState,
     expected: Stage,
-) -> Result<Adam> {
+) -> Result<Progress> {
+    use checkpoint::module::{check_signature, import_visit, signature_visit};
     if state.stage != expected {
         return Err(RoadnetError::InvalidSpec(format!(
             "resume state is for stage '{}' but stage '{}' is running",
@@ -343,31 +415,24 @@ fn restore_stage(
             expected.tag()
         )));
     }
-    checkpoint::module::import_visit(visit, &state.weights)
-        .map_err(|e| RoadnetError::InvalidSpec(format!("resume state rejected: {e}")))?;
-    Ok(Adam::from_snapshot(state.opt.clone()))
-}
-
-/// Captures a stage's full state (module weights + optimiser + trace) at
-/// `step` for a later bit-exact resume.
-fn capture_stage(
-    visit: &mut ParamVisitor<'_>,
-    stage: Stage,
-    step: usize,
-    opt: &Adam,
-    losses: &[f64],
-    best: f64,
-    since_best: usize,
-) -> StageState {
-    StageState {
-        stage,
-        step,
-        weights: checkpoint::module::export_visit(visit),
-        opt: opt.snapshot(),
-        losses: losses.to_vec(),
-        best,
-        since_best,
+    let reject = |e| RoadnetError::InvalidSpec(format!("resume state rejected: {e}"));
+    // A step-0 capture carries no moments yet; any other snapshot must
+    // pair one moment matrix with each parameter, shape for shape.
+    let opt = &state.opt;
+    if !(opt.m.is_empty() && opt.v.is_empty()) {
+        let sig = signature_visit(visit);
+        check_signature(&sig, &opt.m)
+            .and_then(|()| check_signature(&sig, &opt.v))
+            .map_err(reject)?;
     }
+    import_visit(visit, &state.weights).map_err(reject)?;
+    Ok(Progress {
+        step: state.step,
+        opt: Adam::from_snapshot(opt.clone()),
+        losses: state.losses.clone(),
+        best: state.best,
+        since_best: state.since_best,
+    })
 }
 
 /// Per-stage non-finite recovery bookkeeping: the rollback anchor plus
@@ -505,6 +570,12 @@ pub fn calibrate_demand_level(input: &EstimatorInput<'_>) -> f64 {
     best.1 / cells.max(1) as f64
 }
 
+/// Points the TOD generator's output at `level` (a per-cell demand).
+fn set_generator_level(model: &mut OvsModel, level: f64) {
+    let g_max = model.config().g_max.max(1e-9);
+    model.tod_gen.set_output_level(level / g_max);
+}
+
 /// The two-stage trainer plus test-time fitter.
 pub struct OvsTrainer {
     cfg: OvsConfig,
@@ -532,25 +603,38 @@ impl OvsTrainer {
         model: &mut OvsModel,
         train: &[crate::estimator::TrainTriple],
     ) -> TrainResult<Vec<f64>> {
-        self.train_v2s_with(model, train, StageOptions::default())
+        self.drive_plain(model, self.v2s_plan(train)?)
     }
 
-    /// [`OvsTrainer::train_v2s`] with mid-stage checkpointing and resume.
-    pub fn train_v2s_with(
+    /// Stage 2: freeze V2S, fit TOD2V through it using the speed loss.
+    pub fn train_tod2v(
         &self,
         model: &mut OvsModel,
         train: &[crate::estimator::TrainTriple],
-        mut opts: StageOptions<'_>,
     ) -> TrainResult<Vec<f64>> {
+        self.drive_plain(model, self.tod2v_plan(train)?)
+    }
+
+    /// Test-time fit of the TOD generator against the observed speed
+    /// (plus auxiliary losses when enabled and available).
+    pub fn fit_tod_gen(
+        &self,
+        model: &mut OvsModel,
+        input: &EstimatorInput<'_>,
+    ) -> TrainResult<Vec<f64>> {
+        self.drive_plain(model, self.fit_plan(input, calibrate_demand_level(input)))
+    }
+
+    /// Stage 1's plan. Full-batch training: the V2S weights are shared
+    /// across links, so every link of every sample is just another batch
+    /// row. One big `(M * S, T)` matrix keeps the loss surface smooth.
+    fn v2s_plan(&self, train: &[crate::estimator::TrainTriple]) -> TrainResult<StagePlan<'_>> {
         let Some(head) = train.first() else {
             return Err(RoadnetError::InvalidSpec(
                 "stage 1 requires at least one training triple".into(),
             )
             .into());
         };
-        // Full-batch training: the V2S weights are shared across links, so
-        // every link of every sample is just another batch row. One big
-        // (M * S, T) matrix keeps the loss surface smooth.
         let m = head.volume.rows();
         let t = head.volume.num_intervals();
         let rows = m * train.len();
@@ -568,144 +652,35 @@ impl OvsTrainer {
                 }
             }
         }
-        let (mut opt, mut losses, start) = match opts.resume.take() {
-            Some(state) => {
-                let opt = restore_stage(&mut |f| model.v2s.visit_params(f), &state, Stage::V2s)?;
-                (opt, state.losses, state.step)
-            }
-            None => (
-                Adam::new(self.cfg.lr * 10.0),
-                Vec::with_capacity(self.cfg.epochs_v2s),
-                0,
-            ),
-        };
-        let mx = StageMetrics::new(&self.obs, Stage::V2s);
-        let mut guard = StageGuard::new(
-            opts.recovery.unwrap_or_default(),
-            opt.lr(),
-            capture_stage(
-                &mut |f| model.v2s.visit_params(f),
-                Stage::V2s,
-                start,
-                &opt,
-                &losses,
-                f64::INFINITY,
-                0,
-            ),
-        );
-        // Pooled buffers make the steady-state loop allocation-free; the
-        // `_ws`/`_into` paths are bit-identical to the allocating ones
-        // (locked in by neural's ws_equivalence suite), so losses and
-        // weights match the pre-workspace trainer exactly.
-        let mut ws = Workspace::new();
         let mut grad = Matrix::zeros(rows, t);
-        let mut step = start;
-        while step < self.cfg.epochs_v2s {
-            let v_pred = model.v2s.forward_ws(&q_all, true, &mut ws);
-            let mut loss = mse_into(&v_pred, &v_all, &mut grad);
-            ws.give(v_pred);
-            let dq = model.v2s.backward_ws(&grad, &mut ws);
-            ws.give(dq);
-            let mut norm = clip_grads(&mut |f| model.v2s.visit_params(f), self.cfg.grad_clip);
-            if let Some(tamper) = opts.tamper.as_mut() {
-                tamper(Stage::V2s, step, &mut loss, &mut norm);
-            }
-            if !loss.is_finite() || !norm.is_finite() {
-                let lr = guard.trip(&mx, Stage::V2s, step)?;
-                checkpoint::module::import_visit(
-                    &mut |f| model.v2s.visit_params(f),
-                    &guard.last_good.weights,
-                )
-                .map_err(|e| RoadnetError::Internal(format!("rollback import rejected: {e}")))?;
-                opt = Adam::from_snapshot(guard.last_good.opt.clone());
-                opt.set_lr(lr);
-                losses.truncate(guard.last_good.losses.len());
-                model.v2s.zero_grad();
-                step = guard.last_good.step;
-                continue;
-            }
-            adam_step(&mut opt, &mut |f| model.v2s.visit_params(f));
-            model.v2s.zero_grad();
-            losses.push(loss);
-            mx.record_step(loss, norm);
-            if opts.checkpoint_every > 0 && (step + 1) % opts.checkpoint_every == 0 {
-                let state = capture_stage(
-                    &mut |f| model.v2s.visit_params(f),
-                    Stage::V2s,
-                    step + 1,
-                    &opt,
-                    &losses,
-                    f64::INFINITY,
-                    0,
-                );
-                let mut ok = true;
-                if let Some(hook) = opts.on_checkpoint.as_mut() {
-                    if mx.record_checkpoint(|| hook(model, &state)).is_err() {
-                        mx.ckpt_failures.inc();
-                        ok = false;
-                    }
-                }
-                if ok {
-                    guard.refresh(state);
-                }
-            }
-            step += 1;
-        }
-        mx.finish(&losses, self.cfg.epochs_v2s.saturating_sub(start));
-        Ok(losses)
+        Ok(StagePlan {
+            stage: Stage::V2s,
+            visit: |m, f| m.v2s.visit_params(f),
+            lr_mult: 10.0,
+            epochs: self.cfg.epochs_v2s,
+            patience: None,
+            step: Box::new(move |model, ws| {
+                let v_pred = model.v2s.forward_ws(&q_all, true, ws);
+                let loss = mse_into(&v_pred, &v_all, &mut grad);
+                ws.give(v_pred);
+                let dq = model.v2s.backward_ws(&grad, ws);
+                ws.give(dq);
+                loss
+            }),
+        })
     }
 
-    /// Stage 2: freeze V2S, fit TOD2V through it using the speed loss.
-    pub fn train_tod2v(
-        &self,
-        model: &mut OvsModel,
-        train: &[crate::estimator::TrainTriple],
-    ) -> TrainResult<Vec<f64>> {
-        self.train_tod2v_with(model, train, StageOptions::default())
-    }
-
-    /// [`OvsTrainer::train_tod2v`] with mid-stage checkpointing and resume.
-    pub fn train_tod2v_with(
-        &self,
-        model: &mut OvsModel,
-        train: &[crate::estimator::TrainTriple],
-        mut opts: StageOptions<'_>,
-    ) -> TrainResult<Vec<f64>> {
+    /// Stage 2's plan. Full-batch epochs: gradients accumulate over every
+    /// sample before one optimiser step; per-sample cycling oscillates
+    /// because the five TOD patterns pull the mapping in different
+    /// directions.
+    fn tod2v_plan(&self, train: &[crate::estimator::TrainTriple]) -> TrainResult<StagePlan<'_>> {
         if train.is_empty() {
             return Err(RoadnetError::InvalidSpec(
                 "stage 2 requires at least one training triple".into(),
             )
             .into());
         }
-        let (mut opt, mut losses, start) = match opts.resume.take() {
-            Some(state) => {
-                let opt =
-                    restore_stage(&mut |f| model.tod2v.visit_params(f), &state, Stage::Tod2v)?;
-                (opt, state.losses, state.step)
-            }
-            None => (
-                Adam::new(self.cfg.lr * 30.0),
-                Vec::with_capacity(self.cfg.epochs_tod2v),
-                0,
-            ),
-        };
-        // Full-batch epochs: gradients accumulate over every sample before
-        // one optimiser step; per-sample cycling oscillates because the
-        // five TOD patterns pull the mapping in different directions.
-        let mx = StageMetrics::new(&self.obs, Stage::Tod2v);
-        let mut guard = StageGuard::new(
-            opts.recovery.unwrap_or_default(),
-            opt.lr(),
-            capture_stage(
-                &mut |f| model.tod2v.visit_params(f),
-                Stage::Tod2v,
-                start,
-                &opt,
-                &losses,
-                f64::INFINITY,
-                0,
-            ),
-        );
         // The (TOD, speed, volume) matrices are epoch-invariant; converting
         // them once keeps the epoch loop free of per-sample allocation.
         let samples: Vec<(Matrix, Matrix, Matrix)> = train
@@ -719,281 +694,243 @@ impl OvsTrainer {
             })
             .collect();
         let (vm, vt) = samples.first().map(|(_, v, _)| v.shape()).unwrap_or((0, 0));
-        let mut ws = Workspace::new();
         let mut dv = Matrix::zeros(vm, vt);
         let mut dq_vol = Matrix::zeros(vm, vt);
-        let mut step = start;
-        while step < self.cfg.epochs_tod2v {
-            let mut epoch_loss = 0.0;
-            for (g, v_target, q_target) in &samples {
-                let q_pred = model.tod2v.forward(g, true);
-                let v_pred = model.v2s.forward_ws(&q_pred, true, &mut ws);
-                let speed_loss = mse_into(&v_pred, v_target, &mut dv);
-                ws.give(v_pred);
-                let mut dq = model.v2s.backward_ws(&dv, &mut ws);
-                // Volume anchoring (Fig 8: the TOD-Volume mapping is
-                // trained with generated TOD, volume AND speed).
-                // Normalised by the volume scale so the weight is
-                // unit-free.
-                let mut loss = speed_loss;
-                if self.cfg.w_volume_stage2 > 0.0 {
-                    let vol_loss = mse_into(&q_pred, q_target, &mut dq_vol);
-                    let scale =
-                        self.cfg.w_volume_stage2 * (self.cfg.v_max / self.cfg.q_norm).powi(2);
-                    loss += scale * vol_loss;
-                    dq_vol.scale(scale);
-                    dq.add_assign(&dq_vol);
-                }
-                model.tod2v.backward(&dq);
-                ws.give(dq);
-                // Only the TOD2V parameters move; V2S gradients are
-                // discarded.
-                model.v2s.zero_grad();
-                epoch_loss += loss;
-            }
-            let mut norm = clip_grads(&mut |f| model.tod2v.visit_params(f), self.cfg.grad_clip);
-            let mut mean_loss = epoch_loss / train.len() as f64;
-            if let Some(tamper) = opts.tamper.as_mut() {
-                tamper(Stage::Tod2v, step, &mut mean_loss, &mut norm);
-            }
-            if !mean_loss.is_finite() || !norm.is_finite() {
-                let lr = guard.trip(&mx, Stage::Tod2v, step)?;
-                checkpoint::module::import_visit(
-                    &mut |f| model.tod2v.visit_params(f),
-                    &guard.last_good.weights,
-                )
-                .map_err(|e| RoadnetError::Internal(format!("rollback import rejected: {e}")))?;
-                opt = Adam::from_snapshot(guard.last_good.opt.clone());
-                opt.set_lr(lr);
-                losses.truncate(guard.last_good.losses.len());
-                model.tod2v.zero_grad();
-                step = guard.last_good.step;
-                continue;
-            }
-            adam_step(&mut opt, &mut |f| model.tod2v.visit_params(f));
-            model.tod2v.zero_grad();
-            losses.push(mean_loss);
-            mx.record_step(mean_loss, norm);
-            if opts.checkpoint_every > 0 && (step + 1) % opts.checkpoint_every == 0 {
-                let state = capture_stage(
-                    &mut |f| model.tod2v.visit_params(f),
-                    Stage::Tod2v,
-                    step + 1,
-                    &opt,
-                    &losses,
-                    f64::INFINITY,
-                    0,
-                );
-                let mut ok = true;
-                if let Some(hook) = opts.on_checkpoint.as_mut() {
-                    if mx.record_checkpoint(|| hook(model, &state)).is_err() {
-                        mx.ckpt_failures.inc();
-                        ok = false;
+        let cfg = &self.cfg;
+        Ok(StagePlan {
+            stage: Stage::Tod2v,
+            visit: |m, f| m.tod2v.visit_params(f),
+            lr_mult: 30.0,
+            epochs: cfg.epochs_tod2v,
+            patience: None,
+            step: Box::new(move |model, ws| {
+                let mut epoch_loss = 0.0;
+                for (g, v_target, q_target) in &samples {
+                    let q_pred = model.tod2v.forward(g, true);
+                    let v_pred = model.v2s.forward_ws(&q_pred, true, ws);
+                    let speed_loss = mse_into(&v_pred, v_target, &mut dv);
+                    ws.give(v_pred);
+                    let mut dq = model.v2s.backward_ws(&dv, ws);
+                    // Volume anchoring (Fig 8: the TOD-Volume mapping is
+                    // trained with generated TOD, volume AND speed).
+                    // Normalised by the volume scale so the weight is
+                    // unit-free.
+                    let mut loss = speed_loss;
+                    if cfg.w_volume_stage2 > 0.0 {
+                        let vol_loss = mse_into(&q_pred, q_target, &mut dq_vol);
+                        let scale = cfg.w_volume_stage2 * (cfg.v_max / cfg.q_norm).powi(2);
+                        loss += scale * vol_loss;
+                        dq_vol.scale(scale);
+                        dq.add_assign(&dq_vol);
                     }
+                    model.tod2v.backward(&dq);
+                    ws.give(dq);
+                    // Only the TOD2V parameters move; V2S gradients are
+                    // discarded.
+                    model.v2s.zero_grad();
+                    epoch_loss += loss;
                 }
-                if ok {
-                    guard.refresh(state);
-                }
-            }
-            step += 1;
-        }
-        mx.finish(&losses, self.cfg.epochs_tod2v.saturating_sub(start));
-        Ok(losses)
+                epoch_loss / samples.len() as f64
+            }),
+        })
     }
 
-    /// Test-time fit of the TOD generator against the observed speed
-    /// (plus auxiliary losses when enabled and available).
-    pub fn fit_tod_gen(
-        &self,
-        model: &mut OvsModel,
-        input: &EstimatorInput<'_>,
-    ) -> TrainResult<Vec<f64>> {
-        self.fit_tod_gen_with(model, input, StageOptions::default())
-    }
-
-    /// [`OvsTrainer::fit_tod_gen`] with mid-stage checkpointing and
-    /// resume. The early-stopping counters travel in the [`StageState`],
-    /// so a resumed fit stops at exactly the step the uninterrupted fit
-    /// would have.
-    pub fn fit_tod_gen_with(
-        &self,
-        model: &mut OvsModel,
-        input: &EstimatorInput<'_>,
-        mut opts: StageOptions<'_>,
-    ) -> TrainResult<Vec<f64>> {
+    /// The test-time fit's plan, with the Gaussian prior (SS IV-B) centred
+    /// on `prior_mu`: the demand *level* implied by the observation itself
+    /// — the corpus demand->mean-speed curve inverted at the observed mean
+    /// speed. Using the raw corpus mean instead would bias the fit
+    /// whenever the hidden scenario is much lighter or heavier than the
+    /// average generated tensor.
+    fn fit_plan<'p>(&'p self, input: &'p EstimatorInput<'_>, prior_mu: f64) -> StagePlan<'p> {
+        let cfg = &self.cfg;
         let v_obs = link_to_matrix(input.observed_speed);
-        // Gaussian prior centre (SS IV-B): the demand *level* implied by
-        // the observation itself — the corpus demand->mean-speed curve
-        // inverted at the observed mean speed. Using the raw corpus mean
-        // instead would bias the fit whenever the hidden scenario is much
-        // lighter or heavier than the average generated tensor.
-        let prior_mu = calibrate_demand_level(input);
-        let prior_scale = self.cfg.w_prior * (self.cfg.v_max / self.cfg.g_max.max(1e-9)).powi(2);
+        let prior_scale = cfg.w_prior * (cfg.v_max / cfg.g_max.max(1e-9)).powi(2);
         let limits: Vec<f64> = input
             .net
             .links()
             .iter()
             .map(|l| l.speed_limit_mps)
             .collect();
-        // Early stopping: once the speed evidence stops improving the fit,
-        // further steps only chase forward-model bias (the multiple-
-        // solution problem of SS I). Patience scales with the budget.
-        let patience = (self.cfg.epochs_fit / 8).max(50);
-        let (mut opt, mut losses, start, mut best, mut since_best) = match opts.resume.take() {
-            Some(state) => {
-                let opt =
-                    restore_stage(&mut |f| model.tod_gen.visit_params(f), &state, Stage::Fit)?;
-                (opt, state.losses, state.step, state.best, state.since_best)
-            }
-            None => (
-                Adam::new(self.cfg.lr * 30.0),
-                Vec::with_capacity(self.cfg.epochs_fit),
-                0,
-                f64::INFINITY,
-                0usize,
-            ),
-        };
-        let mx = StageMetrics::new(&self.obs, Stage::Fit);
-        let mut guard = StageGuard::new(
-            opts.recovery.unwrap_or_default(),
-            opt.lr(),
-            capture_stage(
-                &mut |f| model.tod_gen.visit_params(f),
-                Stage::Fit,
-                start,
-                &opt,
-                &losses,
-                best,
-                since_best,
-            ),
-        );
-        let mut ws = Workspace::new();
-        let mut steps_taken = 0usize;
-        let mut step = start;
-        while step < self.cfg.epochs_fit {
-            let (g, q, v) = model.forward_full(true);
-            let (main, dv) = if self.cfg.fit_huber_delta > 0.0 {
-                huber(&v, &v_obs, self.cfg.fit_huber_delta)
-            } else {
-                mse(&v, &v_obs)
-            };
-            let mut total = main;
+        StagePlan {
+            stage: Stage::Fit,
+            visit: |m, f| m.tod_gen.visit_params(f),
+            lr_mult: 30.0,
+            epochs: cfg.epochs_fit,
+            // Early stopping: once the speed evidence stops improving the
+            // fit, further steps only chase forward-model bias (the
+            // multiple-solution problem of SS I). Patience scales with the
+            // budget.
+            patience: Some((cfg.epochs_fit / 8).max(50)),
+            step: Box::new(move |model, ws| {
+                let (g, q, v) = model.forward_full(true);
+                let (main, mut dv) = if cfg.fit_huber_delta > 0.0 {
+                    huber(&v, &v_obs, cfg.fit_huber_delta)
+                } else {
+                    mse(&v, &v_obs)
+                };
+                let mut total = main;
 
-            // Speed-limit constraint (Eq. 13's w_v term): folded into the
-            // speed gradient before it enters V2S.
-            let mut dv = dv;
-            if self.cfg.w_speed_limit > 0.0 {
-                let (l_lim, mut d_lim) = speed_limit_loss(&v, &limits);
-                total += self.cfg.w_speed_limit * l_lim;
-                d_lim.scale(self.cfg.w_speed_limit);
-                dv.add_assign(&d_lim);
-            }
-
-            // d loss / d q: through V2S plus the camera constraint.
-            let mut dq = model.v2s.backward_ws(&dv, &mut ws);
-            if self.cfg.w_camera > 0.0 {
-                if let Some((links, obs)) = input.cameras {
-                    let (l_cam, mut d_cam) = camera_loss(&q, links, obs);
-                    total += self.cfg.w_camera * l_cam;
-                    d_cam.scale(self.cfg.w_camera);
-                    dq.add_assign(&d_cam);
+                // Speed-limit constraint (Eq. 13's w_v term): folded into
+                // the speed gradient before it enters V2S.
+                if cfg.w_speed_limit > 0.0 {
+                    let (l_lim, mut d_lim) = speed_limit_loss(&v, &limits);
+                    total += cfg.w_speed_limit * l_lim;
+                    d_lim.scale(cfg.w_speed_limit);
+                    dv.add_assign(&d_lim);
                 }
-            }
 
-            // d loss / d g: through TOD2V plus the census constraint.
-            let mut dg = model.tod2v.backward(&dq);
-            ws.give(dq);
-            if self.cfg.w_census > 0.0 {
-                if let Some(totals) = input.census_totals {
-                    let (l_cen, mut d_cen) = census_loss(&g, totals);
-                    total += self.cfg.w_census * l_cen;
-                    d_cen.scale(self.cfg.w_census);
-                    dg.add_assign(&d_cen);
-                }
-            }
-
-            // Gaussian prior on the generated TOD.
-            if prior_scale > 0.0 {
-                let n = g.len().max(1) as f64;
-                let mut prior_loss = 0.0;
-                for (dgv, &gv) in dg.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                    let diff = gv - prior_mu;
-                    prior_loss += diff * diff;
-                    *dgv += prior_scale * 2.0 * diff / n;
-                }
-                total += prior_scale * prior_loss / n;
-            }
-
-            model.tod_gen.backward(&dg);
-            // Frozen mappings: discard their gradients.
-            model.v2s.zero_grad();
-            model.tod2v.zero_grad();
-            let mut norm = clip_grads(&mut |f| model.tod_gen.visit_params(f), self.cfg.grad_clip);
-            if let Some(tamper) = opts.tamper.as_mut() {
-                tamper(Stage::Fit, step, &mut total, &mut norm);
-            }
-            if !total.is_finite() || !norm.is_finite() {
-                let lr = guard.trip(&mx, Stage::Fit, step)?;
-                checkpoint::module::import_visit(
-                    &mut |f| model.tod_gen.visit_params(f),
-                    &guard.last_good.weights,
-                )
-                .map_err(|e| RoadnetError::Internal(format!("rollback import rejected: {e}")))?;
-                opt = Adam::from_snapshot(guard.last_good.opt.clone());
-                opt.set_lr(lr);
-                losses.truncate(guard.last_good.losses.len());
-                best = guard.last_good.best;
-                since_best = guard.last_good.since_best;
-                model.tod_gen.zero_grad();
-                step = guard.last_good.step;
-                continue;
-            }
-            adam_step(&mut opt, &mut |f| model.tod_gen.visit_params(f));
-            model.tod_gen.zero_grad();
-            losses.push(total);
-            mx.record_step(total, norm);
-            steps_taken += 1;
-            let mut stop = false;
-            if total < best * 0.995 {
-                best = total;
-                since_best = 0;
-            } else {
-                since_best += 1;
-                stop = since_best >= patience;
-            }
-            if opts.checkpoint_every > 0 && (step + 1) % opts.checkpoint_every == 0 && !stop {
-                let state = capture_stage(
-                    &mut |f| model.tod_gen.visit_params(f),
-                    Stage::Fit,
-                    step + 1,
-                    &opt,
-                    &losses,
-                    best,
-                    since_best,
-                );
-                let mut ok = true;
-                if let Some(hook) = opts.on_checkpoint.as_mut() {
-                    if mx.record_checkpoint(|| hook(model, &state)).is_err() {
-                        mx.ckpt_failures.inc();
-                        ok = false;
+                // d loss / d q: through V2S plus the camera constraint.
+                let mut dq = model.v2s.backward_ws(&dv, ws);
+                if cfg.w_camera > 0.0 {
+                    if let Some((links, obs)) = input.cameras {
+                        let (l_cam, mut d_cam) = camera_loss(&q, links, obs);
+                        total += cfg.w_camera * l_cam;
+                        d_cam.scale(cfg.w_camera);
+                        dq.add_assign(&d_cam);
                     }
                 }
-                if ok {
-                    guard.refresh(state);
+
+                // d loss / d g: through TOD2V plus the census constraint.
+                let mut dg = model.tod2v.backward(&dq);
+                ws.give(dq);
+                if cfg.w_census > 0.0 {
+                    if let Some(totals) = input.census_totals {
+                        let (l_cen, mut d_cen) = census_loss(&g, totals);
+                        total += cfg.w_census * l_cen;
+                        d_cen.scale(cfg.w_census);
+                        dg.add_assign(&d_cen);
+                    }
+                }
+
+                // Gaussian prior on the generated TOD.
+                if prior_scale > 0.0 {
+                    let n = g.len().max(1) as f64;
+                    let mut prior_loss = 0.0;
+                    for (dgv, &gv) in dg.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                        let diff = gv - prior_mu;
+                        prior_loss += diff * diff;
+                        *dgv += prior_scale * 2.0 * diff / n;
+                    }
+                    total += prior_scale * prior_loss / n;
+                }
+
+                model.tod_gen.backward(&dg);
+                // Frozen mappings: discard their gradients.
+                model.v2s.zero_grad();
+                model.tod2v.zero_grad();
+                total
+            }),
+        }
+    }
+
+    /// [`OvsTrainer::drive`] with no resume, no checkpoints, the default
+    /// recovery policy and no tamper tap.
+    fn drive_plain(&self, model: &mut OvsModel, plan: StagePlan<'_>) -> TrainResult<Vec<f64>> {
+        let done = TrainReport::default();
+        self.drive(model, plan, None, &mut RunOptions::default(), &done)
+    }
+
+    /// The one stage loop every stage runs through: resume, per-stage
+    /// metrics, gradient clipping, the tamper tap, the non-finite rollback
+    /// guard, the Adam step, early stopping (when the plan has a
+    /// patience) and periodic checkpoints. `done` holds the traces of the
+    /// stages that completed before this one; they ride along in every
+    /// [`PipelineCheckpoint`] so a resume need not re-run them.
+    fn drive(
+        &self,
+        model: &mut OvsModel,
+        mut plan: StagePlan<'_>,
+        resume: Option<StageState>,
+        opts: &mut RunOptions<'_>,
+        done: &TrainReport,
+    ) -> TrainResult<Vec<f64>> {
+        let (stage, visit) = (plan.stage, plan.visit);
+        // A stage starts the way a rollback resumes: by rewinding to its
+        // anchor — the resume state, or a fresh step-0 capture.
+        let anchor = match resume {
+            Some(state) => state,
+            None => Progress {
+                step: 0,
+                opt: Adam::new(self.cfg.lr * plan.lr_mult),
+                losses: Vec::new(),
+                best: f64::INFINITY,
+                since_best: 0,
+            }
+            .capture(&mut |f| visit(model, f), stage),
+        };
+        let mut p = load_stage(&mut |f| visit(model, f), &anchor, stage)?;
+        let mx = StageMetrics::new(&self.obs, stage);
+        let mut guard = StageGuard::new(opts.recovery, p.opt.lr(), anchor);
+        // Pooled buffers make the steady-state loop allocation-free; the
+        // `_ws`/`_into` paths are bit-identical to the allocating ones
+        // (locked in by neural's ws_equivalence suite).
+        let mut ws = Workspace::new();
+        let mut steps_taken = 0usize;
+        while p.step < plan.epochs {
+            let mut loss = (plan.step)(model, &mut ws);
+            let mut norm = clip_grads(&mut |f| visit(model, f), self.cfg.grad_clip);
+            if let Some(tamper) = opts.tamper.as_mut() {
+                tamper(stage, p.step, &mut loss, &mut norm);
+            }
+            if !loss.is_finite() || !norm.is_finite() {
+                let lr = guard.trip(&mx, stage, p.step)?;
+                p = load_stage(&mut |f| visit(model, f), &guard.last_good, stage)?;
+                p.opt.set_lr(lr);
+                visit(model, &mut |_, g| g.fill_zero());
+                continue;
+            }
+            adam_step(&mut p.opt, &mut |f| visit(model, f));
+            visit(model, &mut |_, g| g.fill_zero());
+            p.losses.push(loss);
+            p.step += 1;
+            mx.record_step(loss, norm);
+            steps_taken += 1;
+            let mut stop = false;
+            if let Some(patience) = plan.patience {
+                if loss < p.best * 0.995 {
+                    p.best = loss;
+                    p.since_best = 0;
+                } else {
+                    p.since_best += 1;
+                    stop = p.since_best >= patience;
                 }
             }
-            step += 1;
+            if opts.checkpoint_every > 0 && p.step % opts.checkpoint_every == 0 && !stop {
+                let state = p.capture(&mut |f| visit(model, f), stage);
+                let written = match opts.on_checkpoint.as_mut() {
+                    Some(hook) => mx.record_checkpoint(|| {
+                        let cp = PipelineCheckpoint {
+                            model_weights: model.export_weights(),
+                            state,
+                            v2s_losses: done.v2s_losses.clone(),
+                            tod2v_losses: done.tod2v_losses.clone(),
+                        };
+                        hook(&cp).map(|()| cp.state)
+                    }),
+                    None => Ok(state),
+                };
+                match written {
+                    Ok(state) => guard.refresh(state),
+                    Err(_) => mx.ckpt_failures.inc(),
+                }
+            }
             if stop {
                 break;
             }
         }
-        mx.finish(&losses, steps_taken);
-        Ok(losses)
+        mx.finish(&p.losses, steps_taken);
+        Ok(p.losses)
     }
 
-    /// Builds the corpus-adapted trainer and the freshly initialised,
-    /// demand-levelled model that every pipeline entry point starts from.
-    fn prepare(&self, input: &EstimatorInput<'_>) -> Result<(OvsTrainer, OvsModel)> {
+    /// Builds the corpus-adapted trainer and the freshly initialised model
+    /// a run starts from — demand-levelled for a cold start, carrying the
+    /// imported weights for a warm start or resume — plus the calibrated
+    /// demand level the test-time fit's prior is centred on.
+    fn prepare(
+        &self,
+        input: &EstimatorInput<'_>,
+        start: &Start<'_>,
+    ) -> Result<(OvsTrainer, OvsModel, f64)> {
         validate_input(input)?;
         // Adapt the sigmoid scales to the corpus so the generator starts
         // inside the data range instead of saturating.
@@ -1006,248 +943,91 @@ impl OvsTrainer {
             input.interval_s,
             cfg,
         )?;
-        // Start the generator at the observation-calibrated demand level.
         let level = calibrate_demand_level(input);
-        model
-            .tod_gen
-            .set_output_level(level / model.config().g_max.max(1e-9));
-        Ok((trainer, model))
+        // The import overwrites every parameter, so a resume keeps its
+        // checkpointed generator as is; a warm start re-levels the
+        // imported one to this input's demand.
+        match start {
+            Start::Cold => set_generator_level(&mut model, level),
+            Start::Warm(weights) => {
+                model.import_weights(weights)?;
+                set_generator_level(&mut model, level);
+            }
+            Start::Resume(cp) => model.import_weights(&cp.model_weights)?,
+        }
+        Ok((trainer, model, level))
     }
 
-    /// The full pipeline: stages 1-2 on the corpus, then the test-time
-    /// fit. Returns the trained model and the loss traces.
-    pub fn run(&self, input: &EstimatorInput<'_>) -> TrainResult<(OvsModel, TrainReport)> {
-        let (trainer, mut model) = self.prepare(input)?;
-        let report = TrainReport {
-            v2s_losses: trainer.train_v2s(&mut model, input.train)?,
-            tod2v_losses: trainer.train_tod2v(&mut model, input.train)?,
-            fit_losses: trainer.fit_tod_gen(&mut model, input)?,
+    /// The training pipeline: stages 1-2 on the corpus, then the test-time
+    /// fit, from the start `opts` names (see [`Start`]). Every stage runs
+    /// under `opts.recovery` and the optional tamper tap, and emits a
+    /// [`PipelineCheckpoint`] every `opts.checkpoint_every` steps that,
+    /// passed back as [`Start::Resume`], continues the run bit-exactly
+    /// from that step. A transiently poisoned step rolls back to the last
+    /// good checkpoint and replays onto the uninjected trajectory
+    /// bit-exactly; a persistently poisoned one exhausts the budget and
+    /// surfaces as [`TrainError::Diverged`]. Returns the trained model and
+    /// the loss traces (a warm run's stage-1/2 traces are empty).
+    pub fn run(
+        &self,
+        input: &EstimatorInput<'_>,
+        mut opts: RunOptions<'_>,
+    ) -> TrainResult<(OvsModel, TrainReport)> {
+        let start = std::mem::take(&mut opts.start);
+        let (trainer, mut model, level) = self.prepare(input, &start)?;
+        let mut report = TrainReport::default();
+        let (first, mut resume) = match start {
+            Start::Cold => (Stage::V2s, None),
+            Start::Warm(_) => (Stage::Fit, None),
+            Start::Resume(cp) => {
+                let stage = cp.state.stage;
+                if stage != Stage::V2s {
+                    report.v2s_losses = cp.v2s_losses;
+                }
+                if stage == Stage::Fit {
+                    report.tod2v_losses = cp.tod2v_losses;
+                }
+                (stage, Some(cp.state))
+            }
         };
+        for stage in [Stage::V2s, Stage::Tod2v, Stage::Fit]
+            .into_iter()
+            .skip_while(|&s| s != first)
+        {
+            let plan = match stage {
+                Stage::V2s => trainer.v2s_plan(input.train)?,
+                Stage::Tod2v => trainer.tod2v_plan(input.train)?,
+                Stage::Fit => trainer.fit_plan(input, level),
+            };
+            let losses = trainer.drive(&mut model, plan, resume.take(), &mut opts, &report)?;
+            match stage {
+                Stage::V2s => report.v2s_losses = losses,
+                Stage::Tod2v => report.tod2v_losses = losses,
+                Stage::Fit => report.fit_losses = losses,
+            }
+        }
         Ok((model, report))
     }
 
-    /// [`OvsTrainer::run`] with periodic whole-pipeline checkpointing and
-    /// resume. `on_checkpoint` fires every `checkpoint_every` steps of
-    /// whichever stage is running, receiving a [`PipelineCheckpoint`]
-    /// that, passed back as `resume`, continues the run bit-exactly from
-    /// that step (completed stages are not re-run; their traces travel in
-    /// the checkpoint). With `checkpoint_every == 0` and `resume: None`
-    /// this is exactly [`OvsTrainer::run`].
-    pub fn run_resumable(
-        &self,
-        input: &EstimatorInput<'_>,
-        checkpoint_every: usize,
-        on_checkpoint: &mut dyn FnMut(&PipelineCheckpoint) -> Result<()>,
-        resume: Option<PipelineCheckpoint>,
-    ) -> TrainResult<(OvsModel, TrainReport)> {
-        self.run_resumable_guarded(
-            input,
-            checkpoint_every,
-            on_checkpoint,
-            resume,
-            RecoveryPolicy::default(),
-            None,
-        )
-    }
-
-    /// [`OvsTrainer::run_resumable`] with an explicit non-finite
-    /// [`RecoveryPolicy`] and an optional fault-injection `tamper` tap
-    /// (see [`StageOptions::tamper`]). This is the entry point the
-    /// fault-injection harness drives: a transiently poisoned step rolls
-    /// back to the last good checkpoint and replays onto the uninjected
-    /// trajectory bit-exactly; a persistently poisoned step exhausts the
-    /// budget and surfaces as [`TrainError::Diverged`].
-    #[allow(clippy::type_complexity)]
-    pub fn run_resumable_guarded(
-        &self,
-        input: &EstimatorInput<'_>,
-        checkpoint_every: usize,
-        on_checkpoint: &mut dyn FnMut(&PipelineCheckpoint) -> Result<()>,
-        resume: Option<PipelineCheckpoint>,
-        recovery: RecoveryPolicy,
-        mut tamper: Option<&mut dyn FnMut(Stage, usize, &mut f64, &mut f64)>,
-    ) -> TrainResult<(OvsModel, TrainReport)> {
-        let (trainer, mut model) = self.prepare(input)?;
-        let (mut stage_resume, done_v2s, done_tod2v, start_stage) = match resume {
-            Some(cp) => {
-                model.import_weights(&cp.model_weights)?;
-                let stage = cp.state.stage;
-                (Some(cp.state), cp.v2s_losses, cp.tod2v_losses, stage)
-            }
-            None => (None, Vec::new(), Vec::new(), Stage::V2s),
-        };
-
-        let v2s_losses = if start_stage == Stage::V2s {
-            let mut hook = |m: &mut OvsModel, s: &StageState| {
-                on_checkpoint(&PipelineCheckpoint {
-                    model_weights: m.export_weights(),
-                    state: s.clone(),
-                    v2s_losses: Vec::new(),
-                    tod2v_losses: Vec::new(),
-                })
-            };
-            trainer.train_v2s_with(
-                &mut model,
-                input.train,
-                StageOptions {
-                    resume: stage_resume.take(),
-                    checkpoint_every,
-                    on_checkpoint: Some(&mut hook),
-                    recovery: Some(recovery),
-                    tamper: tamper.as_mut().map(|t| &mut **t as _),
-                },
-            )?
-        } else {
-            done_v2s
-        };
-
-        let tod2v_losses = if matches!(start_stage, Stage::V2s | Stage::Tod2v) {
-            let mut hook = |m: &mut OvsModel, s: &StageState| {
-                on_checkpoint(&PipelineCheckpoint {
-                    model_weights: m.export_weights(),
-                    state: s.clone(),
-                    v2s_losses: v2s_losses.clone(),
-                    tod2v_losses: Vec::new(),
-                })
-            };
-            trainer.train_tod2v_with(
-                &mut model,
-                input.train,
-                StageOptions {
-                    resume: stage_resume.take(),
-                    checkpoint_every,
-                    on_checkpoint: Some(&mut hook),
-                    recovery: Some(recovery),
-                    tamper: tamper.as_mut().map(|t| &mut **t as _),
-                },
-            )?
-        } else {
-            done_tod2v
-        };
-
-        let fit_losses = {
-            let mut hook = |m: &mut OvsModel, s: &StageState| {
-                on_checkpoint(&PipelineCheckpoint {
-                    model_weights: m.export_weights(),
-                    state: s.clone(),
-                    v2s_losses: v2s_losses.clone(),
-                    tod2v_losses: tod2v_losses.clone(),
-                })
-            };
-            trainer.fit_tod_gen_with(
-                &mut model,
-                input,
-                StageOptions {
-                    resume: stage_resume.take(),
-                    checkpoint_every,
-                    on_checkpoint: Some(&mut hook),
-                    recovery: Some(recovery),
-                    tamper: tamper.as_mut().map(|t| &mut **t as _),
-                },
-            )?
-        };
-
-        Ok((
-            model,
-            TrainReport {
-                v2s_losses,
-                tod2v_losses,
-                fit_losses,
-            },
-        ))
-    }
-
-    /// Warm start: skip stages 1-2 entirely by importing the weights of a
-    /// model already trained on another scenario (same network topology
-    /// and shapes), then run only the test-time fit against this input's
-    /// observation. The imported generator is re-levelled to the new
-    /// observation's calibrated demand before fitting, so only the
-    /// fine-structure has to be re-learned — the step-count saving
-    /// `examples/warm_start.rs` measures.
-    pub fn run_warm(
-        &self,
-        input: &EstimatorInput<'_>,
-        source_weights: &[Matrix],
-    ) -> TrainResult<(OvsModel, TrainReport)> {
-        let (trainer, mut model) = self.prepare(input)?;
-        model.import_weights(source_weights)?;
-        let level = calibrate_demand_level(input);
-        model
-            .tod_gen
-            .set_output_level(level / model.config().g_max.max(1e-9));
-        let fit_losses = trainer.fit_tod_gen(&mut model, input)?;
-        Ok((
-            model,
-            TrainReport {
-                v2s_losses: Vec::new(),
-                tod2v_losses: Vec::new(),
-                fit_losses,
-            },
-        ))
-    }
-
-    /// [`OvsTrainer::run_warm`] under an explicit non-finite
-    /// [`RecoveryPolicy`] and an optional fault-injection `tamper` tap —
-    /// the warm path the streaming driver runs every non-first window
-    /// through: a transiently poisoned fit step rolls back to the last
-    /// good state, a persistent one exhausts the retry budget and
-    /// surfaces as [`TrainError::Diverged`] so the caller can fall back
-    /// to a cold start instead of publishing a corrupted window.
-    #[allow(clippy::type_complexity)]
+    /// A guarded warm run. Kept only for the benchmark harness in
+    /// `citybench/`, which is built against this signature; workspace code
+    /// calls [`OvsTrainer::run`] with [`Start::Warm`].
     pub fn run_warm_guarded(
         &self,
         input: &EstimatorInput<'_>,
         source_weights: &[Matrix],
         recovery: RecoveryPolicy,
-        tamper: Option<&mut dyn FnMut(Stage, usize, &mut f64, &mut f64)>,
+        tamper: Option<&mut Tamper<'_>>,
     ) -> TrainResult<(OvsModel, TrainReport)> {
-        let (trainer, mut model) = self.prepare(input)?;
-        model.import_weights(source_weights)?;
-        let level = calibrate_demand_level(input);
-        model
-            .tod_gen
-            .set_output_level(level / model.config().g_max.max(1e-9));
-        let fit_losses = trainer.fit_tod_gen_with(
-            &mut model,
+        self.run(
             input,
-            StageOptions {
-                recovery: Some(recovery),
-                tamper,
-                ..StageOptions::default()
+            RunOptions {
+                start: Start::Warm(source_weights),
+                recovery,
+                tamper: tamper.map(|t| t as &mut Tamper),
+                ..RunOptions::default()
             },
-        )?;
-        Ok((
-            model,
-            TrainReport {
-                v2s_losses: Vec::new(),
-                tod2v_losses: Vec::new(),
-                fit_losses,
-            },
-        ))
-    }
-
-    /// Like [`OvsTrainer::run`], but additionally averages the recovered
-    /// TOD over `fit_restarts` independent test-time fits. Returns the
-    /// model (holding the last fit), the averaged recovered TOD and the
-    /// report of the first fit.
-    pub fn run_ensembled(
-        &self,
-        input: &EstimatorInput<'_>,
-    ) -> TrainResult<(OvsModel, Matrix, TrainReport)> {
-        let (mut model, report) = self.run(input)?;
-        let restarts = self.cfg.fit_restarts.max(1);
-        let mut mean = model.recovered_tod();
-        let corpus_level = calibrate_demand_level(input);
-        for r in 1..restarts {
-            model.reset_generator(self.cfg.seed.wrapping_add(r as u64 * 7919));
-            model
-                .tod_gen
-                .set_output_level(corpus_level / model.config().g_max.max(1e-9));
-            self.fit_tod_gen(&mut model, input)?;
-            mean.add_assign(&model.recovered_tod());
-        }
-        mean.scale(1.0 / restarts as f64);
-        Ok((model, mean, report))
+        )
     }
 }
 
@@ -1278,10 +1058,24 @@ impl TodEstimator for OvsEstimator {
         self.cfg.variant.name()
     }
 
+    /// One cold [`OvsTrainer::run`], then the fit ensemble: the recovered
+    /// TOD is averaged over `fit_restarts` test-time fits, each restart
+    /// from a re-seeded generator. The restarts fit under the estimator's
+    /// own (not corpus-adapted) configuration.
     fn estimate(&mut self, input: &EstimatorInput<'_>) -> Result<TodTensor> {
         let trainer = OvsTrainer::new(self.cfg.clone()).with_registry(self.obs.clone());
-        let (_, mean_tod, _) = trainer.run_ensembled(input)?;
-        Ok(matrix_to_tod(&mean_tod))
+        let (mut model, _) = trainer.run(input, RunOptions::default())?;
+        let restarts = self.cfg.fit_restarts.max(1);
+        let mut mean = model.recovered_tod();
+        let level = calibrate_demand_level(input);
+        for r in 1..restarts {
+            model.reset_generator(self.cfg.seed.wrapping_add(r as u64 * 7919));
+            set_generator_level(&mut model, level);
+            trainer.drive_plain(&mut model, trainer.fit_plan(input, level))?;
+            mean.add_assign(&model.recovered_tod());
+        }
+        mean.scale(1.0 / restarts as f64);
+        Ok(matrix_to_tod(&mean))
     }
 }
 
@@ -1337,7 +1131,7 @@ mod tests {
         let ds = tiny_dataset();
         let input = to_input(&ds, &ds.train, None);
         let trainer = OvsTrainer::new(OvsConfig::tiny());
-        let (mut model, report) = trainer.run(&input).unwrap();
+        let (mut model, report) = trainer.run(&input, RunOptions::default()).unwrap();
         let fit = &report.fit_losses;
         assert!(fit.last().unwrap() < fit.first().unwrap(), "{fit:?}");
         let tod = model.recovered_tod();
@@ -1363,7 +1157,7 @@ mod tests {
         let input = to_input(&ds, &ds.train, None);
         let reg = obs::Registry::new();
         let trainer = OvsTrainer::new(OvsConfig::tiny()).with_registry(reg.clone());
-        let (_, report) = trainer.run(&input).unwrap();
+        let (_, report) = trainer.run(&input, RunOptions::default()).unwrap();
         assert_eq!(
             reg.counter("trainer_v2s_steps_total").get() as usize,
             report.v2s_losses.len()
@@ -1461,9 +1255,13 @@ mod tests {
         let input = to_input(&ds, &ds.train, None);
         let mut cfg = OvsConfig::tiny();
         cfg.fit_huber_delta = 0.0; // plain MSE path
-        let (mut m0, _) = OvsTrainer::new(cfg.clone()).run(&input).unwrap();
+        let (mut m0, _) = OvsTrainer::new(cfg.clone())
+            .run(&input, RunOptions::default())
+            .unwrap();
         cfg.fit_huber_delta = 1.0;
-        let (mut m1, _) = OvsTrainer::new(cfg).run(&input).unwrap();
+        let (mut m1, _) = OvsTrainer::new(cfg)
+            .run(&input, RunOptions::default())
+            .unwrap();
         assert!(m0.recovered_tod().is_finite());
         assert!(m1.recovered_tod().is_finite());
         // The two losses optimise different objectives; outputs differ.
@@ -1479,7 +1277,7 @@ mod tests {
             ..OvsConfig::tiny()
         };
         let trainer = OvsTrainer::new(cfg);
-        let (mut model, report) = trainer.run(&input).unwrap();
+        let (mut model, report) = trainer.run(&input, RunOptions::default()).unwrap();
         assert!(report.final_fit().unwrap().is_finite());
         let (_, _, v) = model.forward_full(false);
         // Sigmoid-bounded output cannot exceed v_max anyway; the aux loss
@@ -1492,7 +1290,7 @@ mod tests {
         let ds = tiny_dataset();
         let input = to_input(&ds, &[], None);
         let trainer = OvsTrainer::new(OvsConfig::tiny());
-        assert!(trainer.run(&input).is_err());
+        assert!(trainer.run(&input, RunOptions::default()).is_err());
     }
 
     #[test]

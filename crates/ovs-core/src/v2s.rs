@@ -17,7 +17,6 @@ use neural::layers::{
 };
 use neural::matrix::Matrix;
 use neural::rng::Rng64;
-use neural::tensor3::Tensor3;
 use neural::workspace::Workspace;
 
 /// The volume -> speed module.
@@ -63,32 +62,16 @@ impl VolumeSpeedMapping {
 
     /// Maps link volumes `(M, T)` to link speeds `(M, T)` in m/s.
     pub fn forward(&mut self, q: &Matrix, train: bool) -> Matrix {
-        let mut q_norm = q.clone();
-        q_norm.scale(1.0 / self.q_norm);
-        let x = Tensor3::from_matrix_single_feature(&q_norm);
-        let y = self.net.forward(&x, train);
-        let mut v = y
-            .to_matrix_single_feature()
-            .expect("head outputs one feature");
-        v.scale(self.v_max);
-        v
+        self.forward_ws(q, train, &mut Workspace::new())
     }
 
     /// Backpropagates `d loss / d speed` and returns `d loss / d volume`.
     pub fn backward(&mut self, dv: &Matrix) -> Matrix {
-        let mut d = dv.clone();
-        d.scale(self.v_max);
-        let dy = Tensor3::from_matrix_single_feature(&d);
-        let dx = self.net.backward(&dy);
-        let mut dq = dx
-            .to_matrix_single_feature()
-            .expect("input had one feature");
-        dq.scale(1.0 / self.q_norm);
-        dq
+        self.backward_ws(dv, &mut Workspace::new())
     }
 
-    /// [`forward`](Self::forward) through pooled buffers — identical bits,
-    /// no steady-state allocation. Return the result to `ws` when done.
+    /// [`forward`](Self::forward) through pooled buffers: no steady-state
+    /// allocation. Return the result to `ws` when done.
     pub fn forward_ws(&mut self, q: &Matrix, train: bool, ws: &mut Workspace) -> Matrix {
         let (m, t) = q.shape();
         let inv_q = 1.0 / self.q_norm;
@@ -107,8 +90,8 @@ impl VolumeSpeedMapping {
         v
     }
 
-    /// [`backward`](Self::backward) through pooled buffers — identical
-    /// bits, no steady-state allocation. Return the result to `ws`.
+    /// [`backward`](Self::backward) through pooled buffers: no
+    /// steady-state allocation. Return the result to `ws`.
     pub fn backward_ws(&mut self, dv: &Matrix, ws: &mut Workspace) -> Matrix {
         let (m, t) = dv.shape();
         let mut dy = ws.take3(m, t, 1);

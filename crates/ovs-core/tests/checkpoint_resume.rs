@@ -6,8 +6,11 @@
 
 use checkpoint::format::Artifact;
 use datagen::{Dataset, TodPattern};
+use neural::Matrix;
 use ovs_core::trainer::{OvsTrainer, PipelineCheckpoint, Stage};
-use ovs_core::{artifact, EstimatorInput, OvsConfig, RecoveryPolicy, TrainError};
+use ovs_core::{
+    artifact, EstimatorInput, OvsConfig, RecoveryPolicy, RunOptions, Start, TrainError,
+};
 
 fn tiny_dataset() -> Dataset {
     let spec = datagen::dataset::DatasetSpec {
@@ -38,6 +41,37 @@ fn cfg() -> OvsConfig {
     }
 }
 
+fn resume_from(cp: PipelineCheckpoint) -> RunOptions<'static> {
+    RunOptions {
+        start: Start::Resume(Box::new(cp)),
+        ..RunOptions::default()
+    }
+}
+
+/// Runs the pipeline once, collecting a checkpoint every `every` steps.
+fn capture_every(
+    trainer: &OvsTrainer,
+    inp: &EstimatorInput<'_>,
+    every: usize,
+) -> Vec<PipelineCheckpoint> {
+    let mut caps = Vec::new();
+    let mut capture = |cp: &PipelineCheckpoint| {
+        caps.push(cp.clone());
+        Ok(())
+    };
+    trainer
+        .run(
+            inp,
+            RunOptions {
+                checkpoint_every: every,
+                on_checkpoint: Some(&mut capture),
+                ..RunOptions::default()
+            },
+        )
+        .unwrap();
+    caps
+}
+
 #[test]
 fn resume_reproduces_uninterrupted_training_bit_exactly() {
     let ds = tiny_dataset();
@@ -45,21 +79,24 @@ fn resume_reproduces_uninterrupted_training_bit_exactly() {
     let trainer = OvsTrainer::new(cfg());
 
     // Reference: one uninterrupted run.
-    let (mut ref_model, ref_report) = trainer.run(&inp).unwrap();
+    let (mut ref_model, ref_report) = trainer.run(&inp, RunOptions::default()).unwrap();
     let ref_weights = ref_model.export_weights();
 
     // Same run with periodic checkpoint capture — the hook must not
     // perturb training.
     let mut caps: Vec<PipelineCheckpoint> = Vec::new();
+    let mut capture = |cp: &PipelineCheckpoint| {
+        caps.push(cp.clone());
+        Ok(())
+    };
     let (_, hooked_report) = trainer
-        .run_resumable(
+        .run(
             &inp,
-            7,
-            &mut |cp| {
-                caps.push(cp.clone());
-                Ok(())
+            RunOptions {
+                checkpoint_every: 7,
+                on_checkpoint: Some(&mut capture),
+                ..RunOptions::default()
             },
-            None,
         )
         .unwrap();
     assert_eq!(hooked_report.v2s_losses, ref_report.v2s_losses);
@@ -78,15 +115,21 @@ fn resume_reproduces_uninterrupted_training_bit_exactly() {
         );
     }
 
-    // Resume from an early, a middle, and a late snapshot: each resumed
-    // run must land on the exact same traces and weights.
-    for idx in [0, caps.len() / 2, caps.len() - 1] {
+    // Resume from the first and the last snapshot of every stage (the
+    // last ones sit just before the V2s->Tod2v and Tod2v->Fit hand-offs):
+    // each resumed run must land on the exact same traces and weights.
+    let mut picks = Vec::new();
+    for stage in [Stage::V2s, Stage::Tod2v, Stage::Fit] {
+        let of_stage = |cp: &PipelineCheckpoint| cp.state.stage == stage;
+        picks.extend(caps.iter().position(of_stage));
+        picks.extend(caps.iter().rposition(of_stage));
+    }
+    assert_eq!(picks.len(), 6);
+    for idx in picks {
         let cp = caps[idx].clone();
         let stage = cp.state.stage;
         let step = cp.state.step;
-        let (mut res_model, res_report) = trainer
-            .run_resumable(&inp, 0, &mut |_| Ok(()), Some(cp))
-            .unwrap();
+        let (mut res_model, res_report) = trainer.run(&inp, resume_from(cp)).unwrap();
         assert_eq!(
             res_report.v2s_losses, ref_report.v2s_losses,
             "v2s trace diverged resuming from {stage:?} step {step}"
@@ -113,18 +156,7 @@ fn pipeline_checkpoint_survives_the_artifact_format() {
     let inp = input(&ds);
     let trainer = OvsTrainer::new(cfg());
 
-    let mut caps: Vec<PipelineCheckpoint> = Vec::new();
-    trainer
-        .run_resumable(
-            &inp,
-            11,
-            &mut |cp| {
-                caps.push(cp.clone());
-                Ok(())
-            },
-            None,
-        )
-        .unwrap();
+    let caps = capture_every(&trainer, &inp, 11);
     let cp = caps[caps.len() / 2].clone();
 
     let bytes = artifact::save_pipeline(&cp, &cfg()).unwrap().to_bytes();
@@ -144,12 +176,8 @@ fn pipeline_checkpoint_survives_the_artifact_format() {
 
     // And a resume from the decoded snapshot matches a resume from the
     // in-memory one.
-    let (_, rep_mem) = trainer
-        .run_resumable(&inp, 0, &mut |_| Ok(()), Some(cp))
-        .unwrap();
-    let (_, rep_disk) = trainer
-        .run_resumable(&inp, 0, &mut |_| Ok(()), Some(back))
-        .unwrap();
+    let (_, rep_mem) = trainer.run(&inp, resume_from(cp)).unwrap();
+    let (_, rep_disk) = trainer.run(&inp, resume_from(back)).unwrap();
     assert_eq!(rep_mem.fit_losses, rep_disk.fit_losses);
 }
 
@@ -163,7 +191,7 @@ fn transiently_poisoned_run_heals_bit_exactly() {
     let inp = input(&ds);
     let trainer = OvsTrainer::new(cfg());
 
-    let (mut ref_model, ref_report) = trainer.run(&inp).unwrap();
+    let (mut ref_model, ref_report) = trainer.run(&inp, RunOptions::default()).unwrap();
     let ref_weights = ref_model.export_weights();
 
     // Poison one step in every stage, once each; all steps sit past the
@@ -178,13 +206,13 @@ fn transiently_poisoned_run_heals_bit_exactly() {
         }
     };
     let (mut healed_model, healed_report) = trainer
-        .run_resumable_guarded(
+        .run(
             &inp,
-            7,
-            &mut |_| Ok(()),
-            None,
-            RecoveryPolicy::default(),
-            Some(&mut tamper),
+            RunOptions {
+                checkpoint_every: 7,
+                tamper: Some(&mut tamper),
+                ..RunOptions::default()
+            },
         )
         .expect("a transient non-finite loss must heal, not abort");
 
@@ -216,16 +244,16 @@ fn persistent_poison_is_a_typed_divergence() {
             *loss = f64::INFINITY;
         }
     };
-    let outcome = trainer.run_resumable_guarded(
+    let outcome = trainer.run(
         &inp,
-        0,
-        &mut |_| Ok(()),
-        None,
-        RecoveryPolicy {
-            max_retries: 2,
-            lr_backoff: 0.5,
+        RunOptions {
+            recovery: RecoveryPolicy {
+                max_retries: 2,
+                lr_backoff: 0.5,
+            },
+            tamper: Some(&mut tamper),
+            ..RunOptions::default()
         },
-        Some(&mut tamper),
     );
     let Err(err) = outcome else {
         panic!("a persistent fault must not heal");
@@ -248,11 +276,15 @@ fn warm_start_skips_stages_and_converges() {
     let inp = input(&ds);
     let trainer = OvsTrainer::new(cfg());
 
-    let (mut cold_model, cold_report) = trainer.run(&inp).unwrap();
+    let (mut cold_model, cold_report) = trainer.run(&inp, RunOptions::default()).unwrap();
     assert!(cold_report.final_tod2v().is_some());
     let weights = cold_model.export_weights();
 
-    let (_, warm_report) = trainer.run_warm(&inp, &weights).unwrap();
+    let warm = RunOptions {
+        start: Start::Warm(&weights),
+        ..RunOptions::default()
+    };
+    let (_, warm_report) = trainer.run(&inp, warm).unwrap();
     assert!(warm_report.v2s_losses.is_empty());
     assert!(warm_report.tod2v_losses.is_empty());
     assert!(!warm_report.fit_losses.is_empty());
@@ -266,4 +298,40 @@ fn warm_start_skips_stages_and_converges() {
         warm_steps < cold_steps,
         "warm start must save steps: {warm_steps} vs {cold_steps}"
     );
+}
+
+/// Adam moments that do not match the stage's parameter shapes are a
+/// typed resume error, not a panic on the first step after resuming.
+#[test]
+fn resume_with_mismatched_optimiser_state_is_an_error() {
+    let ds = tiny_dataset();
+    let inp = input(&ds);
+    let trainer = OvsTrainer::new(cfg());
+    let caps = capture_every(&trainer, &inp, 7);
+    let cp = caps
+        .iter()
+        .find(|cp| cp.state.stage == Stage::Tod2v)
+        .expect("a stage-2 checkpoint")
+        .clone();
+    assert!(
+        !cp.state.opt.m.is_empty(),
+        "a mid-stage capture has moments"
+    );
+
+    // One slot one row too tall: in the first `m` slot, then in the last
+    // `v` slot.
+    let taller = |m: &Matrix| Matrix::zeros(m.rows() + 1, m.cols());
+    let mut bad_m = cp.clone();
+    bad_m.state.opt.m[0] = taller(&cp.state.opt.m[0]);
+    let mut bad_v = cp;
+    if let Some(slot) = bad_v.state.opt.v.last_mut() {
+        *slot = taller(slot);
+    }
+    for bad in [bad_m, bad_v] {
+        let outcome = trainer.run(&inp, resume_from(bad));
+        assert!(
+            matches!(outcome, Err(TrainError::Net(_))),
+            "mismatched moments must be rejected"
+        );
+    }
 }

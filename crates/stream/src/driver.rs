@@ -9,7 +9,7 @@
 //! Three ideas make the loop production-shaped:
 //!
 //! * **Warm starts.** Window `w+1` imports window `w`'s full model and
-//!   re-fits only the generator (`OvsTrainer::run_warm_guarded`), cutting
+//!   re-fits only the generator (`OvsTrainer::run` from `Start::Warm`), cutting
 //!   convergence to a fraction of a cold start's steps. The first window
 //!   — and any window after a failure — runs the full cold pipeline.
 //! * **Guarded fits.** Every fit runs under the non-finite guard: a
@@ -43,8 +43,7 @@ use neural::Matrix;
 use ovs_core::artifact::{model_provenance, model_weights, save_model, INCIDENTS_SECTION};
 use ovs_core::config::OvsConfig;
 use ovs_core::estimator::{matrix_to_tod, EstimatorInput};
-use ovs_core::model::OvsModel;
-use ovs_core::trainer::{OvsTrainer, RecoveryPolicy, Stage, TrainError, TrainReport};
+use ovs_core::trainer::{OvsTrainer, RecoveryPolicy, RunOptions, Stage, Start, Tamper, TrainError};
 // lint: allow(determinism) — wall clock feeds the per-window timing
 // histogram only; estimation and artifacts never see it.
 use std::time::Instant;
@@ -59,7 +58,7 @@ pub const STREAM_WINDOW_SECTION: &str = "stream_window";
 const TOL_FRACTION: f64 = 0.05;
 
 /// Per-window fault-injection tap: `(window, stage, step, loss, grad)`,
-/// mirroring `StageOptions::tamper` with the window index prepended.
+/// mirroring `RunOptions::tamper` with the window index prepended.
 pub type WindowTamper<'a> = Box<dyn FnMut(usize, Stage, usize, &mut f64, &mut f64) + 'a>;
 
 /// Configuration of one streaming run.
@@ -284,55 +283,36 @@ impl<'a> StreamDriver<'a> {
         // fall back to a full cold pipeline before giving up on the
         // window.
         let wi = window.index;
-        let mut warm = false;
-        let trained: std::result::Result<(OvsModel, TrainReport), TrainError> = {
-            let warm_attempt = match self.prev_weights.as_deref() {
-                Some(weights) => {
-                    warm = true;
-                    let hook = &mut self.tamper;
-                    let mut bound = hook.as_mut().map(|h| {
-                        move |stage: Stage, step: usize, loss: &mut f64, grad: &mut f64| {
-                            h(wi, stage, step, loss, grad)
-                        }
-                    });
-                    Some(
-                        self.trainer.run_warm_guarded(
-                            &input,
-                            weights,
-                            recovery,
-                            bound
-                                .as_mut()
-                                .map(|c| c as &mut dyn FnMut(Stage, usize, &mut f64, &mut f64)),
-                        ),
-                    )
-                }
-                None => None,
-            };
-            match warm_attempt {
-                Some(Err(TrainError::Diverged { .. })) | None => {
-                    if warm {
-                        warm = false;
-                        reg.counter("stream_divergences_total").inc();
-                    }
-                    let hook = &mut self.tamper;
-                    let mut bound = hook.as_mut().map(|h| {
-                        move |stage: Stage, step: usize, loss: &mut f64, grad: &mut f64| {
-                            h(wi, stage, step, loss, grad)
-                        }
-                    });
-                    self.trainer.run_resumable_guarded(
-                        &input,
-                        0,
-                        &mut |_| Ok(()),
-                        None,
-                        recovery,
-                        bound
-                            .as_mut()
-                            .map(|c| c as &mut dyn FnMut(Stage, usize, &mut f64, &mut f64)),
-                    )
-                }
-                Some(other) => other,
+        let mut bound = self.tamper.as_mut().map(|h| {
+            move |stage: Stage, step: usize, loss: &mut f64, grad: &mut f64| {
+                h(wi, stage, step, loss, grad)
             }
+        });
+        let mut attempt = |start: Start<'_>| {
+            self.trainer.run(
+                &input,
+                RunOptions {
+                    start,
+                    recovery,
+                    tamper: bound.as_mut().map(|c| c as &mut Tamper),
+                    ..RunOptions::default()
+                },
+            )
+        };
+        let mut warm = self.prev_weights.is_some();
+        let trained = match self
+            .prev_weights
+            .as_deref()
+            .map(|w| attempt(Start::Warm(w)))
+        {
+            Some(Err(TrainError::Diverged { .. })) | None => {
+                if warm {
+                    warm = false;
+                    reg.counter("stream_divergences_total").inc();
+                }
+                attempt(Start::Cold)
+            }
+            Some(other) => other,
         };
 
         let (mut model, report) = match trained {

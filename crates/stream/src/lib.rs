@@ -16,7 +16,7 @@
 //!    *multiset* of its readings in a canonical order.
 //! 2. **Online estimator driver** ([`driver`]) — each closed window
 //!    becomes an `EstimatorInput`; stage 3 is warm-started from the
-//!    previous window's parameters via `OvsTrainer::run_warm_guarded`
+//!    previous window's parameters via `OvsTrainer::run` from `Start::Warm`
 //!    (cold start on the first window or after divergence), runs under
 //!    the non-finite guard so a poisoned window rolls back instead of
 //!    corrupting the stream, and the result is published as the next

@@ -13,7 +13,7 @@ use city_od::datagen::{Dataset, TodPattern};
 use city_od::eval::harness::DatasetInput;
 use city_od::eval::metrics::evaluate_tod;
 use city_od::ovs_core::estimator::matrix_to_tod;
-use city_od::ovs_core::trainer::OvsTrainer;
+use city_od::ovs_core::trainer::{OvsTrainer, RunOptions, Start};
 use city_od::ovs_core::{artifact, OvsConfig};
 use std::time::Instant;
 
@@ -36,7 +36,9 @@ fn main() {
     let source_input = source_owned.input(&source, false);
     let trainer = OvsTrainer::new(cfg.clone());
     let t0 = Instant::now();
-    let (mut model, cold_report) = trainer.run(&source_input).expect("cold training");
+    let (mut model, cold_report) = trainer
+        .run(&source_input, RunOptions::default())
+        .expect("cold training");
     let cold_secs = t0.elapsed().as_secs_f64();
     let cold_steps = cold_report.v2s_losses.len()
         + cold_report.tod2v_losses.len()
@@ -68,9 +70,11 @@ fn main() {
     let parsed = Artifact::from_bytes(&bytes).expect("artifact parses");
     let weights = artifact::model_weights(&parsed, &cfg).expect("structure matches");
     let t1 = Instant::now();
-    let (mut warm_model, warm_report) = trainer
-        .run_warm(&target_input, &weights)
-        .expect("warm training");
+    let warm = RunOptions {
+        start: Start::Warm(&weights),
+        ..RunOptions::default()
+    };
+    let (mut warm_model, warm_report) = trainer.run(&target_input, warm).expect("warm training");
     let warm_secs = t1.elapsed().as_secs_f64();
     let warm_steps = warm_report.fit_losses.len();
     println!(

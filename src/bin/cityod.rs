@@ -86,7 +86,7 @@ use city_od::eval::harness::{run_method, DatasetInput};
 use city_od::eval::{default_methods, tables};
 use city_od::fault::{degradation_report, FaultPlan};
 use city_od::ovs_core::estimator::{matrix_to_tod, tod_to_matrix};
-use city_od::ovs_core::trainer::{OvsEstimator, OvsTrainer, RecoveryPolicy};
+use city_od::ovs_core::trainer::{OvsEstimator, OvsTrainer, RecoveryPolicy, RunOptions};
 use city_od::ovs_core::{artifact, OvsConfig, TodEstimator};
 use city_od::roadnet::presets;
 use city_od::serve::{LoadOptions, ServeOptions, Server};
@@ -366,7 +366,7 @@ fn checkpoint_save(args: &Args, store: &ArtifactStore) -> ExitCode {
     let owned = DatasetInput::new(&ds);
     let input = owned.input(&ds, false);
     let trainer = OvsTrainer::new(cli_ovs_config(spec.seed));
-    let (mut model, report) = match trainer.run(&input) {
+    let (mut model, report) = match trainer.run(&input, RunOptions::default()) {
         Ok(out) => out,
         Err(e) => {
             eprintln!("training failed: {e}");
