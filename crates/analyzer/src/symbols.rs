@@ -26,8 +26,8 @@
 //!   carries a `// lint: hot` annotation, or is called (same crate) by a
 //!   hot function. A `// lint: cold` annotation is the inverse barrier:
 //!   the closure never marks such a function nor propagates through it —
-//!   used for documented compat shims that delegate to the allocating
-//!   legacy path and for warmup-only constructors. Rule A flags heap-
+//!   used for legacy allocating APIs (`Matrix::map`) and for warmup-only
+//!   constructors (per-shape layer state). Rule A flags heap-
 //!   allocating constructs inside hot functions, making the zero-alloc
 //!   invariant reviewable statically.
 //!
@@ -64,7 +64,7 @@ pub struct FnInfo {
     /// Carries a `// lint: hot` annotation.
     pub hot_annotated: bool,
     /// Carries a `// lint: cold` annotation — a barrier the hot closure
-    /// never enters (compat shims, warmup-only constructors).
+    /// never enters (legacy allocating APIs, warmup-only constructors).
     pub cold_annotated: bool,
     /// Signature mentions `Workspace`, or the fn is an `impl Workspace`
     /// method — the hot-path roots.
@@ -194,8 +194,8 @@ impl WorkspaceIndex {
                             for t in self.edge_targets(&f.crate_name, callee) {
                                 // `cold` fns are barriers: reachability
                                 // stops at (and never propagates through)
-                                // a documented compat shim or warmup-only
-                                // constructor.
+                                // a documented legacy allocating API or
+                                // warmup-only constructor.
                                 let barrier = self
                                     .fns
                                     .get(t)

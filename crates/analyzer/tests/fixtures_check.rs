@@ -186,7 +186,9 @@ fn analyzer_crate_self_lints_at_zero_debt() {
 /// Rule A's hot set provably covers the functions the counting-allocator
 /// test (`neural/tests/zero_alloc.rs`) exercises: everything its step
 /// helpers call must be reachable from the Workspace step path, or the
-/// lint would go blind exactly where the invariant is enforced.
+/// lint would go blind exactly where the invariant is enforced. The layer
+/// entry points are checked by qualified name, one per impl: name
+/// matching alone would pass as long as any single layer was hot.
 #[test]
 fn hot_set_covers_the_neural_step_path() {
     let src_root = repo_root().join("crates/neural/src");
@@ -211,10 +213,29 @@ fn hot_set_covers_the_neural_step_path() {
     assert!(!files.is_empty(), "no neural sources found");
     let idx = analyzer::symbols::WorkspaceIndex::build(&files);
     let hot = idx.hot_set("neural");
-    // The call surface of `flat_step` / `seq_step` in zero_alloc.rs.
+    for layer in [
+        "Dense",
+        "Activation",
+        "SeqActivation",
+        "Sequential",
+        "SeqSequential",
+        "TimeDistributed",
+        "Lstm",
+        "Conv1d",
+        "Gru",
+        "Dropout",
+        "Softmax",
+    ] {
+        for method in ["forward_ws", "backward_ws"] {
+            let qual = format!("{layer}::{method}");
+            assert!(
+                hot.contains(&qual),
+                "`{qual}` missing from hot set: {hot:#?}"
+            );
+        }
+    }
+    // The rest of the call surface of `flat_step` / `seq_step`.
     for needed in [
-        "forward_ws",
-        "backward_ws",
         "mse_into",
         "mse_seq_into",
         "begin_step",

@@ -155,16 +155,17 @@ mod tests {
     use super::*;
     use crate::layers::Dense;
     use crate::rng::Rng64;
+    use crate::workspace::Workspace;
 
     /// A deliberately wrong layer: backward scales the true gradient.
     struct Broken(Dense);
 
     impl Layer for Broken {
-        fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-            self.0.forward(x, train)
+        fn forward_ws(&mut self, x: &Matrix, train: bool, ws: &mut Workspace) -> Matrix {
+            self.0.forward_ws(x, train, ws)
         }
-        fn backward(&mut self, dy: &Matrix) -> Matrix {
-            let mut dx = self.0.backward(dy);
+        fn backward_ws(&mut self, dy: &Matrix, ws: &mut Workspace) -> Matrix {
+            let mut dx = self.0.backward_ws(dy, ws);
             dx.scale(1.5); // wrong on purpose
             dx
         }

@@ -65,24 +65,6 @@ impl Activation {
 }
 
 impl Layer for Activation {
-    fn forward(&mut self, x: &Matrix, _train: bool) -> Matrix {
-        let y = x.map(|v| self.kind.apply(v));
-        self.cache_y = Some(y.clone());
-        y
-    }
-
-    fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let y = self
-            .cache_y
-            .as_ref()
-            .expect("backward called before forward");
-        let mut dx = dy.clone();
-        for (d, &yv) in dx.as_mut_slice().iter_mut().zip(y.as_slice()) {
-            *d *= self.kind.derivative_from_output(yv);
-        }
-        dx
-    }
-
     fn forward_ws(&mut self, x: &Matrix, _train: bool, ws: &mut Workspace) -> Matrix {
         let mut y = ws.take(x.rows(), x.cols());
         for (o, &v) in y.as_mut_slice().iter_mut().zip(x.as_slice()) {
@@ -135,27 +117,6 @@ impl SeqActivation {
 }
 
 impl SeqLayer for SeqActivation {
-    fn forward(&mut self, x: &Tensor3, _train: bool) -> Tensor3 {
-        let mut y = x.clone();
-        for v in y.as_mut_slice() {
-            *v = self.kind.apply(*v);
-        }
-        self.cache_y = Some(y.clone());
-        y
-    }
-
-    fn backward(&mut self, dy: &Tensor3) -> Tensor3 {
-        let y = self
-            .cache_y
-            .as_ref()
-            .expect("backward called before forward");
-        let mut dx = dy.clone();
-        for (d, &yv) in dx.as_mut_slice().iter_mut().zip(y.as_slice()) {
-            *d *= self.kind.derivative_from_output(yv);
-        }
-        dx
-    }
-
     fn forward_ws(&mut self, x: &Tensor3, _train: bool, ws: &mut Workspace) -> Tensor3 {
         let (b, t, f) = x.shape();
         let mut y = ws.take3(b, t, f);

@@ -10,6 +10,7 @@ use super::{xavier, SeqLayer};
 use crate::matrix::Matrix;
 use crate::rng::Rng64;
 use crate::tensor3::Tensor3;
+use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 
 /// 1-D convolution over the time axis.
@@ -37,6 +38,9 @@ pub struct Conv1d {
     cache: Option<ConvCache>,
 }
 
+/// Forward cache, kept across calls and refilled in place while the input
+/// `(batch, time)` shape holds; its buffer comes from (and on a shape
+/// change returns to) the workspace.
 #[derive(Debug, Clone)]
 struct ConvCache {
     im2col: Matrix,
@@ -120,55 +124,79 @@ impl Conv1d {
         (ti * self.stride + ki) as isize - pad as isize
     }
 
-    /// Builds the `(b * out_t, c_in * k)` im2col matrix.
-    fn im2col(&self, x: &Tensor3) -> Matrix {
+    /// Fills the `(b * out_t, c_in * k)` im2col matrix, overwriting every
+    /// element (padding taps are written as zero).
+    fn im2col_into(&self, x: &Tensor3, out: &mut Matrix) {
         let (b, t, f) = x.shape();
         debug_assert_eq!(f, self.c_in);
         let out_t = self.out_time(t);
-        let mut out = Matrix::zeros(b * out_t, self.c_in * self.k);
         for bi in 0..b {
             for ti in 0..out_t {
                 let row = out.row_mut(bi * out_t + ti);
                 for (ki, tap) in row.chunks_exact_mut(self.c_in).enumerate() {
                     let src_t = self.src_step(ti, ki);
                     if src_t < 0 || src_t >= t as isize {
-                        continue; // zero padding
+                        tap.fill(0.0); // zero padding
+                    } else {
+                        tap.copy_from_slice(x.step(bi, src_t as usize));
                     }
-                    tap.copy_from_slice(x.step(bi, src_t as usize));
                 }
             }
         }
-        out
     }
 }
 
 impl SeqLayer for Conv1d {
-    fn forward(&mut self, x: &Tensor3, _train: bool) -> Tensor3 {
+    fn forward_ws(&mut self, x: &Tensor3, _train: bool, ws: &mut Workspace) -> Tensor3 {
         let (b, t, _) = x.shape();
         let out_t = self.out_time(t);
-        let cols = self.im2col(x);
-        let mut y = cols.matmul(&self.w);
+        let mut cache = match self.cache.take() {
+            Some(c) if (c.batch, c.time) == (b, t) => c,
+            stale => {
+                if let Some(c) = stale {
+                    ws.give(c.im2col);
+                }
+                ConvCache {
+                    im2col: ws.take(b * out_t, self.c_in * self.k),
+                    batch: b,
+                    time: t,
+                }
+            }
+        };
+        self.im2col_into(x, &mut cache.im2col);
+        let mut y = ws.take(b * out_t, self.c_out);
+        cache.im2col.matmul_into(&self.w, &mut y);
         y.add_row_broadcast(&self.b);
-        self.cache = Some(ConvCache {
-            im2col: cols,
-            batch: b,
-            time: t,
-        });
-        Tensor3::unflatten_time(b, out_t, &y).expect("conv output shape is consistent")
+        self.cache = Some(cache);
+        Tensor3::from_flat(b, out_t, y)
     }
 
-    fn backward(&mut self, dy: &Tensor3) -> Tensor3 {
-        let cache = self.cache.as_ref().expect("backward called before forward");
+    fn backward_ws(&mut self, dy: &Tensor3, ws: &mut Workspace) -> Tensor3 {
+        let cache = self
+            .cache
+            .as_ref()
+            // lint: allow(panic) — precondition: backward requires a prior forward
+            .expect("backward called before forward");
         let (b, t) = (cache.batch, cache.time);
         let out_t = self.out_time(t);
         debug_assert_eq!(dy.time(), out_t, "upstream gradient length mismatch");
-        let dy_flat = dy.flatten_time(); // (b*out_t, c_out)
-        self.dw.add_assign(&cache.im2col.matmul_at_b(&dy_flat));
-        self.db.add_assign(&dy_flat.sum_rows());
+        let (dyb, dyt, dyf) = dy.shape();
+        let mut dy_flat = ws.take(dyb * dyt, dyf); // (b*out_t, c_out)
+        dy_flat.as_mut_slice().copy_from_slice(dy.as_slice());
+        let mut dw_t = ws.take(self.w.rows(), self.w.cols());
+        cache.im2col.matmul_at_b_into(&dy_flat, &mut dw_t);
+        self.dw.add_assign(&dw_t);
+        ws.give(dw_t);
+        let mut db_t = ws.take(1, self.c_out);
+        dy_flat.sum_rows_into(&mut db_t);
+        self.db.add_assign(&db_t);
+        ws.give(db_t);
 
         // d(im2col) = dy @ w^T, then scatter-add back through the padding.
-        let dcols = dy_flat.matmul_a_bt(&self.w); // (b*out_t, c_in*k)
-        let mut dx = Tensor3::zeros(b, t, self.c_in);
+        let mut dcols = ws.take(dy_flat.rows(), self.w.rows()); // (b*out_t, c_in*k)
+        dy_flat.matmul_a_bt_into(&self.w, &mut dcols);
+        ws.give(dy_flat);
+        let mut dx = ws.take3(b, t, self.c_in);
         for bi in 0..b {
             for ti in 0..out_t {
                 let row = dcols.row(bi * out_t + ti);
@@ -184,6 +212,7 @@ impl SeqLayer for Conv1d {
                 }
             }
         }
+        ws.give(dcols);
         dx
     }
 

@@ -51,25 +51,6 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, x: &Matrix, _train: bool) -> Matrix {
-        let mut y = x.matmul(&self.w);
-        y.add_row_broadcast(&self.b);
-        self.cache_x = Some(x.clone());
-        y
-    }
-
-    fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let x = self
-            .cache_x
-            .as_ref()
-            .expect("backward called before forward");
-        self.dw.add_assign(&x.matmul_at_b(dy));
-        self.db.add_assign(&dy.sum_rows());
-        // dy @ W^T via an explicit transpose: the plain matmul kernel is
-        // about twice as fast and sums the same terms in the same order.
-        dy.matmul(&self.w.transpose())
-    }
-
     fn forward_ws(&mut self, x: &Matrix, _train: bool, ws: &mut Workspace) -> Matrix {
         let mut y = ws.take(x.rows(), self.w.cols());
         x.matmul_into(&self.w, &mut y);
@@ -90,8 +71,8 @@ impl Layer for Dense {
             .as_ref()
             // lint: allow(panic) — precondition: backward requires a prior forward
             .expect("backward called before forward");
-        // Gradients accumulate via an explicit temporary + add_assign so
-        // the sum order (and therefore the bits) match `backward`.
+        // Gradients accumulate via an explicit temporary + add_assign:
+        // each step's product is summed whole into the running gradient.
         let mut dw_t = ws.take(self.w.rows(), self.w.cols());
         x.matmul_at_b_into(dy, &mut dw_t);
         self.dw.add_assign(&dw_t);
@@ -100,6 +81,8 @@ impl Layer for Dense {
         dy.sum_rows_into(&mut db_t);
         self.db.add_assign(&db_t);
         ws.give(db_t);
+        // dy @ W^T via an explicit transpose: the plain matmul kernel is
+        // about twice as fast and sums the same terms in the same order.
         let mut wt = ws.take(self.w.cols(), self.w.rows());
         self.w.transpose_into(&mut wt);
         let mut dx = ws.take(dy.rows(), self.w.rows());

@@ -3,6 +3,7 @@
 use super::Layer;
 use crate::matrix::Matrix;
 use crate::rng::Rng64;
+use crate::workspace::Workspace;
 
 /// Inverted dropout: during training each unit is zeroed with probability
 /// `rate` and survivors are scaled by `1/(1-rate)`; at evaluation time the
@@ -11,7 +12,11 @@ use crate::rng::Rng64;
 pub struct Dropout {
     rate: f64,
     rng: Rng64,
-    mask: Option<Matrix>,
+    /// The last train-mode mask, kept across calls and refilled in place
+    /// while the shape holds; drawn from the workspace on a shape change.
+    mask: Matrix,
+    /// True when the last forward applied `mask` (train mode, rate > 0).
+    masked: bool,
 }
 
 impl Dropout {
@@ -20,7 +25,8 @@ impl Dropout {
         Self {
             rate: rate.clamp(0.0, 0.95),
             rng: Rng64::new(seed),
-            mask: None,
+            mask: Matrix::zeros(0, 0),
+            masked: false,
         }
     }
 
@@ -31,29 +37,37 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        if !train || self.rate == 0.0 {
-            self.mask = None;
-            return x.clone();
+    fn forward_ws(&mut self, x: &Matrix, train: bool, ws: &mut Workspace) -> Matrix {
+        let mut y = ws.take(x.rows(), x.cols());
+        y.copy_from(x);
+        self.masked = train && self.rate != 0.0;
+        if !self.masked {
+            return y;
         }
+        if self.mask.shape() != x.shape() {
+            let fresh = ws.take(x.rows(), x.cols());
+            ws.give(std::mem::replace(&mut self.mask, fresh));
+        }
+        // One uniform draw per unit, in row-major order.
         let keep = 1.0 - self.rate;
-        let mask = Matrix::from_fn(x.rows(), x.cols(), |_, _| {
-            if self.rng.uniform() < keep {
+        for m in self.mask.as_mut_slice() {
+            *m = if self.rng.uniform() < keep {
                 1.0 / keep
             } else {
                 0.0
-            }
-        });
-        let y = x.hadamard(&mask);
-        self.mask = Some(mask);
+            };
+        }
+        y.hadamard_assign(&self.mask);
         y
     }
 
-    fn backward(&mut self, dy: &Matrix) -> Matrix {
-        match &self.mask {
-            None => dy.clone(),
-            Some(mask) => dy.hadamard(mask),
+    fn backward_ws(&mut self, dy: &Matrix, ws: &mut Workspace) -> Matrix {
+        let mut dx = ws.take(dy.rows(), dy.cols());
+        dx.copy_from(dy);
+        if self.masked {
+            dx.hadamard_assign(&self.mask);
         }
+        dx
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {}

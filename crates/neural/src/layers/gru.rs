@@ -15,6 +15,7 @@ use super::{xavier, SeqLayer};
 use crate::matrix::Matrix;
 use crate::rng::Rng64;
 use crate::tensor3::Tensor3;
+use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 
 /// A standard GRU: `(b, t, in) -> (b, t, hidden)`, zero initial state.
@@ -33,15 +34,37 @@ pub struct Gru {
     dwh: Matrix,
     db: Matrix,
     #[serde(skip)]
-    cache: Option<GruCache>,
+    state: Option<GruState>,
 }
 
+/// Forward cache, kept across calls and overwritten in place while the
+/// `(batch, time)` shape holds; per-pass scratch comes from the workspace.
 #[derive(Debug, Clone)]
-struct GruCache {
+struct GruState {
+    batch: usize,
+    time: usize,
+    /// Per time step: x_t.
     xs: Vec<Matrix>,
+    /// h_{t-1} entering each step (h_0 = 0 first).
     h_prevs: Vec<Matrix>,
-    /// Per step: (z, r, n).
+    /// Gate activations per step: (z, r, n).
     gates: Vec<(Matrix, Matrix, Matrix)>,
+}
+
+impl GruState {
+    // lint: cold — state is (re)built only when the batch/time shape changes, never in the steady-state loop
+    fn new(batch: usize, time: usize, input: usize, hidden: usize) -> Self {
+        let m = |cols| Matrix::zeros(batch, cols);
+        Self {
+            batch,
+            time,
+            xs: (0..time).map(|_| m(input)).collect(),
+            h_prevs: (0..time).map(|_| m(hidden)).collect(),
+            gates: (0..time)
+                .map(|_| (m(hidden), m(hidden), m(hidden)))
+                .collect(),
+        }
+    }
 }
 
 impl Gru {
@@ -56,7 +79,7 @@ impl Gru {
             dwx: Matrix::zeros(input, 3 * hidden),
             dwh: Matrix::zeros(hidden, 3 * hidden),
             db: Matrix::zeros(1, 3 * hidden),
-            cache: None,
+            state: None,
         }
     }
 
@@ -71,149 +94,201 @@ fn sigmoid(x: f64) -> f64 {
 }
 
 impl SeqLayer for Gru {
-    fn forward(&mut self, x: &Tensor3, _train: bool) -> Tensor3 {
+    fn forward_ws(&mut self, x: &Tensor3, _train: bool, ws: &mut Workspace) -> Tensor3 {
         let (batch, time, feat) = x.shape();
         assert_eq!(feat, self.input, "GRU input width mismatch");
         let h = self.hidden;
-        let mut out = Tensor3::zeros(batch, time, h);
-        let mut h_t = Matrix::zeros(batch, h);
-        let mut cache = GruCache {
-            xs: Vec::with_capacity(time),
-            h_prevs: Vec::with_capacity(time),
-            gates: Vec::with_capacity(time),
-        };
-        for t in 0..time {
-            let x_t = x.time_slice(t);
+        let fits = self
+            .state
+            .as_ref()
+            .is_some_and(|s| s.batch == batch && s.time == time);
+        if !fits {
+            self.state = None;
+        }
+        let Self {
+            input,
+            wx,
+            wh,
+            b,
+            state,
+            ..
+        } = self;
+        let GruState {
+            xs, h_prevs, gates, ..
+        } = state.get_or_insert_with(|| GruState::new(batch, time, *input, h));
+        let mut out = ws.take3(batch, time, h);
+        let [mut a, mut hw] = [(); 2].map(|_| ws.take(batch, 3 * h));
+        let [mut rh, mut nh, mut h_cur] = [(); 3].map(|_| ws.take(batch, h));
+        let mut whn = ws.take(h, h);
+        copy_cols(wh, 2 * h, &mut whn);
+        let steps = xs.iter_mut().zip(h_prevs.iter_mut()).zip(gates.iter_mut());
+        for (t, ((x_t, h_prev), (z_g, r_g, n_g))) in steps.enumerate() {
+            x.read_time_slice(t, x_t);
+            h_prev.copy_from(&h_cur);
             // Pre-activations: x-part for all gates, h-part for z and r
             // directly; the n-block's h-part needs the reset gate first.
-            let mut a = x_t.matmul(&self.wx);
-            a.add_row_broadcast(&self.b);
-            let hw = h_t.matmul(&self.wh); // (b, 3H), h-parts of z|r|n
-
-            let mut z_g = Matrix::zeros(batch, h);
-            let mut r_g = Matrix::zeros(batch, h);
-            for bi in 0..batch {
-                for hi in 0..h {
-                    z_g.set(bi, hi, sigmoid(a.get(bi, hi) + hw.get(bi, hi)));
-                    r_g.set(bi, hi, sigmoid(a.get(bi, h + hi) + hw.get(bi, h + hi)));
+            x_t.matmul_into(wx, &mut a);
+            a.add_row_broadcast(b);
+            h_prev.matmul_into(wh, &mut hw); // (b, 3H), h-parts of z|r|n
+            let rows = a
+                .as_slice()
+                .chunks_exact(3 * h)
+                .zip(hw.as_slice().chunks_exact(3 * h))
+                .zip(z_g.as_mut_slice().chunks_exact_mut(h))
+                .zip(r_g.as_mut_slice().chunks_exact_mut(h));
+            for (((a_row, hw_row), zr), rr) in rows {
+                let (a_z, a_r) = a_row.split_at(h);
+                let (hw_z, hw_r) = hw_row.split_at(h);
+                let cells = zr
+                    .iter_mut()
+                    .zip(rr.iter_mut())
+                    .zip(a_z.iter().zip(hw_z).zip(a_r.iter().zip(hw_r)));
+                for ((zv, rv), ((&az, &hz), (&ar, &hr))) in cells {
+                    *zv = sigmoid(az + hz);
+                    *rv = sigmoid(ar + hr);
                 }
             }
             // n pre-activation: a_n + (r .* h) Whn. Computing (r.*h) @ Whn
             // directly keeps the backward simple.
-            let rh = r_g.hadamard(&h_t);
-            let whn = self.wh.col_slice(2 * h, 3 * h); // (H, H)
-            let nh = rh.matmul(&whn);
-            let mut n_g = Matrix::zeros(batch, h);
-            for bi in 0..batch {
-                for hi in 0..h {
-                    n_g.set(bi, hi, (a.get(bi, 2 * h + hi) + nh.get(bi, hi)).tanh());
+            for ((o, &rv), &hv) in rh
+                .as_mut_slice()
+                .iter_mut()
+                .zip(r_g.as_slice())
+                .zip(h_prev.as_slice())
+            {
+                *o = rv * hv;
+            }
+            rh.matmul_into(&whn, &mut nh);
+            let rows = a
+                .as_slice()
+                .chunks_exact(3 * h)
+                .zip(nh.as_slice().chunks_exact(h))
+                .zip(n_g.as_mut_slice().chunks_exact_mut(h));
+            for ((a_row, nh_row), nr) in rows {
+                let a_n = a_row.split_at(2 * h).1;
+                for ((nv, &an), &nhv) in nr.iter_mut().zip(a_n).zip(nh_row) {
+                    *nv = (an + nhv).tanh();
                 }
             }
-
-            cache.h_prevs.push(h_t.clone());
             // h' = (1 - z) .* n + z .* h
-            let mut h_new = Matrix::zeros(batch, h);
-            for bi in 0..batch {
-                for hi in 0..h {
-                    let z = z_g.get(bi, hi);
-                    h_new.set(bi, hi, (1.0 - z) * n_g.get(bi, hi) + z * h_t.get(bi, hi));
-                }
+            for ((hv, &hp), (&zv, &nv)) in h_cur
+                .as_mut_slice()
+                .iter_mut()
+                .zip(h_prev.as_slice())
+                .zip(z_g.as_slice().iter().zip(n_g.as_slice()))
+            {
+                *hv = (1.0 - zv) * nv + zv * hp;
             }
-            out.set_time_slice(t, &h_new);
-            cache.xs.push(x_t);
-            cache.gates.push((z_g, r_g, n_g));
-            h_t = h_new;
+            out.set_time_slice(t, &h_cur);
         }
-        self.cache = Some(cache);
+        for m in [a, hw, rh, nh, h_cur, whn] {
+            ws.give(m);
+        }
         out
     }
 
-    fn backward(&mut self, dy: &Tensor3) -> Tensor3 {
-        let cache = self.cache.as_ref().expect("backward called before forward");
-        let time = cache.xs.len();
-        let batch = dy.batch();
+    fn backward_ws(&mut self, dy: &Tensor3, ws: &mut Workspace) -> Tensor3 {
         let h = self.hidden;
         assert_eq!(dy.features(), h, "GRU upstream gradient width mismatch");
-        let whn = self.wh.col_slice(2 * h, 3 * h);
+        let Self {
+            input,
+            wx,
+            wh,
+            dwx,
+            dwh,
+            db,
+            state,
+            ..
+        } = self;
+        let GruState {
+            batch,
+            time,
+            xs,
+            h_prevs,
+            gates,
+            // lint: allow(panic) — precondition: backward requires a prior forward
+        } = state.as_ref().expect("backward called before forward");
+        let (b, i) = (*batch, *input);
+        let mut dx = ws.take3(b, *time, i);
+        let [mut dh, mut da_z, mut da_r, mut da_n, mut drh, mut rh, mut dh_zr, mut dh_next] =
+            [(); 8].map(|_| ws.take(b, h));
+        let (mut da_zr, mut da, mut dxa) = (ws.take(b, 2 * h), ws.take(b, 3 * h), ws.take(b, i));
+        let (mut dwx_t, mut db_t) = (ws.take(i, 3 * h), ws.take(1, 3 * h));
+        let [mut dwh_zr, mut wh_zr] = [(); 2].map(|_| ws.take(h, 2 * h));
+        let [mut dwh_n, mut whn] = [(); 2].map(|_| ws.take(h, h));
+        copy_cols(wh, 0, &mut wh_zr);
+        copy_cols(wh, 2 * h, &mut whn);
 
-        let mut dx = Tensor3::zeros(batch, time, self.input);
-        let mut dh_next = Matrix::zeros(batch, h);
-
-        let steps = cache
-            .gates
-            .iter()
-            .zip(&cache.h_prevs)
-            .zip(&cache.xs)
-            .enumerate()
-            .rev();
-        for (t, ((gates, h_prev), x_t)) in steps {
-            let (z_g, r_g, n_g) = gates;
-
-            let mut dh = dy.time_slice(t);
+        let steps = xs.iter().zip(h_prevs).zip(gates);
+        for (t, ((x_t, h_prev), (z_g, r_g, n_g))) in steps.enumerate().rev() {
+            dy.read_time_slice(t, &mut dh);
             dh.add_assign(&dh_next);
 
-            // h' = (1-z) n + z h_prev
-            let mut dz = Matrix::zeros(batch, h);
-            let mut dn = Matrix::zeros(batch, h);
-            let mut dh_prev = Matrix::zeros(batch, h);
-            for bi in 0..batch {
-                for hi in 0..h {
-                    let d = dh.get(bi, hi);
-                    let z = z_g.get(bi, hi);
-                    let n = n_g.get(bi, hi);
-                    let hp = h_prev.get(bi, hi);
-                    dz.set(bi, hi, d * (hp - n));
-                    dn.set(bi, hi, d * (1.0 - z));
-                    dh_prev.set(bi, hi, d * z);
-                }
+            // h' = (1-z) n + z h_prev and n = tanh(a_n + (r.*h_prev) Whn):
+            // dh_prev (carried in `dh_next`) starts as dh * z, and the z and
+            // n pre-activation gradients follow from dz = dh (h_prev - n)
+            // and dn = dh (1 - z).
+            for ((((dhp, daz), dan), (&d, &hp)), (&z, &n)) in dh_next
+                .as_mut_slice()
+                .iter_mut()
+                .zip(da_z.as_mut_slice())
+                .zip(da_n.as_mut_slice())
+                .zip(dh.as_slice().iter().zip(h_prev.as_slice()))
+                .zip(z_g.as_slice().iter().zip(n_g.as_slice()))
+            {
+                *dhp = d * z;
+                *dan = (d * (1.0 - z)) * (1.0 - n * n);
+                *daz = (d * (hp - n)) * (z * (1.0 - z));
             }
-
-            // n = tanh(a_n + (r.*h) Whn)
-            let mut da_n = dn.clone();
-            for (v, &n) in da_n.as_mut_slice().iter_mut().zip(n_g.as_slice()) {
-                *v *= 1.0 - n * n;
+            // Through (r .* h_prev) @ Whn.
+            da_n.matmul_a_bt_into(&whn, &mut drh);
+            for (((dar, dhp), rhv), ((&g, &hp), &r)) in da_r
+                .as_mut_slice()
+                .iter_mut()
+                .zip(dh_next.as_mut_slice())
+                .zip(rh.as_mut_slice())
+                .zip(
+                    drh.as_slice()
+                        .iter()
+                        .zip(h_prev.as_slice())
+                        .zip(r_g.as_slice()),
+                )
+            {
+                *dar = (g * hp) * (r * (1.0 - r));
+                *dhp += g * r;
+                *rhv = r * hp;
             }
-            // through (r .* h_prev) @ Whn
-            let drh = da_n.matmul_a_bt(&whn); // (b, H)
-            let mut dr = drh.hadamard(h_prev);
-            dh_prev.add_assign(&drh.hadamard(r_g));
-            // gate pre-activations
-            let mut da_z = dz;
-            for (v, &z) in da_z.as_mut_slice().iter_mut().zip(z_g.as_slice()) {
-                *v *= z * (1.0 - z);
-            }
-            for (v, &r) in dr.as_mut_slice().iter_mut().zip(r_g.as_slice()) {
-                *v *= r * (1.0 - r);
-            }
-            let da_r = dr;
-
-            // Stack [da_z | da_r | da_n] -> (b, 3H).
-            let da = da_z.hcat(&da_r).hcat(&da_n);
+            // Stack [da_z | da_r] and [da_z | da_r | da_n].
+            zip_cols(&mut da_zr, 0, &da_z, |o, v| *o = v);
+            zip_cols(&mut da_zr, h, &da_r, |o, v| *o = v);
+            zip_cols(&mut da, 0, &da_zr, |o, v| *o = v);
+            zip_cols(&mut da, 2 * h, &da_n, |o, v| *o = v);
 
             // Parameter gradients. wx/b take the stacked form directly;
             // wh's z|r blocks see h_prev, the n block sees (r .* h_prev).
-            self.dwx.add_assign(&x_t.matmul_at_b(&da));
-            self.db.add_assign(&da.sum_rows());
-            let da_zr = da.col_slice(0, 2 * h);
-            let dwh_zr = h_prev.matmul_at_b(&da_zr); // (H, 2H)
-            let rh = r_g.hadamard(h_prev);
-            let dwh_n = rh.matmul_at_b(&da_n); // (H, H)
-            for r_i in 0..h {
-                for c in 0..2 * h {
-                    let v = self.dwh.get(r_i, c) + dwh_zr.get(r_i, c);
-                    self.dwh.set(r_i, c, v);
-                }
-                for c in 0..h {
-                    let v = self.dwh.get(r_i, 2 * h + c) + dwh_n.get(r_i, c);
-                    self.dwh.set(r_i, 2 * h + c, v);
-                }
-            }
+            x_t.matmul_at_b_into(&da, &mut dwx_t);
+            dwx.add_assign(&dwx_t);
+            da.sum_rows_into(&mut db_t);
+            db.add_assign(&db_t);
+            h_prev.matmul_at_b_into(&da_zr, &mut dwh_zr); // (H, 2H)
+            rh.matmul_at_b_into(&da_n, &mut dwh_n); // (H, H)
+            zip_cols(dwh, 0, &dwh_zr, |o, g| *o += g);
+            zip_cols(dwh, 2 * h, &dwh_n, |o, g| *o += g);
 
             // Input and recurrent gradients.
-            dx.set_time_slice(t, &da.matmul_a_bt(&self.wx));
-            let wh_zr = self.wh.col_slice(0, 2 * h); // (H, 2H)
-            dh_prev.add_assign(&da_zr.matmul_a_bt(&wh_zr));
-            dh_next = dh_prev;
+            da.matmul_a_bt_into(wx, &mut dxa);
+            dx.set_time_slice(t, &dxa);
+            da_zr.matmul_a_bt_into(&wh_zr, &mut dh_zr);
+            dh_next.add_assign(&dh_zr);
+        }
+        let scratch = [
+            dh, da_z, da_r, da_n, drh, rh, dh_zr, dh_next, da_zr, da, dxa,
+        ];
+        for m in scratch
+            .into_iter()
+            .chain([dwx_t, db_t, dwh_zr, wh_zr, dwh_n, whn])
+        {
+            ws.give(m);
         }
         dx
     }
@@ -222,6 +297,27 @@ impl SeqLayer for Gru {
         f(&mut self.wx, &mut self.dwx);
         f(&mut self.wh, &mut self.dwh);
         f(&mut self.b, &mut self.db);
+    }
+}
+
+/// Copies columns `[c0, c0 + out.cols())` of `src` into `out`.
+fn copy_cols(src: &Matrix, c0: usize, out: &mut Matrix) {
+    let w = out.cols();
+    let rows = src.as_slice().chunks_exact(src.cols());
+    for (o, row) in out.as_mut_slice().chunks_exact_mut(w).zip(rows) {
+        o.copy_from_slice(row.split_at(c0).1.split_at(w).0);
+    }
+}
+
+/// Applies `f(wide, narrow)` element-wise over columns
+/// `[c0, c0 + narrow.cols())` of `wide` and the same rows of `narrow`.
+fn zip_cols(wide: &mut Matrix, c0: usize, narrow: &Matrix, f: impl Fn(&mut f64, f64)) {
+    let wc = wide.cols();
+    let rows = narrow.as_slice().chunks_exact(narrow.cols());
+    for (w, n) in wide.as_mut_slice().chunks_exact_mut(wc).zip(rows) {
+        for (o, &v) in w.split_at_mut(c0).1.iter_mut().zip(n) {
+            f(o, v);
+        }
     }
 }
 

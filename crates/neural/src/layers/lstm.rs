@@ -158,16 +158,18 @@ impl Lstm {
         }
         state.get_or_insert_with(|| LstmState::new(batch, time, input, hidden))
     }
+}
 
-    fn forward_into(&mut self, x: &Tensor3, out: &mut Tensor3) {
+fn sigmoid(x: f64) -> f64 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+impl SeqLayer for Lstm {
+    fn forward_ws(&mut self, x: &Tensor3, _train: bool, ws: &mut Workspace) -> Tensor3 {
         let (batch, time, feat) = x.shape();
         assert_eq!(feat, self.input, "LSTM input width mismatch");
-        assert_eq!(
-            out.shape(),
-            (batch, time, self.hidden),
-            "LSTM output shape mismatch"
-        );
         let h = self.hidden;
+        let mut out = ws.take3(batch, time, h);
         let Self {
             input,
             hidden,
@@ -200,8 +202,7 @@ impl Lstm {
             .enumerate();
         for (t, ((((x_t, h_prev), c_prev), gates_t), tanh_c)) in steps {
             x.read_time_slice(t, x_t);
-            // a = x_t @ wx + h_{t-1} @ wh + b — same matmul/add sequence
-            // (and therefore the same bits) as the allocating path.
+            // a = x_t @ wx + h_{t-1} @ wh + b.
             x_t.matmul_into(wx, a);
             h_cur.matmul_into(wh, ah);
             a.add_assign(ah);
@@ -263,9 +264,10 @@ impl Lstm {
             }
             out.set_time_slice(t, h_cur);
         }
+        out
     }
 
-    fn backward_into(&mut self, dy: &Tensor3, dx: &mut Tensor3) {
+    fn backward_ws(&mut self, dy: &Tensor3, ws: &mut Workspace) -> Tensor3 {
         let h = self.hidden;
         assert_eq!(dy.features(), h, "LSTM upstream gradient width mismatch");
         let Self {
@@ -306,11 +308,7 @@ impl Lstm {
         wx.transpose_into(wxt);
         wh.transpose_into(wht);
         assert_eq!(dy.batch(), batch, "LSTM upstream gradient batch mismatch");
-        assert_eq!(
-            dx.shape(),
-            (batch, time, wx.rows()),
-            "LSTM input gradient shape mismatch"
-        );
+        let mut dx = ws.take3(batch, time, wx.rows());
         dh_next.fill_zero();
         dc_next.fill_zero();
         let steps = xs
@@ -386,8 +384,8 @@ impl Lstm {
                 }
             }
 
-            // Accumulate via scratch + add_assign to keep the sum order of
-            // the allocating path.
+            // Accumulate via scratch + add_assign: each step's product is
+            // summed whole into the running gradient.
             x_t.matmul_at_b_into(da, dwx_t);
             dwx.add_assign(dwx_t);
             h_prev.matmul_at_b_into(da, dwh_t);
@@ -408,47 +406,6 @@ impl Lstm {
                 *dnv = dcv * fv;
             }
         }
-    }
-}
-
-fn sigmoid(x: f64) -> f64 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-impl SeqLayer for Lstm {
-    fn forward(&mut self, x: &Tensor3, _train: bool) -> Tensor3 {
-        let (batch, time, _) = x.shape();
-        let mut out = Tensor3::zeros(batch, time, self.hidden);
-        self.forward_into(x, &mut out);
-        out
-    }
-
-    fn backward(&mut self, dy: &Tensor3) -> Tensor3 {
-        let (batch, time) = {
-            // lint: allow(panic) — precondition: backward requires a prior forward
-            let st = self.state.as_ref().expect("backward called before forward");
-            (st.batch, st.time)
-        };
-        let mut dx = Tensor3::zeros(batch, time, self.input);
-        self.backward_into(dy, &mut dx);
-        dx
-    }
-
-    fn forward_ws(&mut self, x: &Tensor3, _train: bool, ws: &mut Workspace) -> Tensor3 {
-        let (batch, time, _) = x.shape();
-        let mut out = ws.take3(batch, time, self.hidden);
-        self.forward_into(x, &mut out);
-        out
-    }
-
-    fn backward_ws(&mut self, dy: &Tensor3, ws: &mut Workspace) -> Tensor3 {
-        let (batch, time) = {
-            // lint: allow(panic) — precondition: backward requires a prior forward
-            let st = self.state.as_ref().expect("backward called before forward");
-            (st.batch, st.time)
-        };
-        let mut dx = ws.take3(batch, time, self.input);
-        self.backward_into(dy, &mut dx);
         dx
     }
 

@@ -6,12 +6,20 @@
 //! * [`SeqLayer`] — operates on `(batch, time, features)` tensors
 //!   (convolutions, recurrent layers).
 //!
-//! The contract for both: `forward` caches whatever `backward` needs;
-//! `backward` consumes the most recent forward's cache, **accumulates**
-//! parameter gradients (so several backward passes sum, enabling composite
-//! losses like the paper's main + auxiliary loss of Eq. 13), and returns
-//! the gradient with respect to the layer's input. `visit_params` exposes
-//! `(param, grad)` pairs in a deterministic order for the optimisers.
+//! The contract for both: `forward_ws` caches whatever `backward_ws`
+//! needs; `backward_ws` consumes the most recent forward's cache,
+//! **accumulates** parameter gradients (so several backward passes sum,
+//! enabling composite losses like the paper's main + auxiliary loss of
+//! Eq. 13), and returns the gradient with respect to the layer's input.
+//! `visit_params` exposes `(param, grad)` pairs in a deterministic order
+//! for the optimisers.
+//!
+//! Each layer has exactly one implementation: the [`Workspace`] pair
+//! `forward_ws`/`backward_ws`, which draws outputs and temporaries from a
+//! reusable pool so steady-state training steps never touch the heap.
+//! `forward`/`backward` are provided one-line wrappers that run it against
+//! a fresh workspace, so the gradchecks, the trainer and one-off callers
+//! all execute the same code.
 
 mod activation;
 mod conv1d;
@@ -37,29 +45,25 @@ use crate::workspace::Workspace;
 
 /// A differentiable transformation of `(batch, features)` matrices.
 pub trait Layer {
-    /// Computes the layer output, caching intermediates for `backward`.
-    /// `train` toggles train-only behaviour (dropout).
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix;
+    /// Computes the layer output, caching intermediates for the backward
+    /// pass. `train` toggles train-only behaviour (dropout). The output
+    /// and internal temporaries come from `ws`; callers should `ws.give`
+    /// the returned matrix back once done.
+    fn forward_ws(&mut self, x: &Matrix, train: bool, ws: &mut Workspace) -> Matrix;
 
     /// Backpropagates `dy` (gradient w.r.t. the last forward's output),
     /// accumulating parameter gradients, and returns the gradient w.r.t.
-    /// the input.
-    fn backward(&mut self, dy: &Matrix) -> Matrix;
+    /// the input, drawing buffers from `ws`.
+    fn backward_ws(&mut self, dy: &Matrix, ws: &mut Workspace) -> Matrix;
 
-    /// [`Self::forward`] drawing the output (and internal temporaries)
-    /// from a [`Workspace`]; bit-identical to `forward`. Callers should
-    /// `ws.give` the returned matrix back once done. The default
-    /// delegates to the allocating path for layers without an override.
-    // lint: cold — compat shim into the allocating legacy path; zero-alloc layers override it
-    fn forward_ws(&mut self, x: &Matrix, train: bool, _ws: &mut Workspace) -> Matrix {
-        self.forward(x, train)
+    /// [`Self::forward_ws`] against a fresh workspace.
+    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
+        self.forward_ws(x, train, &mut Workspace::new())
     }
 
-    /// [`Self::backward`] drawing buffers from a [`Workspace`];
-    /// bit-identical to `backward`.
-    // lint: cold — compat shim into the allocating legacy path; zero-alloc layers override it
-    fn backward_ws(&mut self, dy: &Matrix, _ws: &mut Workspace) -> Matrix {
-        self.backward(dy)
+    /// [`Self::backward_ws`] against a fresh workspace.
+    fn backward(&mut self, dy: &Matrix) -> Matrix {
+        self.backward_ws(dy, &mut Workspace::new())
     }
 
     /// Visits `(parameter, gradient)` pairs in a fixed order.
@@ -81,26 +85,24 @@ pub trait Layer {
 
 /// A differentiable transformation of `(batch, time, features)` tensors.
 pub trait SeqLayer {
-    /// Computes the layer output, caching intermediates for `backward`.
-    fn forward(&mut self, x: &Tensor3, train: bool) -> Tensor3;
+    /// Computes the layer output, caching intermediates for the backward
+    /// pass. The output tensor comes from `ws`; callers should `ws.give3`
+    /// it back once done.
+    fn forward_ws(&mut self, x: &Tensor3, train: bool, ws: &mut Workspace) -> Tensor3;
 
     /// Backpropagates through the last forward, accumulating parameter
-    /// gradients; returns the gradient w.r.t. the input tensor.
-    fn backward(&mut self, dy: &Tensor3) -> Tensor3;
+    /// gradients; returns the gradient w.r.t. the input tensor, drawing
+    /// buffers from `ws`.
+    fn backward_ws(&mut self, dy: &Tensor3, ws: &mut Workspace) -> Tensor3;
 
-    /// [`Self::forward`] drawing the output tensor from a [`Workspace`];
-    /// bit-identical to `forward`. Callers should `ws.give3` the result
-    /// back once done.
-    // lint: cold — compat shim into the allocating legacy path; zero-alloc layers override it
-    fn forward_ws(&mut self, x: &Tensor3, train: bool, _ws: &mut Workspace) -> Tensor3 {
-        self.forward(x, train)
+    /// [`Self::forward_ws`] against a fresh workspace.
+    fn forward(&mut self, x: &Tensor3, train: bool) -> Tensor3 {
+        self.forward_ws(x, train, &mut Workspace::new())
     }
 
-    /// [`Self::backward`] drawing buffers from a [`Workspace`];
-    /// bit-identical to `backward`.
-    // lint: cold — compat shim into the allocating legacy path; zero-alloc layers override it
-    fn backward_ws(&mut self, dy: &Tensor3, _ws: &mut Workspace) -> Tensor3 {
-        self.backward(dy)
+    /// [`Self::backward_ws`] against a fresh workspace.
+    fn backward(&mut self, dy: &Tensor3) -> Tensor3 {
+        self.backward_ws(dy, &mut Workspace::new())
     }
 
     /// Visits `(parameter, gradient)` pairs in a fixed order.

@@ -29,22 +29,6 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let mut cur = x.clone();
-        for l in &mut self.layers {
-            cur = l.forward(&cur, train);
-        }
-        cur
-    }
-
-    fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let mut cur = dy.clone();
-        for l in self.layers.iter_mut().rev() {
-            cur = l.backward(&cur);
-        }
-        cur
-    }
-
     fn forward_ws(&mut self, x: &Matrix, train: bool, ws: &mut Workspace) -> Matrix {
         match self.layers.split_first_mut() {
             None => {
@@ -113,22 +97,6 @@ impl SeqSequential {
 }
 
 impl SeqLayer for SeqSequential {
-    fn forward(&mut self, x: &Tensor3, train: bool) -> Tensor3 {
-        let mut cur = x.clone();
-        for l in &mut self.layers {
-            cur = l.forward(&cur, train);
-        }
-        cur
-    }
-
-    fn backward(&mut self, dy: &Tensor3) -> Tensor3 {
-        let mut cur = dy.clone();
-        for l in self.layers.iter_mut().rev() {
-            cur = l.backward(&cur);
-        }
-        cur
-    }
-
     fn forward_ws(&mut self, x: &Tensor3, train: bool, ws: &mut Workspace) -> Tensor3 {
         match self.layers.split_first_mut() {
             None => {
@@ -197,32 +165,16 @@ impl<L: Layer> TimeDistributed<L> {
 }
 
 impl<L: Layer> SeqLayer for TimeDistributed<L> {
-    fn forward(&mut self, x: &Tensor3, train: bool) -> Tensor3 {
-        let (b, t, _) = x.shape();
-        self.shape = Some((b, t));
-        let y = self.inner.forward(&x.flatten_time(), train);
-        Tensor3::unflatten_time(b, t, &y).expect("inner layer preserves row count")
-    }
-
-    fn backward(&mut self, dy: &Tensor3) -> Tensor3 {
-        let (b, t) = self.shape.expect("backward called before forward");
-        let dx = self.inner.backward(&dy.flatten_time());
-        Tensor3::unflatten_time(b, t, &dx).expect("inner layer preserves row count")
-    }
-
     fn forward_ws(&mut self, x: &Tensor3, train: bool, ws: &mut Workspace) -> Tensor3 {
         let (b, t, f) = x.shape();
         self.shape = Some((b, t));
-        // The flatten/unflatten reshapes become plain copies into pooled
-        // buffers; the inner layer sees the identical `(b*t, f)` view.
+        // The inner layer sees `x` as a `(b*t, f)` matrix: one copy in,
+        // and its output moves back out as the `(b, t, _)` tensor.
         let mut flat = ws.take(b * t, f);
         flat.as_mut_slice().copy_from_slice(x.as_slice());
         let y = self.inner.forward_ws(&flat, train, ws);
         ws.give(flat);
-        let mut out = ws.take3(b, t, y.cols());
-        out.as_mut_slice().copy_from_slice(y.as_slice());
-        ws.give(y);
-        out
+        Tensor3::from_flat(b, t, y)
     }
 
     fn backward_ws(&mut self, dy: &Tensor3, ws: &mut Workspace) -> Tensor3 {
@@ -232,10 +184,7 @@ impl<L: Layer> SeqLayer for TimeDistributed<L> {
         flat.as_mut_slice().copy_from_slice(dy.as_slice());
         let dx = self.inner.backward_ws(&flat, ws);
         ws.give(flat);
-        let mut out = ws.take3(b, t, dx.cols());
-        out.as_mut_slice().copy_from_slice(dx.as_slice());
-        ws.give(dx);
-        out
+        Tensor3::from_flat(b, t, dx)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
@@ -287,8 +236,9 @@ mod tests {
         let mut x = Tensor3::zeros(2, 4, 2);
         rng.fill_normal(x.as_mut_slice());
         let y = td.forward(&x, true);
-        let y_flat = flat.forward(&x.flatten_time(), true);
-        assert_eq!(y.flatten_time(), y_flat);
+        let x_flat = Matrix::from_vec(8, 2, x.as_slice().to_vec()).unwrap();
+        let y_flat = flat.forward(&x_flat, true);
+        assert_eq!(y.as_slice(), y_flat.as_slice());
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! battery. Parameter-free: `visit_params` visits nothing.
 
 use super::Layer;
-use crate::matrix::{softmax_rows, softmax_rows_backward, Matrix};
+use crate::matrix::{softmax_rows, softmax_rows_backward_into, Matrix};
+use crate::workspace::Workspace;
 
 /// Row-wise softmax layer: each row of the input is normalised to a
 /// probability distribution.
@@ -26,19 +27,27 @@ impl Softmax {
 }
 
 impl Layer for Softmax {
-    fn forward(&mut self, x: &Matrix, _train: bool) -> Matrix {
-        let mut y = x.clone();
+    fn forward_ws(&mut self, x: &Matrix, _train: bool, ws: &mut Workspace) -> Matrix {
+        let mut y = ws.take(x.rows(), x.cols());
+        y.copy_from(x);
         softmax_rows(&mut y);
-        self.y = Some(y.clone());
+        match &mut self.y {
+            Some(c) if c.shape() == y.shape() => c.copy_from(&y),
+            // lint: allow(alloc) — cache warm-up only: first step or shape change; steady-state steps hit the copy branch above.
+            slot => *slot = Some(y.clone()),
+        }
         y
     }
 
-    fn backward(&mut self, dy: &Matrix) -> Matrix {
+    fn backward_ws(&mut self, dy: &Matrix, ws: &mut Workspace) -> Matrix {
         let y = self
             .y
             .as_ref()
+            // lint: allow(panic) — precondition: backward requires a prior forward
             .expect("Softmax::backward called before forward");
-        softmax_rows_backward(y, dy)
+        let mut dx = ws.take(dy.rows(), dy.cols());
+        softmax_rows_backward_into(y, dy, &mut dx);
+        dx
     }
 
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {}

@@ -377,13 +377,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise product, allocating.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        let mut out = self.clone();
-        out.hadamard_assign(rhs);
-        out
-    }
-
     /// Scales all elements in place.
     pub fn scale(&mut self, alpha: f64) {
         for a in &mut self.data {
@@ -479,18 +472,6 @@ impl Matrix {
         self.data.iter().all(|v| v.is_finite())
     }
 
-    /// Horizontal concatenation `[self | rhs]`.
-    pub fn hcat(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.rows, rhs.rows, "hcat row mismatch");
-        let mut out = Matrix::zeros(self.rows, self.cols + rhs.cols);
-        for r in 0..self.rows {
-            let (left, right) = out.row_mut(r).split_at_mut(self.cols);
-            left.copy_from_slice(self.row(r));
-            right.copy_from_slice(rhs.row(r));
-        }
-        out
-    }
-
     /// Consumes the matrix, returning its backing buffer (for the
     /// workspace pool).
     pub(crate) fn into_raw(self) -> Vec<f64> {
@@ -507,17 +488,6 @@ impl Matrix {
             cols,
             data: buf,
         }
-    }
-
-    /// Column slice `[c0, c1)` as a new matrix.
-    pub fn col_slice(&self, c0: usize, c1: usize) -> Matrix {
-        assert!(c0 <= c1 && c1 <= self.cols, "col_slice out of range");
-        let mut out = Matrix::zeros(self.rows, c1 - c0);
-        for r in 0..self.rows {
-            // lint: allow(panic) — range validated by the assert above
-            out.row_mut(r).copy_from_slice(&self.row(r)[c0..c1]);
-        }
-        out
     }
 }
 
@@ -851,8 +821,19 @@ fn softmax_row_inplace(row: &mut [f64]) {
 /// upstream gradient `dy`, returns `dx` where
 /// `dx = y * (dy - sum(dy * y, per row))`.
 pub fn softmax_rows_backward(y: &Matrix, dy: &Matrix) -> Matrix {
-    assert_eq!(y.shape(), dy.shape(), "softmax backward shape mismatch");
     let mut dx = Matrix::zeros(y.rows(), y.cols());
+    softmax_rows_backward_into(y, dy, &mut dx);
+    dx
+}
+
+/// [`softmax_rows_backward`] into a caller-owned output (overwritten).
+pub(crate) fn softmax_rows_backward_into(y: &Matrix, dy: &Matrix, dx: &mut Matrix) {
+    assert_eq!(y.shape(), dy.shape(), "softmax backward shape mismatch");
+    assert_eq!(
+        dx.shape(),
+        y.shape(),
+        "softmax backward output shape mismatch"
+    );
     for r in 0..y.rows() {
         let yr = y.row(r);
         let dyr = dy.row(r);
@@ -861,7 +842,6 @@ pub fn softmax_rows_backward(y: &Matrix, dy: &Matrix) -> Matrix {
             *o = yv * (dyv - s);
         }
     }
-    dx
 }
 
 #[cfg(test)]
@@ -1081,16 +1061,6 @@ mod tests {
     fn norm_is_frobenius() {
         let a = Matrix::from_vec(1, 2, vec![3.0, 4.0]).unwrap();
         assert!((a.norm() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hcat_and_col_slice_roundtrip() {
-        let a = Matrix::from_fn(2, 2, |r, c| (r * 2 + c) as f64);
-        let b = Matrix::from_fn(2, 3, |r, c| 10.0 + (r * 3 + c) as f64);
-        let cat = a.hcat(&b);
-        assert_eq!(cat.shape(), (2, 5));
-        assert_eq!(cat.col_slice(0, 2), a);
-        assert_eq!(cat.col_slice(2, 5), b);
     }
 
     #[test]

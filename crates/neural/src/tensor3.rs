@@ -116,16 +116,8 @@ impl Tensor3 {
         &mut self.data[base..base + self.f]
     }
 
-    /// Extracts time step `t` for all batches as a `(batch, features)`
-    /// matrix.
-    pub fn time_slice(&self, t: usize) -> Matrix {
-        let mut m = Matrix::zeros(self.b, self.f);
-        self.read_time_slice(t, &mut m);
-        m
-    }
-
-    /// [`Self::time_slice`] into a caller-owned `(batch, features)`
-    /// matrix (overwritten), for reused step buffers.
+    /// Copies time step `t` for all batches into a caller-owned
+    /// `(batch, features)` matrix (overwritten).
     pub fn read_time_slice(&self, t: usize, out: &mut Matrix) {
         assert_eq!(out.rows(), self.b, "time slice batch mismatch");
         assert_eq!(out.cols(), self.f, "time slice feature mismatch");
@@ -143,23 +135,17 @@ impl Tensor3 {
         }
     }
 
-    /// Reshapes to `(batch * time, features)` — the view time-distributed
-    /// dense layers operate on.
-    pub fn flatten_time(&self) -> Matrix {
-        Matrix::from_vec(self.b * self.t, self.f, self.data.clone())
-            .expect("shape is consistent by construction")
-    }
-
-    /// Inverse of [`Self::flatten_time`].
-    pub fn unflatten_time(b: usize, t: usize, m: &Matrix) -> Result<Self, ShapeError> {
-        if m.rows() != b * t {
-            return Err(ShapeError(format!(
-                "expected {} rows, got {}",
-                b * t,
-                m.rows()
-            )));
+    /// Reinterprets a `(b * t, f)` matrix as a `(b, t, f)` tensor by
+    /// moving its buffer: the time-distributed view, without a copy.
+    pub(crate) fn from_flat(b: usize, t: usize, m: Matrix) -> Tensor3 {
+        assert_eq!(m.rows(), b * t, "flat matrix row count mismatch");
+        let f = m.cols();
+        Tensor3 {
+            b,
+            t,
+            f,
+            data: m.into_raw(),
         }
-        Self::from_vec(b, t, m.cols(), m.as_slice().to_vec())
     }
 
     /// Flat view of the data.
@@ -228,20 +214,20 @@ mod tests {
         let mut t = Tensor3::zeros(2, 3, 2);
         let m = Matrix::from_fn(2, 2, |r, c| (10 * r + c) as f64 + 1.0);
         t.set_time_slice(1, &m);
-        assert_eq!(t.time_slice(1), m);
-        assert_eq!(t.time_slice(0), Matrix::zeros(2, 2));
+        let mut back = Matrix::filled(2, 2, 5.0);
+        t.read_time_slice(1, &mut back);
+        assert_eq!(back, m);
+        t.read_time_slice(0, &mut back);
+        assert_eq!(back, Matrix::zeros(2, 2));
         assert_eq!(t.get(1, 1, 0), 11.0);
     }
 
     #[test]
-    fn flatten_unflatten_roundtrip() {
-        let t = Tensor3::from_vec(2, 2, 3, (0..12).map(|v| v as f64).collect()).unwrap();
-        let m = t.flatten_time();
-        assert_eq!(m.shape(), (4, 3));
-        assert_eq!(m.get(3, 2), 11.0);
-        let back = Tensor3::unflatten_time(2, 2, &m).unwrap();
-        assert_eq!(back, t);
-        assert!(Tensor3::unflatten_time(3, 2, &m).is_err());
+    fn from_flat_keeps_row_major_order() {
+        let m = Matrix::from_fn(4, 3, |r, c| (3 * r + c) as f64);
+        let t = Tensor3::from_flat(2, 2, m);
+        assert_eq!(t.shape(), (2, 2, 3));
+        assert_eq!(t.step(1, 1), &[9.0, 10.0, 11.0]);
     }
 
     #[test]

@@ -2,11 +2,15 @@
 //!
 //! A [`Workspace`] owns a pool of `Vec<f64>` buffers that [`Matrix`] and
 //! [`Tensor3`] temporaries are carved from. Layers' `forward_ws` /
-//! `backward_ws` entry points (see [`crate::layers::Layer`]) take their
-//! outputs and internal temporaries from the pool and return spent
-//! buffers to it, so after a warmup pass every training step runs
-//! without touching the heap — the property the allocation-regression
-//! test locks in.
+//! `backward_ws` (see [`crate::layers::Layer`]) take their outputs and
+//! internal temporaries from the pool and return spent buffers to it, so
+//! after a warmup pass every training step runs without touching the
+//! heap — the property the allocation-regression test locks in.
+//!
+//! That pair is every layer's only implementation. The provided
+//! `forward`/`backward` wrappers call it with a fresh `Workspace::new()`:
+//! one-off callers pay the allocations a recycled pool would save, but
+//! run the same code and get the same bits.
 //!
 //! ## Lifetime rules (DESIGN.md §13)
 //!

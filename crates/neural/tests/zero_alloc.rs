@@ -1,7 +1,8 @@
 //! Steady-state training steps through the `_ws` (workspace) paths must
 //! be allocation-free: after a short warmup that sizes the buffer pool,
-//! the optimiser moment slots, and the LSTM state, a training step
-//! touches the heap zero times.
+//! the optimiser moment slots and the layers' caches (LSTM/GRU state,
+//! im2col, dropout mask), a training step touches the heap zero times.
+//! Every layer type runs in at least one of the stacks below.
 //!
 //! A counting `#[global_allocator]` wraps `System`; the whole file is one
 //! `#[test]` so no sibling test thread can pollute the counter.
@@ -10,8 +11,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use neural::layers::{
-    ActKind, Activation, Dense, Layer, Lstm, SeqActivation, SeqLayer, SeqSequential, Sequential,
-    TimeDistributed,
+    ActKind, Activation, Conv1d, Dense, Dropout, Gru, Layer, Lstm, SeqActivation, SeqLayer,
+    SeqSequential, Sequential, Softmax, TimeDistributed,
 };
 use neural::loss::{mse_into, mse_seq_into};
 use neural::matrix::Matrix;
@@ -59,7 +60,7 @@ fn heap_allocs() -> u64 {
 }
 
 fn flat_step(
-    model: &mut Sequential,
+    model: &mut dyn Layer,
     opt: &mut Adam,
     x: &Matrix,
     target: &Matrix,
@@ -82,7 +83,7 @@ fn flat_step(
 }
 
 fn seq_step(
-    model: &mut SeqSequential,
+    model: &mut dyn SeqLayer,
     opt: &mut Adam,
     x: &Tensor3,
     target: &Tensor3,
@@ -104,80 +105,114 @@ fn seq_step(
     loss
 }
 
-/// One test covering both stacks: interleaved tests in this binary would
+/// Trains a flat stack on a fixed `(rows, in) -> (rows, out)` batch: 3
+/// warmup steps, then asserts 10 steady-state steps touch the heap 0 times.
+fn assert_flat_stack_allocation_free(
+    name: &str,
+    model: &mut dyn Layer,
+    (rows, input, output): (usize, usize, usize),
+    rng: &mut Rng64,
+) {
+    let mut x = Matrix::zeros(rows, input);
+    rng.fill_normal(x.as_mut_slice());
+    let mut target = Matrix::zeros(rows, output);
+    rng.fill_normal(target.as_mut_slice());
+    let mut grad = Matrix::zeros(rows, output);
+    let mut ws = Workspace::new();
+    let mut opt = Adam::new(1e-3);
+    for _ in 0..3 {
+        flat_step(model, &mut opt, &x, &target, &mut grad, &mut ws);
+    }
+    let before = heap_allocs();
+    let mut loss = 0.0;
+    for _ in 0..10 {
+        loss += flat_step(model, &mut opt, &x, &target, &mut grad, &mut ws);
+    }
+    let allocs = heap_allocs() - before;
+    assert!(loss.is_finite(), "{name}: loss {loss}");
+    assert_eq!(
+        allocs, 0,
+        "{name} training step allocated {allocs} times over 10 steps"
+    );
+}
+
+/// [`assert_flat_stack_allocation_free`] for a sequence stack on a fixed
+/// `(b, t, in) -> (b, t, out)` batch.
+fn assert_seq_stack_allocation_free(
+    name: &str,
+    model: &mut dyn SeqLayer,
+    (b, t, input, output): (usize, usize, usize, usize),
+    rng: &mut Rng64,
+) {
+    let mut xs = Tensor3::zeros(b, t, input);
+    rng.fill_normal(xs.as_mut_slice());
+    let mut targets = Tensor3::zeros(b, t, output);
+    rng.fill_normal(targets.as_mut_slice());
+    let mut grads = Tensor3::zeros(b, t, output);
+    let mut ws = Workspace::new();
+    let mut opt = Adam::new(1e-3);
+    for _ in 0..3 {
+        seq_step(model, &mut opt, &xs, &targets, &mut grads, &mut ws);
+    }
+    let before = heap_allocs();
+    let mut loss = 0.0;
+    for _ in 0..10 {
+        loss += seq_step(model, &mut opt, &xs, &targets, &mut grads, &mut ws);
+    }
+    let allocs = heap_allocs() - before;
+    assert!(loss.is_finite(), "{name}: loss {loss}");
+    assert_eq!(
+        allocs, 0,
+        "{name} training step allocated {allocs} times over 10 steps"
+    );
+}
+
+/// One test covering every stack: interleaved tests in this binary would
 /// share the global counter, so everything runs on one thread here.
 #[test]
 fn training_steps_are_allocation_free_after_warmup() {
-    // --- flat Dense stack ---------------------------------------------
     let mut rng = Rng64::new(7);
-    let mut flat = Sequential::new(vec![
+
+    // Flat Dense stack (the TOD generation shape).
+    let mut dense = Sequential::new(vec![
         Box::new(Dense::new(3, 16, &mut rng)) as Box<dyn Layer>,
         Box::new(Activation::new(ActKind::Tanh)),
         Box::new(Dense::new(16, 2, &mut rng)),
         Box::new(Activation::new(ActKind::Sigmoid)),
     ]);
-    let mut x = Matrix::zeros(8, 3);
-    rng.fill_normal(x.as_mut_slice());
-    let mut target = Matrix::zeros(8, 2);
-    rng.fill_normal(target.as_mut_slice());
-    let mut grad = Matrix::zeros(8, 2);
-    let mut ws = Workspace::new();
-    let mut opt = Adam::new(1e-3);
-    for _ in 0..3 {
-        flat_step(&mut flat, &mut opt, &x, &target, &mut grad, &mut ws);
-    }
-    let before = heap_allocs();
-    let mut loss = 0.0;
-    for _ in 0..10 {
-        loss += flat_step(&mut flat, &mut opt, &x, &target, &mut grad, &mut ws);
-    }
-    let flat_allocs = heap_allocs() - before;
-    assert!(loss.is_finite());
-    assert_eq!(
-        flat_allocs, 0,
-        "flat training step allocated {flat_allocs} times over 10 steps"
-    );
+    assert_flat_stack_allocation_free("dense stack", &mut dense, (8, 3, 2), &mut rng);
 
-    // --- LSTM sequence stack (the paper's V2S shape) ------------------
-    let mut seq = SeqSequential::new(vec![
+    // Flat stack with train-mode dropout and a softmax head.
+    let mut dropout = Sequential::new(vec![
+        Box::new(Dense::new(4, 12, &mut rng)) as Box<dyn Layer>,
+        Box::new(Dropout::new(0.3, 5)),
+        Box::new(Dense::new(12, 3, &mut rng)),
+        Box::new(Softmax::new()),
+    ]);
+    assert_flat_stack_allocation_free("dropout/softmax stack", &mut dropout, (8, 4, 3), &mut rng);
+
+    // LSTM sequence stack (the paper's V2S shape).
+    let mut lstm = SeqSequential::new(vec![
         Box::new(Lstm::new(1, 8, &mut rng)) as Box<dyn SeqLayer>,
         Box::new(Lstm::new(8, 8, &mut rng)),
         Box::new(TimeDistributed::new(Dense::new(8, 1, &mut rng))),
         Box::new(SeqActivation::new(ActKind::Sigmoid)),
     ]);
-    let mut xs = Tensor3::zeros(16, 6, 1);
-    rng.fill_normal(xs.as_mut_slice());
-    let mut targets = Tensor3::zeros(16, 6, 1);
-    rng.fill_normal(targets.as_mut_slice());
-    let mut grads = Tensor3::zeros(16, 6, 1);
-    let mut ws_seq = Workspace::new();
-    let mut opt_seq = Adam::new(1e-3);
-    for _ in 0..3 {
-        seq_step(
-            &mut seq,
-            &mut opt_seq,
-            &xs,
-            &targets,
-            &mut grads,
-            &mut ws_seq,
-        );
-    }
-    let before = heap_allocs();
-    let mut loss = 0.0;
-    for _ in 0..10 {
-        loss += seq_step(
-            &mut seq,
-            &mut opt_seq,
-            &xs,
-            &targets,
-            &mut grads,
-            &mut ws_seq,
-        );
-    }
-    let seq_allocs = heap_allocs() - before;
-    assert!(loss.is_finite());
-    assert_eq!(
-        seq_allocs, 0,
-        "LSTM training step allocated {seq_allocs} times over 10 steps"
-    );
+    assert_seq_stack_allocation_free("LSTM stack", &mut lstm, (16, 6, 1, 1), &mut rng);
+
+    // GRU variant of the V2S stack.
+    let mut gru = SeqSequential::new(vec![
+        Box::new(Gru::new(1, 8, &mut rng)) as Box<dyn SeqLayer>,
+        Box::new(TimeDistributed::new(Dense::new(8, 1, &mut rng))),
+    ]);
+    assert_seq_stack_allocation_free("GRU stack", &mut gru, (16, 6, 1, 1), &mut rng);
+
+    // The Route-e convolution stack as TOD2V builds it.
+    let mut conv = SeqSequential::new(vec![
+        Box::new(Conv1d::new(1, 4, 3, &mut rng)) as Box<dyn SeqLayer>,
+        Box::new(SeqActivation::new(ActKind::Relu)),
+        Box::new(Conv1d::new(4, 1, 3, &mut rng)),
+        Box::new(SeqActivation::new(ActKind::Relu)),
+    ]);
+    assert_seq_stack_allocation_free("Route-e conv stack", &mut conv, (12, 8, 1, 1), &mut rng);
 }

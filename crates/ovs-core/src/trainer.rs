@@ -861,9 +861,9 @@ impl OvsTrainer {
         let mut p = load_stage(&mut |f| visit(model, f), &anchor, stage)?;
         let mx = StageMetrics::new(&self.obs, stage);
         let mut guard = StageGuard::new(opts.recovery, p.opt.lr(), anchor);
-        // Pooled buffers make the steady-state loop allocation-free; the
-        // `_ws`/`_into` paths are bit-identical to the allocating ones
-        // (locked in by neural's ws_equivalence suite).
+        // Pooled buffers make the steady-state loop allocation-free; reuse
+        // is numerically invisible (locked in by neural's ws_equivalence
+        // suite).
         let mut ws = Workspace::new();
         let mut steps_taken = 0usize;
         while p.step < plan.epochs {
