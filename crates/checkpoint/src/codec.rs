@@ -3,7 +3,8 @@
 //! All encodings are little-endian and positional; `f64`s travel as raw
 //! IEEE-754 bit patterns so round trips are bit-exact (NaN payloads and
 //! signed zeros included). Matrix lists carry explicit shapes, so the
-//! decoder validates sizes before allocating.
+//! decoder validates sizes — against [`MAX_MATRIX_ELEMS`] and against the
+//! bytes left to read — before allocating.
 
 use crate::format::{ByteReader, ByteWriter};
 use crate::{CheckpointError, Result};
@@ -13,6 +14,12 @@ use neural::Matrix;
 /// Ceiling on a single decoded matrix's element count (guards corrupt or
 /// adversarial length fields before allocation; 1 GiB of `f64`s).
 const MAX_MATRIX_ELEMS: usize = 1 << 27;
+
+/// Encoded size of one `f64`.
+const F64_BYTES: usize = 8;
+
+/// Smallest encoded matrix: its two `u64` shape fields and no data.
+const MIN_MATRIX_BYTES: usize = 16;
 
 fn write_matrix(w: &mut ByteWriter, m: &Matrix) {
     w.u64(m.rows() as u64);
@@ -27,9 +34,12 @@ fn read_matrix(r: &mut ByteReader<'_>, context: &str) -> Result<Matrix> {
     let cols = r.len_u64(&format!("{context} cols"))?;
     let n = rows
         .checked_mul(cols)
-        .filter(|&n| n <= MAX_MATRIX_ELEMS)
+        .filter(|&n| n <= MAX_MATRIX_ELEMS && n <= r.remaining() / F64_BYTES)
         .ok_or_else(|| {
-            CheckpointError::Malformed(format!("{context}: implausible shape {rows}x{cols}"))
+            CheckpointError::Malformed(format!(
+                "{context}: implausible shape {rows}x{cols} for {} bytes left",
+                r.remaining()
+            ))
         })?;
     let mut data = Vec::with_capacity(n);
     for i in 0..n {
@@ -76,9 +86,10 @@ pub fn encode_f64s(vs: &[f64]) -> Vec<u8> {
 pub fn decode_f64s(bytes: &[u8]) -> Result<Vec<f64>> {
     let mut r = ByteReader::new(bytes);
     let n = r.len_u64("f64 vector length")?;
-    if n > MAX_MATRIX_ELEMS {
+    if n > MAX_MATRIX_ELEMS || n > r.remaining() / F64_BYTES {
         return Err(CheckpointError::Malformed(format!(
-            "implausible f64 vector length {n}"
+            "implausible f64 vector length {n} for {} bytes left",
+            r.remaining()
         )));
     }
     let mut out = Vec::with_capacity(n);
@@ -117,9 +128,11 @@ pub fn decode_adam(bytes: &[u8]) -> Result<AdamSnapshot> {
     let beta2 = r.f64("adam beta2")?;
     let eps = r.f64("adam eps")?;
     let slots = r.len_u64("adam slot count")?;
-    if slots > MAX_MATRIX_ELEMS {
+    // Each slot holds two matrices, `m` and `v`.
+    if slots > MAX_MATRIX_ELEMS || slots > r.remaining() / (2 * MIN_MATRIX_BYTES) {
         return Err(CheckpointError::Malformed(format!(
-            "implausible adam slot count {slots}"
+            "implausible adam slot count {slots} for {} bytes left",
+            r.remaining()
         )));
     }
     let mut m = Vec::with_capacity(slots);
@@ -218,6 +231,39 @@ mod tests {
             decode_f64s(&bytes),
             Err(CheckpointError::Malformed(_))
         ));
+    }
+
+    /// Lengths under [`MAX_MATRIX_ELEMS`] that the bytes left cannot hold
+    /// are refused as `Malformed` before anything is reserved for them,
+    /// not reserved and then found `Truncated`.
+    #[test]
+    fn short_matrix_payload_is_refused_before_reserving() {
+        let mut w = ByteWriter::new();
+        w.u64(1);
+        w.u64(1 << 13);
+        w.u64(1 << 14);
+        let err = decode_matrices(&w.into_bytes()).unwrap_err();
+        assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
+    }
+
+    #[test]
+    fn short_f64_payload_is_refused_before_reserving() {
+        let mut w = ByteWriter::new();
+        w.u64(MAX_MATRIX_ELEMS as u64);
+        let err = decode_f64s(&w.into_bytes()).unwrap_err();
+        assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
+    }
+
+    #[test]
+    fn short_adam_payload_is_refused_before_reserving() {
+        let mut w = ByteWriter::new();
+        w.u64(1);
+        for hyper in [1e-3, 0.9, 0.999, 1e-8] {
+            w.f64(hyper);
+        }
+        w.u64(MAX_MATRIX_ELEMS as u64);
+        let err = decode_adam(&w.into_bytes()).unwrap_err();
+        assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
     }
 
     #[test]

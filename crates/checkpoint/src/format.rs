@@ -35,6 +35,10 @@ pub const FORMAT_VERSION: u32 = 1;
 /// Reserved section carrying the artifact kind string.
 const KIND_SECTION: &str = "__kind__";
 
+/// Smallest section-table entry: name length, empty name, payload length
+/// and checksum.
+const MIN_TABLE_ENTRY: usize = 2 + 8 + 4;
+
 // --- CRC32 (IEEE 802.3, reflected) ---------------------------------------
 
 const fn crc32_table() -> [u32; 256] {
@@ -177,6 +181,21 @@ impl<'a> ByteReader<'a> {
             CheckpointError::Malformed(format!("{context}: length {v} overflows usize"))
         })
     }
+}
+
+/// Reads the section count, refusing one whose table cannot fit in the
+/// unread bytes, so the table can be reserved without trusting the input.
+fn section_count(r: &mut ByteReader<'_>) -> Result<usize> {
+    let count = r.u32("section count")? as usize;
+    let left = r.remaining();
+    if count > left / MIN_TABLE_ENTRY {
+        return Err(CheckpointError::Truncated {
+            context: format!(
+                "section count ({count} entries of at least {MIN_TABLE_ENTRY} bytes, {left} left)"
+            ),
+        });
+    }
+    Ok(count)
 }
 
 // --- builder ---------------------------------------------------------------
@@ -375,8 +394,8 @@ pub fn audit_bytes(bytes: &[u8]) -> ArtifactAudit {
         });
         return audit;
     }
-    let count = match r.u32("section count") {
-        Ok(c) => c as usize,
+    let count = match section_count(&mut r) {
+        Ok(c) => c,
         Err(e) => {
             audit.structural = structural(e);
             return audit;
@@ -460,7 +479,7 @@ impl Artifact {
                 supported: FORMAT_VERSION,
             });
         }
-        let count = r.u32("section count")? as usize;
+        let count = section_count(&mut r)?;
         let mut table = Vec::with_capacity(count);
         for i in 0..count {
             let name_len = r.u16(&format!("section {i} name length"))? as usize;
@@ -762,6 +781,33 @@ mod tests {
         bad_magic[0] = b'X';
         let audit = audit_bytes(&bad_magic);
         assert!(audit.structural.is_some());
+        assert!(audit.sections.is_empty());
+    }
+
+    /// Magic, version 1 and a section count of `u32::MAX`, with no table:
+    /// 16 bytes that must not make the decoder reserve 4 billion entries.
+    fn huge_section_count() -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.bytes(&MAGIC);
+        w.u32(FORMAT_VERSION);
+        w.u32(u32::MAX);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn huge_section_count_is_refused_before_reserving() {
+        let err = Artifact::from_bytes(&huge_section_count()).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Truncated { ref context } if context.contains("section count")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn audit_refuses_huge_section_count_before_reserving() {
+        let audit = audit_bytes(&huge_section_count());
+        let structural = audit.structural.expect("structural failure");
+        assert!(structural.contains("section count"), "{structural}");
         assert!(audit.sections.is_empty());
     }
 

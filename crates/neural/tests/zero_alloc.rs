@@ -200,6 +200,18 @@ fn training_steps_are_allocation_free_after_warmup() {
     ]);
     assert_seq_stack_allocation_free("LSTM stack", &mut lstm, (16, 6, 1, 1), &mut rng);
 
+    // The same V2S stack at `OvsConfig::tiny()` width and the recover
+    // benchmark's batch: Manhattan's 360 links x 4 training samples over
+    // 6 intervals. Its gate products, (1440, 8) @ (8, 32), are the
+    // kernel sizes where a thread fan-out would spawn (and allocate).
+    let mut v2s = SeqSequential::new(vec![
+        Box::new(Lstm::new(1, 8, &mut rng)) as Box<dyn SeqLayer>,
+        Box::new(Lstm::new(8, 8, &mut rng)),
+        Box::new(TimeDistributed::new(Dense::new(8, 1, &mut rng))),
+        Box::new(SeqActivation::new(ActKind::Sigmoid)),
+    ]);
+    assert_seq_stack_allocation_free("recover V2S stack", &mut v2s, (1440, 6, 1, 1), &mut rng);
+
     // GRU variant of the V2S stack.
     let mut gru = SeqSequential::new(vec![
         Box::new(Gru::new(1, 8, &mut rng)) as Box<dyn SeqLayer>,

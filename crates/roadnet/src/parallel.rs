@@ -1,8 +1,9 @@
 //! Thread-count policy for the workspace's parallel sections.
 //!
 //! Every parallel region in the workspace (dataset generation, the
-//! estimator panel, large matrix kernels) runs on rayon and inherits the
-//! ambient worker count. This module owns how that count is chosen:
+//! estimator panel, per-link fault corruption) runs on rayon and inherits
+//! the ambient worker count; the `neural` kernels are serial. This module
+//! owns how that count is chosen:
 //!
 //! 1. an explicit [`Parallelism`] scope ([`Parallelism::run`]) wins,
 //! 2. otherwise the process-global pool set by [`init_global`]
@@ -12,8 +13,8 @@
 //!
 //! Thread count never changes *results*: all parallel sections in this
 //! workspace are designed to be bit-identical to their serial execution
-//! (per-index RNG streams in datagen, row-parallel kernels that preserve
-//! per-row operation order in `neural`). Threads only change wall-clock.
+//! (per-index RNG streams in datagen and fault, results gathered in
+//! index order). Threads only change wall-clock.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -27,7 +28,7 @@ pub const THREADS_ENV: &str = "CITYOD_THREADS";
 /// worker just adds spawn and scheduling overhead — so the env/CLI-driven
 /// policies ([`Parallelism::from_env`], [`init_global`]) clamp to it.
 /// Explicit [`Parallelism::Threads`] scopes are *not* clamped: tests use
-/// them to exercise the multi-thread kernel paths on any machine.
+/// them to exercise the multi-thread paths on any machine.
 pub fn machine_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
