@@ -183,9 +183,29 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Reads the section count, refusing one whose table cannot fit in the
-/// unread bytes, so the table can be reserved without trusting the input.
-fn section_count(r: &mut ByteReader<'_>) -> Result<usize> {
+/// One section-table entry: name, payload length, stored CRC32.
+type TableEntry = (String, usize, u32);
+
+/// Reads the header (magic, format version, section count) and the
+/// section table, leaving `r` at the first payload byte. A count whose
+/// table cannot fit in the unread bytes is refused before the table is
+/// reserved, so no allocation trusts the input. A name that is not UTF-8
+/// is an error unless `lossy_names` (the audit still reports on such a
+/// file, under the lossily decoded name).
+fn read_table(r: &mut ByteReader<'_>, lossy_names: bool) -> Result<Vec<TableEntry>> {
+    let magic = r.take(8, "magic")?;
+    if magic != MAGIC {
+        return Err(CheckpointError::BadMagic {
+            found: magic.to_vec(),
+        });
+    }
+    let version = r.u32("format version")?;
+    if version == 0 || version > FORMAT_VERSION {
+        return Err(CheckpointError::UnsupportedVersion {
+            found: version,
+            supported: FORMAT_VERSION,
+        });
+    }
     let count = r.u32("section count")? as usize;
     let left = r.remaining();
     if count > left / MIN_TABLE_ENTRY {
@@ -195,7 +215,24 @@ fn section_count(r: &mut ByteReader<'_>) -> Result<usize> {
             ),
         });
     }
-    Ok(count)
+    let mut table = Vec::with_capacity(count);
+    for i in 0..count {
+        let name_len = r.u16(&format!("section {i} name length"))? as usize;
+        let name_bytes = r.take(name_len, &format!("section {i} name"))?;
+        let name = match std::str::from_utf8(name_bytes) {
+            Ok(name) => name.to_string(),
+            Err(_) if lossy_names => String::from_utf8_lossy(name_bytes).into_owned(),
+            Err(_) => {
+                return Err(CheckpointError::Malformed(format!(
+                    "section {i} name is not UTF-8"
+                )))
+            }
+        };
+        let len = r.len_u64(&format!("section '{name}' length"))?;
+        let crc = r.u32(&format!("section '{name}' checksum"))?;
+        table.push((name, len, crc));
+    }
+    Ok(table)
 }
 
 // --- builder ---------------------------------------------------------------
@@ -366,59 +403,13 @@ pub fn audit_bytes(bytes: &[u8]) -> ArtifactAudit {
     let mut audit = ArtifactAudit::default();
     let mut r = ByteReader::new(bytes);
     let structural = |e: CheckpointError| Some(e.to_string());
-
-    let magic = match r.take(8, "magic") {
-        Ok(m) => m,
+    let table = match read_table(&mut r, true) {
+        Ok(table) => table,
         Err(e) => {
             audit.structural = structural(e);
             return audit;
         }
     };
-    if magic != MAGIC {
-        audit.structural = structural(CheckpointError::BadMagic {
-            found: magic.to_vec(),
-        });
-        return audit;
-    }
-    let version = match r.u32("format version") {
-        Ok(v) => v,
-        Err(e) => {
-            audit.structural = structural(e);
-            return audit;
-        }
-    };
-    if version == 0 || version > FORMAT_VERSION {
-        audit.structural = structural(CheckpointError::UnsupportedVersion {
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-        return audit;
-    }
-    let count = match section_count(&mut r) {
-        Ok(c) => c,
-        Err(e) => {
-            audit.structural = structural(e);
-            return audit;
-        }
-    };
-    let mut table = Vec::with_capacity(count);
-    for i in 0..count {
-        let entry = (|| -> Result<(String, usize, u32)> {
-            let name_len = r.u16(&format!("section {i} name length"))? as usize;
-            let name_bytes = r.take(name_len, &format!("section {i} name"))?;
-            let name = String::from_utf8_lossy(name_bytes).into_owned();
-            let len = r.len_u64(&format!("section '{name}' length"))?;
-            let crc = r.u32(&format!("section '{name}' checksum"))?;
-            Ok((name, len, crc))
-        })();
-        match entry {
-            Ok(e) => table.push(e),
-            Err(e) => {
-                audit.structural = structural(e);
-                return audit;
-            }
-        }
-    }
     let mut offset = (bytes.len() - r.remaining()) as u64;
     for (name, len, stored) in table {
         // A truncated payload is still audited: the checksum over the
@@ -466,32 +457,8 @@ impl Artifact {
     /// only come out of here as a typed error, never as data.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let mut r = ByteReader::new(bytes);
-        let magic = r.take(8, "magic")?;
-        if magic != MAGIC {
-            return Err(CheckpointError::BadMagic {
-                found: magic.to_vec(),
-            });
-        }
-        let version = r.u32("format version")?;
-        if version == 0 || version > FORMAT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let count = section_count(&mut r)?;
-        let mut table = Vec::with_capacity(count);
-        for i in 0..count {
-            let name_len = r.u16(&format!("section {i} name length"))? as usize;
-            let name_bytes = r.take(name_len, &format!("section {i} name"))?;
-            let name = std::str::from_utf8(name_bytes)
-                .map_err(|_| CheckpointError::Malformed(format!("section {i} name is not UTF-8")))?
-                .to_string();
-            let len = r.len_u64(&format!("section '{name}' length"))?;
-            let crc = r.u32(&format!("section '{name}' checksum"))?;
-            table.push((name, len, crc));
-        }
-        let mut sections = Vec::with_capacity(count);
+        let table = read_table(&mut r, false)?;
+        let mut sections = Vec::with_capacity(table.len());
         let mut kind = None;
         for (name, len, stored) in table {
             let payload = r.take(len, &format!("section '{name}' payload"))?;

@@ -208,7 +208,7 @@ impl TodVolumeMapping {
         // Route shares: softmax over each OD's candidate routes.
         let shares = if self.k_routes > 1 {
             let mut sh = self.share_logits.clone();
-            crate::tod2v::softmax_rows_local(&mut sh);
+            neural::matrix::softmax_rows(&mut sh);
             sh
         } else {
             Matrix::zeros(0, 0)
@@ -402,11 +402,6 @@ impl TodVolumeMapping {
     pub fn zero_grad(&mut self) {
         self.visit_params(&mut |_, g| g.fill_zero());
     }
-}
-
-/// Row-wise softmax used for the route shares (delegates to `neural`).
-fn softmax_rows_local(m: &mut Matrix) {
-    neural::matrix::softmax_rows(m);
 }
 
 /// Numerically stable softmax of a small vector.

@@ -15,8 +15,8 @@
 //! * [`router`] — pure `(view, request) -> response` dispatch with
 //!   conditional-GET (`ETag` / `If-None-Match` / `304`).
 //! * [`server`] — sockets, worker threads, the snapshot watcher loop.
-//! * [`load`] — the deterministic load generator behind
-//!   `cityod serve bench`.
+//! * [`load`] — [`load::PATHS`], the request mix the repository
+//!   benchmark replays against a live server.
 //!
 //! Responses are byte-identical across thread counts because all
 //! rendering happens once per snapshot in [`view::ModelView::build`];
@@ -32,6 +32,5 @@ pub mod server;
 pub mod view;
 
 pub use error::{Result, ServeError};
-pub use load::{LoadOptions, LoadReport};
 pub use server::{ServeOptions, Server};
 pub use view::ModelView;

@@ -1,20 +1,13 @@
-//! Deterministic load generator for the serving layer.
+//! The serving layer's request mix.
 //!
-//! `cityod serve bench` drives a running server with a fixed, seedless
-//! request schedule: request `j` always targets `PATHS[j % PATHS.len()]`,
-//! and worker `i` of `concurrency` handles exactly the requests with
-//! `j % concurrency == i` over one keep-alive connection. The schedule —
-//! and therefore the server-side work — is identical run to run; only the
-//! measured latencies vary. Results land in `BENCH_serve.json`.
+//! [`PATHS`] is the fixed request cycle that the repository benchmark
+//! (`citybench --workload serve`, see `BENCHMARK.json`) replays open-loop
+//! against a live server, and that the keep-alive integration test sends
+//! over one connection. It mixes cheap (`/healthz`) and heavy
+//! (`/map/geojson`) endpoints so latency percentiles reflect the real
+//! spread.
 
-use crate::http::push_json_f64;
-use crate::router;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
-
-/// The fixed request cycle. Mixes cheap (`/healthz`) and heavy
-/// (`/map/geojson`) endpoints so percentiles reflect the real spread.
+/// The fixed request cycle, one entry per served endpoint.
 pub const PATHS: &[&str] = &[
     "/kpis",
     "/links",
@@ -24,352 +17,3 @@ pub const PATHS: &[&str] = &[
     "/links/0",
     "/healthz",
 ];
-
-/// Load run configuration.
-#[derive(Debug, Clone)]
-pub struct LoadOptions {
-    /// Total number of requests across all workers.
-    pub requests: usize,
-    /// Concurrent keep-alive connections.
-    pub concurrency: usize,
-}
-
-impl Default for LoadOptions {
-    fn default() -> Self {
-        Self {
-            requests: 400,
-            concurrency: 4,
-        }
-    }
-}
-
-/// Per-endpoint latency summary inside a [`LoadReport`].
-#[derive(Debug, Clone)]
-pub struct EndpointLoad {
-    /// Endpoint label (see [`router::ENDPOINTS`]).
-    pub endpoint: String,
-    /// Requests that completed against this endpoint.
-    pub requests: usize,
-    /// Median latency in milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile latency in milliseconds.
-    pub p99_ms: f64,
-}
-
-/// The result of one load run.
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    /// Requests scheduled.
-    pub requests: usize,
-    /// Requests that produced a parseable response.
-    pub completed: usize,
-    /// Requests lost to IO errors (connect/write/read failures).
-    pub failed: usize,
-    /// Responses by status class.
-    pub status_2xx: usize,
-    /// 3xx responses (304 Not Modified under `If-None-Match` replay).
-    pub status_3xx: usize,
-    /// 4xx responses.
-    pub status_4xx: usize,
-    /// 5xx responses.
-    pub status_5xx: usize,
-    /// Wall-clock duration of the run in seconds.
-    pub elapsed_s: f64,
-    /// Completed requests per second.
-    pub rps: f64,
-    /// Median latency over all completed requests, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile latency over all completed requests, milliseconds.
-    pub p99_ms: f64,
-    /// Per-endpoint breakdown, in [`PATHS`] order.
-    pub per_endpoint: Vec<EndpointLoad>,
-}
-
-impl LoadReport {
-    /// Renders the report as the `BENCH_serve.json` document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"bench\":\"serve\",\"requests\":");
-        out.push_str(&self.requests.to_string());
-        out.push_str(",\"completed\":");
-        out.push_str(&self.completed.to_string());
-        out.push_str(",\"failed\":");
-        out.push_str(&self.failed.to_string());
-        out.push_str(",\"status_2xx\":");
-        out.push_str(&self.status_2xx.to_string());
-        out.push_str(",\"status_3xx\":");
-        out.push_str(&self.status_3xx.to_string());
-        out.push_str(",\"status_4xx\":");
-        out.push_str(&self.status_4xx.to_string());
-        out.push_str(",\"status_5xx\":");
-        out.push_str(&self.status_5xx.to_string());
-        out.push_str(",\"elapsed_s\":");
-        push_json_f64(&mut out, self.elapsed_s);
-        out.push_str(",\"rps\":");
-        push_json_f64(&mut out, self.rps);
-        out.push_str(",\"p50_ms\":");
-        push_json_f64(&mut out, self.p50_ms);
-        out.push_str(",\"p99_ms\":");
-        push_json_f64(&mut out, self.p99_ms);
-        out.push_str(",\"per_endpoint\":[");
-        for (i, ep) in self.per_endpoint.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"endpoint\":\"");
-            out.push_str(&ep.endpoint);
-            out.push_str("\",\"requests\":");
-            out.push_str(&ep.requests.to_string());
-            out.push_str(",\"p50_ms\":");
-            push_json_f64(&mut out, ep.p50_ms);
-            out.push_str(",\"p99_ms\":");
-            push_json_f64(&mut out, ep.p99_ms);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// One completed request's record: index into [`PATHS`], status code,
-/// latency in milliseconds.
-type Sample = (usize, u16, f64);
-
-/// Runs the deterministic schedule against `addr` and aggregates a
-/// [`LoadReport`].
-pub fn run(addr: &str, opts: &LoadOptions) -> LoadReport {
-    let concurrency = opts.concurrency.max(1);
-    let requests = opts.requests.max(1);
-    // lint: allow(determinism) — wall-clock measurement of a live server
-    // is the whole point of a load run; it never feeds model state.
-    let started = std::time::Instant::now();
-    let mut handles = Vec::with_capacity(concurrency);
-    for worker in 0..concurrency {
-        let addr = addr.to_string();
-        handles.push(std::thread::spawn(move || {
-            run_worker(&addr, worker, concurrency, requests)
-        }));
-    }
-    let mut samples: Vec<Sample> = Vec::with_capacity(requests);
-    let mut failed = 0usize;
-    for handle in handles {
-        match handle.join() {
-            Ok((worker_samples, worker_failed)) => {
-                samples.extend(worker_samples);
-                failed += worker_failed;
-            }
-            Err(_) => failed += 1,
-        }
-    }
-    let elapsed_s = started.elapsed().as_secs_f64().max(1e-9);
-    aggregate(requests, samples, failed, elapsed_s)
-}
-
-/// One worker: requests `j` with `j % concurrency == worker`, in order,
-/// over a single keep-alive connection (reconnecting once per failure).
-fn run_worker(
-    addr: &str,
-    worker: usize,
-    concurrency: usize,
-    requests: usize,
-) -> (Vec<Sample>, usize) {
-    let mut samples = Vec::new();
-    let mut failed = 0usize;
-    let mut conn: Option<(BufReader<TcpStream>, TcpStream)> = None;
-    let mut j = worker;
-    while j < requests {
-        let path_idx = j % PATHS.len();
-        let path = PATHS.get(path_idx).copied().unwrap_or("/healthz");
-        if conn.is_none() {
-            conn = connect(addr);
-        }
-        let Some((reader, writer)) = conn.as_mut() else {
-            failed += 1;
-            j += concurrency;
-            continue;
-        };
-        // lint: allow(determinism) — per-request latency sample for the
-        // bench report only.
-        let start = std::time::Instant::now();
-        match exchange(reader, writer, path) {
-            Some(status) => {
-                samples.push((path_idx, status, start.elapsed().as_secs_f64() * 1e3));
-            }
-            None => {
-                failed += 1;
-                conn = None;
-            }
-        }
-        j += concurrency;
-    }
-    (samples, failed)
-}
-
-/// Opens one keep-alive connection to `addr`.
-fn connect(addr: &str) -> Option<(BufReader<TcpStream>, TcpStream)> {
-    let stream = TcpStream::connect(addr).ok()?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .ok()?;
-    let _ = stream.set_nodelay(true);
-    let reader = BufReader::new(stream.try_clone().ok()?);
-    Some((reader, stream))
-}
-
-/// Writes one GET and reads the full response; returns the status code.
-fn exchange(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, path: &str) -> Option<u16> {
-    let head = format!("GET {path} HTTP/1.1\r\nHost: bench\r\nAccept: application/json\r\n\r\n");
-    writer.write_all(head.as_bytes()).ok()?;
-    writer.flush().ok()?;
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
-    if line.is_empty() {
-        return None;
-    }
-    let status: u16 = line
-        .split_ascii_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())?;
-    let mut content_length = 0usize;
-    loop {
-        line.clear();
-        if reader.read_line(&mut line).ok()? == 0 {
-            return None;
-        }
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
-            }
-        }
-    }
-    if content_length > 0 {
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body).ok()?;
-    }
-    Some(status)
-}
-
-/// Folds raw samples into the final report.
-fn aggregate(requests: usize, samples: Vec<Sample>, failed: usize, elapsed_s: f64) -> LoadReport {
-    let completed = samples.len();
-    let mut status_2xx = 0;
-    let mut status_3xx = 0;
-    let mut status_4xx = 0;
-    let mut status_5xx = 0;
-    for &(_, status, _) in &samples {
-        match status {
-            200..=299 => status_2xx += 1,
-            300..=399 => status_3xx += 1,
-            400..=499 => status_4xx += 1,
-            _ => status_5xx += 1,
-        }
-    }
-    let mut all: Vec<f64> = samples.iter().map(|&(_, _, ms)| ms).collect();
-    let (p50_ms, p99_ms) = (percentile(&mut all, 0.50), percentile(&mut all, 0.99));
-    let mut per_endpoint = Vec::with_capacity(PATHS.len());
-    for (idx, path) in PATHS.iter().enumerate() {
-        let mut lat: Vec<f64> = samples
-            .iter()
-            .filter(|&&(p, _, _)| p == idx)
-            .map(|&(_, _, ms)| ms)
-            .collect();
-        let n = lat.len();
-        per_endpoint.push(EndpointLoad {
-            endpoint: endpoint_of(path).to_string(),
-            requests: n,
-            p50_ms: percentile(&mut lat, 0.50),
-            p99_ms: percentile(&mut lat, 0.99),
-        });
-    }
-    LoadReport {
-        requests,
-        completed,
-        failed,
-        status_2xx,
-        status_3xx,
-        status_4xx,
-        status_5xx,
-        elapsed_s,
-        rps: completed as f64 / elapsed_s,
-        p50_ms,
-        p99_ms,
-        per_endpoint,
-    }
-}
-
-/// Endpoint label for a scheduled path (query string stripped first).
-fn endpoint_of(path: &str) -> &'static str {
-    let bare = path.split('?').next().unwrap_or(path);
-    router::endpoint_label(bare)
-}
-
-/// Nearest-rank percentile over `values` (sorted in place); `0.0` when
-/// empty.
-fn percentile(values: &mut [f64], q: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let rank = ((values.len() - 1) as f64 * q).round() as usize;
-    values.get(rank).copied().unwrap_or(0.0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let mut vs = vec![4.0, 1.0, 3.0, 2.0];
-        assert_eq!(percentile(&mut vs, 0.0), 1.0);
-        assert_eq!(percentile(&mut vs, 1.0), 4.0);
-        assert_eq!(percentile(&mut vs, 0.5), 3.0);
-        assert_eq!(percentile(&mut [], 0.5), 0.0);
-    }
-
-    #[test]
-    fn schedule_covers_every_worker_disjointly() {
-        // Request j is owned by exactly worker j % concurrency: the union
-        // over workers is [0, requests) with no overlap.
-        let (requests, concurrency) = (23usize, 4usize);
-        let mut owned = vec![0u8; requests];
-        for w in 0..concurrency {
-            let mut j = w;
-            while j < requests {
-                if let Some(slot) = owned.get_mut(j) {
-                    *slot += 1;
-                }
-                j += concurrency;
-            }
-        }
-        assert!(owned.iter().all(|&c| c == 1));
-    }
-
-    #[test]
-    fn report_json_is_well_formed() {
-        let report = aggregate(
-            3,
-            vec![(0, 200, 1.5), (1, 200, 2.5), (2, 404, 0.5)],
-            0,
-            0.01,
-        );
-        let text = report.to_json();
-        let parsed: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
-        assert_eq!(parsed["bench"].as_str(), Some("serve"));
-        assert_eq!(parsed["completed"].as_u64(), Some(3));
-        assert_eq!(parsed["status_4xx"].as_u64(), Some(1));
-        assert!(parsed["rps"].as_f64().unwrap_or(0.0) > 0.0);
-        let eps = parsed["per_endpoint"].as_array().expect("array");
-        assert_eq!(eps.len(), PATHS.len());
-    }
-
-    #[test]
-    fn endpoint_labels_strip_queries() {
-        assert_eq!(endpoint_of("/od?origin=0&dest=1"), "od");
-        assert_eq!(endpoint_of("/map/geojson"), "map_geojson");
-        assert_eq!(endpoint_of("/healthz"), "healthz");
-    }
-}

@@ -13,7 +13,7 @@ use fault::StorageFaults;
 use ovs_core::artifact::{INCIDENTS_SECTION, OVS_MODEL_KIND};
 use ovs_core::estimator::tod_to_matrix;
 use roadnet::TodTensor;
-use serve::{LoadOptions, ServeOptions, Server};
+use serve::{ServeOptions, Server};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -97,7 +97,12 @@ fn fetch(addr: &str, path: &str, extra_headers: &[&str]) -> (u16, Vec<String>, V
     }
     req.push_str("Connection: close\r\n\r\n");
     stream.write_all(req.as_bytes()).unwrap();
-    let mut reader = BufReader::new(stream);
+    read_response(&mut BufReader::new(stream))
+}
+
+/// Reads one framed response off `reader`, leaving the connection
+/// positioned at the next one; returns (status, headers-as-lines, body).
+fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, Vec<String>, Vec<u8>) {
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
     let status: u16 = line
@@ -465,30 +470,45 @@ fn corrupt_newest_version_keeps_old_view_serving() {
 }
 
 #[test]
-fn load_generator_drives_live_server_without_errors() {
-    let tmp = TempDir::new("load");
+fn keep_alive_connections_serve_every_path_repeatedly() {
+    let tmp = TempDir::new("keepalive");
     let store = ArtifactStore::open(tmp.path()).unwrap();
     let dataset = tiny_dataset();
     store
         .save_versioned("tod", &tod_artifact(&dataset, 2.0), &provenance())
         .unwrap();
     let server = start_server(tmp.path(), 2, 1_000);
-    let report = serve::load::run(
-        &server.addr().to_string(),
-        &LoadOptions {
-            requests: 70,
-            concurrency: 2,
-        },
-    );
-    assert_eq!(report.requests, 70);
-    assert_eq!(report.completed, 70);
-    assert_eq!(report.failed, 0);
-    assert_eq!(report.status_5xx, 0);
-    assert_eq!(report.status_2xx, 70);
-    assert!(report.rps > 0.0);
-    assert!(report.p50_ms >= 0.0 && report.p99_ms >= report.p50_ms);
-    let parsed: serde_json::Value = serde_json::from_str(&report.to_json()).unwrap();
-    assert_eq!(parsed["status_5xx"].as_u64(), Some(0));
+    let addr = server.addr().to_string();
+    // Two clients, each sending the whole request cycle twice over one
+    // connection: every response must be complete and well framed, or
+    // the next exchange on the same socket misreads it.
+    let clients: Vec<_> = (0..2)
+        .map(|_| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let stream = TcpStream::connect(&addr).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .unwrap();
+                let mut writer = stream.try_clone().unwrap();
+                let mut reader = BufReader::new(stream);
+                let mut statuses = Vec::new();
+                for path in serve::load::PATHS.iter().chain(serve::load::PATHS) {
+                    let req = format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n");
+                    writer.write_all(req.as_bytes()).unwrap();
+                    statuses.push((*path, read_response(&mut reader).0));
+                }
+                statuses
+            })
+        })
+        .collect();
+    for client in clients {
+        let statuses = client.join().unwrap();
+        assert_eq!(statuses.len(), 2 * serve::load::PATHS.len());
+        for (path, status) in statuses {
+            assert!((200..300).contains(&status), "{path} answered {status}");
+        }
+    }
     server.shutdown();
 }
 

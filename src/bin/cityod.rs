@@ -11,7 +11,6 @@
 //! cityod checkpoint gc <family> [--keep K]  drop old family versions
 //! cityod faults run <net> --plan FILE     degradation sweep under faults
 //! cityod serve <net> --family F|--artifact A   HTTP query layer over artifacts
-//! cityod serve bench [<net>]              deterministic load run -> BENCH_serve.json
 //! cityod stream run <net> --windows N     rolling-window online re-estimation
 //! ```
 //!
@@ -47,11 +46,7 @@
 //! name. `--addr` (default `127.0.0.1:8080`, port 0 picks a free port),
 //! `--http-threads` (server workers, default 2) and `--poll-ms` (watcher
 //! poll interval) tune the server; dataset flags select the serving
-//! geometry, which must match the artifact's TOD shape. `serve bench`
-//! self-hosts a scratch artifact built from the dataset's ground-truth
-//! TOD, drives the fixed request schedule of `serve::load` against it,
-//! prints rps/p50/p99 and writes `results/BENCH_serve.json` (`--out`
-//! overrides; `--requests`, `--concurrency` scale the run).
+//! geometry, which must match the artifact's TOD shape.
 //!
 //! `stream run` drives the rolling-window online re-estimation loop
 //! (crate `stream`): a seeded simulator source emits per-link speed
@@ -77,19 +72,18 @@
 //! (dropout 0 / 0.1 / 0.3, no noise) runs.
 
 use city_od::baselines;
-use city_od::checkpoint::format::ArtifactBuilder;
-use city_od::checkpoint::store::{ArtifactStore, Provenance};
+use city_od::checkpoint::store::ArtifactStore;
 use city_od::checkpoint::SnapshotSource;
 use city_od::datagen::dataset::DatasetSpec;
 use city_od::datagen::{Dataset, TodPattern};
 use city_od::eval::harness::{run_method, DatasetInput};
 use city_od::eval::{default_methods, tables};
 use city_od::fault::{degradation_report, FaultPlan};
-use city_od::ovs_core::estimator::{matrix_to_tod, tod_to_matrix};
+use city_od::ovs_core::estimator::matrix_to_tod;
 use city_od::ovs_core::trainer::{OvsEstimator, OvsTrainer, RecoveryPolicy, RunOptions};
 use city_od::ovs_core::{artifact, OvsConfig, TodEstimator};
 use city_od::roadnet::presets;
-use city_od::serve::{LoadOptions, ServeOptions, Server};
+use city_od::serve::{ServeOptions, Server};
 use city_od::stream::{
     incident_sweep, SimSource, SimSourceConfig, StreamConfig, StreamDriver, WindowSpec,
 };
@@ -144,7 +138,7 @@ impl Args {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  cityod networks\n  cityod simulate <net> [--t N] [--demand F] [--seed S] [--threads N]\n  cityod recover <net> [--method ovs|gravity|genetic|gls|em|nn|lstm|all] [--t N] [--demand F] [--seed S] [--aux] [--threads N]\n  cityod checkpoint save <net> <name> [--versioned] [--t N] [--demand F] [--seed S] [--threads N] [--store DIR]\n  cityod checkpoint list [--store DIR]\n  cityod checkpoint inspect <name> [--store DIR]\n  cityod checkpoint verify [<name>] [--store DIR]\n  cityod checkpoint gc <family> [--keep K] [--store DIR]\n  cityod faults run <net> [--plan FILE] [--seed S] [--json FILE] [--t N] [--demand F] [--threads N] [--store DIR]\n  cityod serve <net> (--family F | --artifact A) [--addr HOST:PORT] [--http-threads N] [--poll-ms MS] [--store DIR]\n  cityod serve bench [<net>] [--requests N] [--concurrency C] [--http-threads N] [--out FILE]\n  cityod stream run <net> [--windows N] [--t N] [--stride N] [--watermark N] [--seed S] [--demand F] [--late F] [--delay N] [--drift F] [--plan FILE] [--run-id ID] [--keep K] [--json [FILE]] [--threads N] [--store DIR]\nnetworks: grid3x3 hangzhou porto manhattan state_college\nstore: --store beats CITYOD_ARTIFACTS beats ./artifacts\nmetrics: every command accepts --metrics FILE (full JSON export) and\n         --metrics-stable FILE (deterministic subset only)"
+        "usage:\n  cityod networks\n  cityod simulate <net> [--t N] [--demand F] [--seed S] [--threads N]\n  cityod recover <net> [--method ovs|gravity|genetic|gls|em|nn|lstm|all] [--t N] [--demand F] [--seed S] [--aux] [--threads N]\n  cityod checkpoint save <net> <name> [--versioned] [--t N] [--demand F] [--seed S] [--threads N] [--store DIR]\n  cityod checkpoint list [--store DIR]\n  cityod checkpoint inspect <name> [--store DIR]\n  cityod checkpoint verify [<name>] [--store DIR]\n  cityod checkpoint gc <family> [--keep K] [--store DIR]\n  cityod faults run <net> [--plan FILE] [--seed S] [--json FILE] [--t N] [--demand F] [--threads N] [--store DIR]\n  cityod serve <net> (--family F | --artifact A) [--addr HOST:PORT] [--http-threads N] [--poll-ms MS] [--store DIR]\n  cityod stream run <net> [--windows N] [--t N] [--stride N] [--watermark N] [--seed S] [--demand F] [--late F] [--delay N] [--drift F] [--plan FILE] [--run-id ID] [--keep K] [--json [FILE]] [--threads N] [--store DIR]\nnetworks: grid3x3 hangzhou porto manhattan state_college\nstore: --store beats CITYOD_ARTIFACTS beats ./artifacts\nmetrics: every command accepts --metrics FILE (full JSON export) and\n         --metrics-stable FILE (deterministic subset only)"
     );
     ExitCode::from(2)
 }
@@ -401,12 +395,8 @@ fn checkpoint_save(args: &Args, store: &ArtifactStore) -> ExitCode {
 }
 
 /// `cityod serve <net> (--family F | --artifact A)`: host the HTTP query
-/// layer until the process is killed. `cityod serve bench` delegates to
-/// [`serve_bench`].
+/// layer until the process is killed.
 fn serve_cmd(args: &Args) -> ExitCode {
-    if args.positional.get(1).map(String::as_str) == Some("bench") {
-        return serve_bench(args);
-    }
     let Some(net_name) = args.positional.get(1) else {
         return usage();
     };
@@ -455,88 +445,6 @@ fn serve_cmd(args: &Args) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// `cityod serve bench [<net>]`: self-hosted load run. Registers the
-/// dataset's ground-truth TOD as a scratch serving artifact (no training
-/// — the bench measures the serving layer), drives the deterministic
-/// schedule against a fresh server, prints the headline numbers and
-/// writes `BENCH_serve.json`.
-fn serve_bench(args: &Args) -> ExitCode {
-    let net_name = args
-        .positional
-        .get(2)
-        .map(String::as_str)
-        .unwrap_or("grid3x3");
-    let spec = dataset_spec(args);
-    let Some(ds) = build_dataset(net_name, &spec) else {
-        return ExitCode::FAILURE;
-    };
-    let scratch = std::env::temp_dir().join(format!("cityod-serve-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    let store = match ArtifactStore::open(&scratch) {
-        Ok(store) => store,
-        Err(e) => {
-            eprintln!("cannot open scratch store: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut builder = ArtifactBuilder::new(artifact::OVS_MODEL_KIND);
-    builder.add_matrix("recovered_tod", &tod_to_matrix(&ds.groundtruth_tod));
-    let mut prov = Provenance::new(artifact::OVS_MODEL_KIND, "{}", spec.seed);
-    prov.note = format!("cityod serve bench {net_name}");
-    if let Err(e) = store.save("serve-bench", &builder, &prov) {
-        eprintln!("cannot save scratch artifact: {e}");
-        return ExitCode::FAILURE;
-    }
-    let opts = ServeOptions {
-        addr: "127.0.0.1:0".to_string(),
-        threads: args.flag_usize("http-threads", 2),
-        poll_ms: 1_000,
-    };
-    let server = match Server::start(store, SnapshotSource::Name("serve-bench".into()), ds, &opts) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("serve bench failed to start server: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let load = LoadOptions {
-        requests: args.flag_usize("requests", 400),
-        concurrency: args.flag_usize("concurrency", 4),
-    };
-    let report = city_od::serve::load::run(&server.addr().to_string(), &load);
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&scratch);
-    println!(
-        "serve bench on {net_name}: {} requests ({} workers), {:.0} req/s, \
-         p50 {:.3} ms, p99 {:.3} ms",
-        report.requests, load.concurrency, report.rps, report.p50_ms, report.p99_ms
-    );
-    println!(
-        "status classes: 2xx={} 3xx={} 4xx={} 5xx={} failed={}",
-        report.status_2xx, report.status_3xx, report.status_4xx, report.status_5xx, report.failed
-    );
-    let out = args
-        .flags
-        .get("out")
-        .cloned()
-        .unwrap_or_else(|| "results/BENCH_serve.json".to_string());
-    if let Some(parent) = std::path::Path::new(&out).parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    if let Err(e) = std::fs::write(&out, report.to_json()) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out}");
-    if report.status_5xx > 0 || report.completed == 0 {
-        eprintln!("serve bench saw server errors");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 /// `cityod stream run <net>`: rolling-window online re-estimation. A
