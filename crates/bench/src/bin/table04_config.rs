@@ -23,7 +23,6 @@ fn print_cfg(label: &str, c: &OvsConfig) {
         v = c.v_max
     );
     println!("learning rate     : {}", c.lr);
-    println!("dropout           : {}", c.dropout);
     println!(
         "epochs (s1/s2/fit): {}/{}/{}",
         c.epochs_v2s, c.epochs_tod2v, c.epochs_fit

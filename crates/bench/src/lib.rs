@@ -17,7 +17,7 @@
 use checkpoint::Snapshot;
 use datagen::dataset::DatasetSpec;
 use ovs_core::estimator::matrix_to_tod;
-use ovs_core::trainer::{OvsTrainer, RunOptions, Start};
+use ovs_core::trainer::{OvsTrainer, Start};
 use ovs_core::{EstimatorInput, OvsConfig, TodEstimator};
 use roadnet::{Result, RoadnetError, TodTensor};
 use std::path::PathBuf;
@@ -193,9 +193,13 @@ impl TodEstimator for CachedOvsEstimator {
         self.cfg.variant.name()
     }
 
+    /// The same fit ensemble as the plain estimator
+    /// ([`OvsTrainer::run_ensemble`]), started warm from the loaded
+    /// artifact when one is configured. The saved artifact carries the
+    /// ensemble's averaged TOD.
     fn estimate(&mut self, input: &EstimatorInput<'_>) -> Result<TodTensor> {
         let trainer = OvsTrainer::new(self.cfg.clone());
-        let (mut model, _report) = match &self.cache.load {
+        let (mut model, mean) = match &self.cache.load {
             Some(path) => {
                 // Snapshot is the one validated read path: full checksum
                 // verification plus the content fingerprint the serving
@@ -203,15 +207,11 @@ impl TodEstimator for CachedOvsEstimator {
                 let snapshot = Snapshot::read_from(path).map_err(ckpt_err)?;
                 let weights = ovs_core::artifact::model_weights(snapshot.artifact(), &self.cfg)
                     .map_err(ckpt_err)?;
-                let warm = RunOptions {
-                    start: Start::Warm(&weights),
-                    ..RunOptions::default()
-                };
-                trainer.run(input, warm)?
+                trainer.run_ensemble(input, Start::Warm(&weights))?
             }
-            None => trainer.run(input, RunOptions::default())?,
+            None => trainer.run_ensemble(input, Start::Cold)?,
         };
-        let tod = matrix_to_tod(&model.recovered_tod());
+        let tod = matrix_to_tod(&mean);
         if let Some(path) = &self.cache.save {
             if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
                 std::fs::create_dir_all(dir)
@@ -368,6 +368,51 @@ mod tests {
         assert_eq!(tod_warm.num_intervals(), tod_cold.num_intervals());
         assert!(tod_warm.is_finite());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn save_only_cached_estimate_matches_plain_ensemble() {
+        use datagen::{Dataset, TodPattern};
+        use ovs_core::trainer::OvsEstimator;
+        let spec = DatasetSpec {
+            t: 3,
+            interval_s: 120.0,
+            train_samples: 3,
+            demand_scale: 0.1,
+            seed: 4,
+        };
+        let ds = Dataset::synthetic(TodPattern::Gaussian, &spec).unwrap();
+        let input = EstimatorInput::builder(&ds.net, &ds.ods)
+            .interval_s(ds.sim_config.interval_s)
+            .sim_seed(ds.sim_config.seed)
+            .train(&ds.train)
+            .observed_speed(&ds.observed_speed)
+            .build();
+        let path = std::env::temp_dir().join(format!(
+            "cityod-model-cache-ensemble-{}.ckpt",
+            std::process::id()
+        ));
+        let cfg = OvsConfig {
+            fit_restarts: 2,
+            ..OvsConfig::tiny()
+        };
+
+        let plain = OvsEstimator::new(cfg.clone()).estimate(&input).unwrap();
+        let cached = ModelCache {
+            save: Some(path.clone()),
+            load: None,
+            metrics: false,
+        }
+        .ovs(cfg)
+        .estimate(&input)
+        .unwrap();
+        let _ = std::fs::remove_file(&path);
+        let bits = |t: &TodTensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&cached),
+            bits(&plain),
+            "--save-model keeps the ensemble"
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@ use crate::format::{ByteReader, ByteWriter};
 use crate::{CheckpointError, Result};
 use neural::optim::AdamSnapshot;
 use neural::Matrix;
+use std::fmt;
 
 /// Ceiling on a single decoded matrix's element count (guards corrupt or
 /// adversarial length fields before allocation; 1 GiB of `f64`s).
@@ -29,9 +30,9 @@ fn write_matrix(w: &mut ByteWriter, m: &Matrix) {
     }
 }
 
-fn read_matrix(r: &mut ByteReader<'_>, context: &str) -> Result<Matrix> {
-    let rows = r.len_u64(&format!("{context} rows"))?;
-    let cols = r.len_u64(&format!("{context} cols"))?;
+fn read_matrix(r: &mut ByteReader<'_>, context: fmt::Arguments<'_>) -> Result<Matrix> {
+    let rows = r.len_u64(format_args!("{context} rows"))?;
+    let cols = r.len_u64(format_args!("{context} cols"))?;
     let n = rows
         .checked_mul(cols)
         .filter(|&n| n <= MAX_MATRIX_ELEMS && n <= r.remaining() / F64_BYTES)
@@ -43,7 +44,7 @@ fn read_matrix(r: &mut ByteReader<'_>, context: &str) -> Result<Matrix> {
         })?;
     let mut data = Vec::with_capacity(n);
     for i in 0..n {
-        data.push(r.f64(&format!("{context} element {i}"))?);
+        data.push(r.f64(format_args!("{context} element {i}"))?);
     }
     Matrix::from_vec(rows, cols, data)
         .map_err(|e| CheckpointError::Malformed(format!("{context}: {e}")))
@@ -64,9 +65,15 @@ pub fn encode_matrices(ms: &[Matrix]) -> Vec<u8> {
 pub fn decode_matrices(bytes: &[u8]) -> Result<Vec<Matrix>> {
     let mut r = ByteReader::new(bytes);
     let count = r.len_u64("matrix count")?;
-    let mut out = Vec::new();
+    if count > r.remaining() / MIN_MATRIX_BYTES {
+        return Err(CheckpointError::Malformed(format!(
+            "implausible matrix count {count} for {} bytes left",
+            r.remaining()
+        )));
+    }
+    let mut out = Vec::with_capacity(count);
     for i in 0..count {
-        out.push(read_matrix(&mut r, &format!("matrix {i}"))?);
+        out.push(read_matrix(&mut r, format_args!("matrix {i}"))?);
     }
     expect_consumed(&r, "matrix list")?;
     Ok(out)
@@ -94,7 +101,7 @@ pub fn decode_f64s(bytes: &[u8]) -> Result<Vec<f64>> {
     }
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
-        out.push(r.f64(&format!("f64 element {i}"))?);
+        out.push(r.f64(format_args!("f64 element {i}"))?);
     }
     expect_consumed(&r, "f64 vector")?;
     Ok(out)
@@ -137,11 +144,11 @@ pub fn decode_adam(bytes: &[u8]) -> Result<AdamSnapshot> {
     }
     let mut m = Vec::with_capacity(slots);
     for i in 0..slots {
-        m.push(read_matrix(&mut r, &format!("adam m[{i}]"))?);
+        m.push(read_matrix(&mut r, format_args!("adam m[{i}]"))?);
     }
     let mut v = Vec::with_capacity(slots);
     for i in 0..slots {
-        v.push(read_matrix(&mut r, &format!("adam v[{i}]"))?);
+        v.push(read_matrix(&mut r, format_args!("adam v[{i}]"))?);
     }
     for (i, (mm, vv)) in m.iter().zip(&v).enumerate() {
         if mm.shape() != vv.shape() {

@@ -24,6 +24,7 @@
 //! round-trip proptests pin down.
 
 use crate::{CheckpointError, Result};
+use std::fmt::Display;
 use std::path::Path;
 
 /// The 8-byte artifact magic.
@@ -120,6 +121,9 @@ impl ByteWriter {
 
 /// Bounds-checked little-endian reader over a byte slice; every
 /// out-of-bounds read becomes a typed [`CheckpointError::Truncated`].
+/// Each read names what it reads with a `context` that is formatted only
+/// into an error, so a successful read allocates nothing: pass
+/// `format_args!` for a context that carries an index.
 #[derive(Debug)]
 pub struct ByteReader<'a> {
     buf: &'a [u8],
@@ -138,7 +142,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Takes the next `n` raw bytes.
-    pub fn take(&mut self, n: usize, context: &str) -> Result<&'a [u8]> {
+    pub fn take(&mut self, n: usize, context: impl Display) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(CheckpointError::Truncated {
                 context: format!("{context} ({n} bytes needed, {} left)", self.remaining()),
@@ -150,19 +154,19 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a `u16` (LE).
-    pub fn u16(&mut self, context: &str) -> Result<u16> {
+    pub fn u16(&mut self, context: impl Display) -> Result<u16> {
         let b = self.take(2, context)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     /// Reads a `u32` (LE).
-    pub fn u32(&mut self, context: &str) -> Result<u32> {
+    pub fn u32(&mut self, context: impl Display) -> Result<u32> {
         let b = self.take(4, context)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a `u64` (LE).
-    pub fn u64(&mut self, context: &str) -> Result<u64> {
+    pub fn u64(&mut self, context: impl Display) -> Result<u64> {
         let b = self.take(8, context)?;
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
@@ -170,13 +174,13 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads an `f64` from its bit pattern (LE).
-    pub fn f64(&mut self, context: &str) -> Result<f64> {
+    pub fn f64(&mut self, context: impl Display) -> Result<f64> {
         Ok(f64::from_bits(self.u64(context)?))
     }
 
     /// Reads a `u64` and narrows it to `usize`, guarding 32-bit hosts.
-    pub fn len_u64(&mut self, context: &str) -> Result<usize> {
-        let v = self.u64(context)?;
+    pub fn len_u64(&mut self, context: impl Display) -> Result<usize> {
+        let v = self.u64(&context)?;
         usize::try_from(v).map_err(|_| {
             CheckpointError::Malformed(format!("{context}: length {v} overflows usize"))
         })
@@ -217,8 +221,8 @@ fn read_table(r: &mut ByteReader<'_>, lossy_names: bool) -> Result<Vec<TableEntr
     }
     let mut table = Vec::with_capacity(count);
     for i in 0..count {
-        let name_len = r.u16(&format!("section {i} name length"))? as usize;
-        let name_bytes = r.take(name_len, &format!("section {i} name"))?;
+        let name_len = r.u16(format_args!("section {i} name length"))? as usize;
+        let name_bytes = r.take(name_len, format_args!("section {i} name"))?;
         let name = match std::str::from_utf8(name_bytes) {
             Ok(name) => name.to_string(),
             Err(_) if lossy_names => String::from_utf8_lossy(name_bytes).into_owned(),
@@ -228,8 +232,8 @@ fn read_table(r: &mut ByteReader<'_>, lossy_names: bool) -> Result<Vec<TableEntr
                 )))
             }
         };
-        let len = r.len_u64(&format!("section '{name}' length"))?;
-        let crc = r.u32(&format!("section '{name}' checksum"))?;
+        let len = r.len_u64(format_args!("section '{name}' length"))?;
+        let crc = r.u32(format_args!("section '{name}' checksum"))?;
         table.push((name, len, crc));
     }
     Ok(table)
@@ -411,12 +415,13 @@ pub fn audit_bytes(bytes: &[u8]) -> ArtifactAudit {
         }
     };
     let mut offset = (bytes.len() - r.remaining()) as u64;
+    audit.sections.reserve_exact(table.len());
     for (name, len, stored) in table {
         // A truncated payload is still audited: the checksum over the
         // bytes that remain will not match the table entry.
         let avail = len.min(r.remaining());
         let payload = r
-            .take(avail, &format!("section '{name}' payload"))
+            .take(avail, format_args!("section '{name}' payload"))
             .unwrap_or(&[]);
         audit.sections.push(SectionAudit {
             name: name.clone(),
@@ -461,7 +466,7 @@ impl Artifact {
         let mut sections = Vec::with_capacity(table.len());
         let mut kind = None;
         for (name, len, stored) in table {
-            let payload = r.take(len, &format!("section '{name}' payload"))?;
+            let payload = r.take(len, format_args!("section '{name}' payload"))?;
             let computed = crc32(payload);
             if computed != stored {
                 return Err(CheckpointError::ChecksumMismatch {
@@ -492,12 +497,6 @@ impl Artifact {
             name: KIND_SECTION.to_string(),
         })?;
         Ok(Self { kind, sections })
-    }
-
-    /// Reads and parses an artifact file.
-    pub fn read_from(path: &Path) -> Result<Self> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes)
     }
 
     /// Re-serialises the artifact; byte-identical to the bytes it was

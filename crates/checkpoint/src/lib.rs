@@ -16,10 +16,12 @@
 //!    state via [`neural::optim::AdamSnapshot`]) and whole trainable
 //!    modules reached through the deterministic `visit_params` slot
 //!    ordering of `crates/neural`.
-//! 3. **[`store`]** — the [`store::ArtifactStore`] registry: names,
-//!    hashes, lists, verifies and garbage-collects artifacts under a
-//!    workspace directory, and records provenance metadata (config JSON,
-//!    seed, git describe, loss traces) with every save.
+//! 3. **[`store`] / [`snapshot`]** — the [`store::ArtifactStore`]
+//!    registry: names, lists, verifies and garbage-collects artifacts
+//!    under a workspace directory, and records provenance metadata
+//!    (config JSON, seed, git describe, loss traces) with every save.
+//!    Every read by name is an [`ArtifactStore::snapshot`]: one read,
+//!    every checksum verified, frozen behind an `Arc`.
 //!
 //! Model-specific glue (saving an `OvsModel`, warm-starting a trainer)
 //! lives next to the models themselves in `ovs-core` and `baselines`;
@@ -53,7 +55,7 @@ pub use snapshot::{
     default_watch_interval_ms, Snapshot, SnapshotSource, SnapshotWatcher,
     DEFAULT_WATCH_INTERVAL_MS, WATCH_BACKOFF_CAP, WATCH_INTERVAL_ENV,
 };
-pub use store::{ArtifactRecord, ArtifactStore, PinGuard, Provenance};
+pub use store::{ArtifactStore, PinGuard, Provenance};
 
 use std::fmt;
 

@@ -2,11 +2,11 @@
 //!
 //! Training writes artifacts through [`crate::store::ArtifactStore::save`];
 //! everything that *reads* a model — the eval harness, the bench model
-//! cache, the `cityod checkpoint` CLI and the serving layer — goes through
-//! a [`Snapshot`] instead of raw `load` calls. A snapshot is taken exactly
-//! once: the bytes are read, every section checksum is verified, and the
-//! decoded [`Artifact`] plus a stable content fingerprint are frozen
-//! behind an `Arc`. Cloning a snapshot is a pointer copy, so a server can
+//! cache, the `cityod checkpoint` CLI, the store's own listing and gc, and
+//! the serving layer — goes through a [`Snapshot`], the one read path. A
+//! snapshot is taken exactly once: the bytes are read, every section
+//! checksum is verified, and the decoded [`Artifact`] plus a stable
+//! content fingerprint are frozen behind an `Arc`. Cloning a snapshot is a pointer copy, so a server can
 //! hand the same decoded model to hundreds of concurrent readers without
 //! re-reading or re-verifying anything.
 //!
@@ -26,7 +26,7 @@
 use crate::format::{crc32, Artifact};
 use crate::retry::{is_transient, Clock, RetryPolicy};
 use crate::store::{ArtifactStore, PinGuard, Provenance};
-use crate::{CheckpointError, Result};
+use crate::Result;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
@@ -159,14 +159,7 @@ impl ArtifactStore {
     /// Takes a snapshot of a named artifact: one read, full checksum
     /// verification, provenance sidecar attached when present.
     pub fn snapshot(&self, name: &str) -> Result<Snapshot> {
-        Self::validate_name(name)?;
-        let path = self.artifact_path(name);
-        if !path.exists() {
-            return Err(CheckpointError::MissingSection {
-                name: format!("artifact '{name}' in {}", self.dir().display()),
-            });
-        }
-        let bytes = std::fs::read(&path)?;
+        let bytes = std::fs::read(self.existing_path(name)?)?;
         Snapshot::from_bytes(name, &bytes, self.provenance(name)?)
     }
 
@@ -229,20 +222,12 @@ pub enum SnapshotSource {
     /// that name change.
     Name(String),
     /// A versioned family; the watcher follows the newest good version,
-    /// quarantining corrupt entries along the way.
+    /// quarantining corrupt entries along the way (see
+    /// [`ArtifactStore::latest_good`]).
     Family(String),
 }
 
 impl SnapshotSource {
-    /// Follow the newest good version of a versioned family — the
-    /// spelling streaming callers use. Alias for
-    /// [`SnapshotSource::Family`]: resolution walks `{family}-vNNN`
-    /// newest-first and quarantines corrupt entries on the way (see
-    /// [`ArtifactStore::latest_good`]).
-    pub fn latest_good(family: impl Into<String>) -> Self {
-        Self::Family(family.into())
-    }
-
     /// The name or family string the watcher was pointed at.
     pub fn target(&self) -> &str {
         match self {
@@ -377,6 +362,7 @@ mod tests {
     use super::*;
     use crate::format::ArtifactBuilder;
     use crate::retry::RecordingClock;
+    use crate::CheckpointError;
     use neural::Matrix;
 
     fn tmp_store(tag: &str) -> ArtifactStore {
@@ -393,20 +379,18 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_matches_inspect_and_is_cheap_to_clone() {
+    fn snapshot_matches_file_bytes_and_is_cheap_to_clone() {
         let store = tmp_store("basic");
         let prov = Provenance::new("snap-test", "{}", 11);
-        store.save("alpha", &builder(1.0), &prov).unwrap();
+        let path = store.save("alpha", &builder(1.0), &prov).unwrap();
 
         let snap = store.snapshot("alpha").unwrap();
-        let rec = store.inspect("alpha").unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let (size, content_crc) = (bytes.len() as u64, crc32(&bytes));
         assert_eq!(snap.name(), "alpha");
-        assert_eq!(snap.size(), rec.size);
-        assert_eq!(snap.content_crc(), rec.content_crc);
-        assert_eq!(
-            snap.fingerprint(),
-            format!("{:x}-{:08x}", rec.size, rec.content_crc)
-        );
+        assert_eq!(snap.size(), size);
+        assert_eq!(snap.content_crc(), content_crc);
+        assert_eq!(snap.fingerprint(), format!("{size:x}-{content_crc:08x}"));
         assert_eq!(snap.etag(), format!("\"{}\"", snap.fingerprint()));
         assert_eq!(snap.provenance().unwrap().seed, 11);
         assert_eq!(snap.artifact().kind(), "snap-test");
@@ -540,7 +524,7 @@ mod tests {
         let clock = RecordingClock::new();
         let watcher = SnapshotWatcher::new(
             store.clone(),
-            SnapshotSource::latest_good("fam"),
+            SnapshotSource::Family("fam".to_string()),
             RetryPolicy::default(),
         )
         .with_poll_interval(10);
@@ -577,7 +561,7 @@ mod tests {
         let clock = RecordingClock::new();
         let watcher = SnapshotWatcher::new(
             store.clone(),
-            SnapshotSource::latest_good("fam"),
+            SnapshotSource::Family("fam".to_string()),
             RetryPolicy::default(),
         );
         store.save_versioned("fam", &builder(1.0), &prov).unwrap();

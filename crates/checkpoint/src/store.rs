@@ -5,7 +5,9 @@
 //! one `<name>.meta.json` provenance sidecar per artifact. The `.ckpt`
 //! files are fully self-describing (kind, sections, checksums), so the
 //! registry carries no separate index that could drift: listing is a
-//! directory scan, and every load re-verifies every section checksum.
+//! directory scan, and every read by name is a
+//! [`crate::snapshot::Snapshot`], which re-verifies every section
+//! checksum.
 //!
 //! Provenance records *how* a model came to be — the exact config JSON,
 //! the RNG seed, `git describe` of the working tree, the parameter shape
@@ -13,8 +15,8 @@
 //! lets a loader refuse an artifact whose recorded shapes do not match
 //! the requesting configuration, before a single weight is copied.
 
-use crate::format::{audit_bytes, crc32, Artifact, ArtifactAudit, ArtifactBuilder};
-use crate::retry::{is_transient, with_retry, Clock, RetryPolicy};
+use crate::format::{audit_bytes, ArtifactAudit, ArtifactBuilder};
+use crate::snapshot::Snapshot;
 use crate::{CheckpointError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -142,26 +144,6 @@ fn unix_now() -> u64 {
         .unwrap_or(0)
 }
 
-/// One registry entry, as reported by [`ArtifactStore::list`] and
-/// [`ArtifactStore::inspect`].
-#[derive(Debug, Clone)]
-pub struct ArtifactRecord {
-    /// Artifact name (file stem).
-    pub name: String,
-    /// Absolute-ish path of the `.ckpt` file.
-    pub path: PathBuf,
-    /// Artifact kind from the container.
-    pub kind: String,
-    /// File size in bytes.
-    pub size: u64,
-    /// CRC32 of the whole file — the registry-level content hash.
-    pub content_crc: u32,
-    /// Section names in file order.
-    pub sections: Vec<String>,
-    /// Provenance sidecar, when present and parseable.
-    pub provenance: Option<Provenance>,
-}
-
 /// A directory-backed registry of checkpoint artifacts.
 #[derive(Debug, Clone)]
 pub struct ArtifactStore {
@@ -198,13 +180,9 @@ impl ArtifactStore {
         &self.dir
     }
 
-    fn ckpt_path(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{name}.{CKPT_EXT}"))
-    }
-
     /// The `.ckpt` path an artifact of this name lives (or would live) at.
     pub fn artifact_path(&self, name: &str) -> PathBuf {
-        self.ckpt_path(name)
+        self.dir.join(format!("{name}.{CKPT_EXT}"))
     }
 
     fn meta_path(&self, name: &str) -> PathBuf {
@@ -228,6 +206,21 @@ impl ArtifactStore {
         }
     }
 
+    /// The `.ckpt` path of a stored artifact: validates the name and
+    /// fails with [`CheckpointError::MissingSection`] when no artifact of
+    /// that name is in the store.
+    pub(crate) fn existing_path(&self, name: &str) -> Result<PathBuf> {
+        Self::validate_name(name)?;
+        let path = self.artifact_path(name);
+        if path.exists() {
+            Ok(path)
+        } else {
+            Err(CheckpointError::MissingSection {
+                name: format!("artifact '{name}' in {}", self.dir.display()),
+            })
+        }
+    }
+
     /// Saves an artifact under `name`, overwriting any previous version,
     /// and writes its provenance sidecar. Returns the `.ckpt` path.
     pub fn save(
@@ -237,7 +230,7 @@ impl ArtifactStore {
         provenance: &Provenance,
     ) -> Result<PathBuf> {
         Self::validate_name(name)?;
-        let path = self.ckpt_path(name);
+        let path = self.artifact_path(name);
         builder.write_to(&path)?;
         let meta = serde_json::to_string(provenance)
             .map_err(|e| CheckpointError::Malformed(format!("provenance encode: {e}")))?;
@@ -262,18 +255,6 @@ impl ArtifactStore {
         let name = format!("{family}-v{next:03}");
         self.save(&name, builder, provenance)?;
         Ok(name)
-    }
-
-    /// Loads (and checksum-verifies) an artifact by name.
-    pub fn load(&self, name: &str) -> Result<Artifact> {
-        Self::validate_name(name)?;
-        let path = self.ckpt_path(name);
-        if !path.exists() {
-            return Err(CheckpointError::MissingSection {
-                name: format!("artifact '{name}' in {}", self.dir.display()),
-            });
-        }
-        Artifact::read_from(&path)
     }
 
     /// Loads an artifact's provenance sidecar, if one exists.
@@ -304,54 +285,20 @@ impl ArtifactStore {
         Ok(out)
     }
 
-    /// Inspects one artifact: size, content hash, kind, sections and
-    /// provenance. Fails if the artifact is missing or corrupt.
-    pub fn inspect(&self, name: &str) -> Result<ArtifactRecord> {
-        let path = self.ckpt_path(name);
-        let bytes = std::fs::read(&path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                CheckpointError::MissingSection {
-                    name: format!("artifact '{name}' in {}", self.dir.display()),
-                }
-            } else {
-                CheckpointError::Io(e)
-            }
-        })?;
-        let artifact = Artifact::from_bytes(&bytes)?;
-        Ok(ArtifactRecord {
-            name: name.to_string(),
-            path,
-            kind: artifact.kind().to_string(),
-            size: bytes.len() as u64,
-            content_crc: crc32(&bytes),
-            sections: artifact
-                .section_names()
-                .into_iter()
-                .map(str::to_string)
-                .collect(),
-            provenance: self.provenance(name)?,
-        })
+    /// Snapshots every artifact in the store (sorted by name), skipping
+    /// none: a corrupt artifact fails the listing so damage is never
+    /// silent.
+    pub fn list(&self) -> Result<Vec<Snapshot>> {
+        self.names()?.iter().map(|n| self.snapshot(n)).collect()
     }
 
-    /// Lists every artifact in the store (sorted by name), skipping none:
-    /// a corrupt artifact fails the listing so damage is never silent.
-    pub fn list(&self) -> Result<Vec<ArtifactRecord>> {
-        self.names()?.iter().map(|n| self.inspect(n)).collect()
-    }
-
-    /// Verifies one artifact end-to-end (magic, version, every section
-    /// CRC). Returns its record on success.
-    pub fn verify(&self, name: &str) -> Result<ArtifactRecord> {
-        self.inspect(name)
-    }
-
-    /// Verifies every artifact, returning `(name, error-or-none)` pairs.
+    /// Snapshots every artifact, returning `(name, error-or-none)` pairs.
     pub fn verify_all(&self) -> Result<Vec<(String, Option<CheckpointError>)>> {
         Ok(self
             .names()?
             .into_iter()
             .map(|n| {
-                let err = self.verify(&n).err();
+                let err = self.snapshot(&n).err();
                 (n, err)
             })
             .collect())
@@ -359,16 +306,9 @@ impl ArtifactStore {
 
     /// Audits one artifact: checks **every** section checksum and reports
     /// all failures with byte offsets, instead of stopping at the first
-    /// bad section the way [`ArtifactStore::verify`] does.
+    /// bad section the way [`ArtifactStore::snapshot`] does.
     pub fn audit(&self, name: &str) -> Result<ArtifactAudit> {
-        Self::validate_name(name)?;
-        let path = self.ckpt_path(name);
-        if !path.exists() {
-            return Err(CheckpointError::MissingSection {
-                name: format!("artifact '{name}' in {}", self.dir.display()),
-            });
-        }
-        let bytes = std::fs::read(&path)?;
+        let bytes = std::fs::read(self.existing_path(name)?)?;
         Ok(audit_bytes(&bytes))
     }
 
@@ -377,13 +317,7 @@ impl ArtifactStore {
     /// while preserving the bytes for post-mortem. Returns the new path
     /// of the quarantined `.ckpt` file.
     pub fn quarantine(&self, name: &str) -> Result<PathBuf> {
-        Self::validate_name(name)?;
-        let src = self.ckpt_path(name);
-        if !src.exists() {
-            return Err(CheckpointError::MissingSection {
-                name: format!("artifact '{name}' in {}", self.dir.display()),
-            });
-        }
+        let src = self.existing_path(name)?;
         let qdir = self.dir.join(QUARANTINE_DIR);
         std::fs::create_dir_all(&qdir)?;
         let dst = qdir.join(format!("{name}.{CKPT_EXT}"));
@@ -396,50 +330,9 @@ impl ArtifactStore {
         Ok(dst)
     }
 
-    /// Loads an artifact under a bounded retry policy: transient failures
-    /// (IO errors, checksum mismatches from a torn concurrent write) are
-    /// retried with deterministic backoff before the error surfaces.
-    pub fn load_with_retry(
-        &self,
-        name: &str,
-        policy: &RetryPolicy,
-        clock: &dyn Clock,
-    ) -> Result<Artifact> {
-        with_retry(policy, clock, || self.load(name))
-    }
-
-    /// Loads an artifact with retries; if the failure persists *and* is
-    /// corruption-class (transient per [`is_transient`] but unrecoverable
-    /// by rereading), the artifact is quarantined and `Ok(None)` is
-    /// returned so a caller can fall back to an older version instead of
-    /// aborting the whole run. Permanent errors (missing artifact, wrong
-    /// kind) still surface as `Err`.
-    pub fn load_or_quarantine(
-        &self,
-        name: &str,
-        policy: &RetryPolicy,
-        clock: &dyn Clock,
-    ) -> Result<Option<Artifact>> {
-        match self.load_with_retry(name, policy, clock) {
-            Ok(a) => Ok(Some(a)),
-            Err(e) if is_transient(&e) => {
-                self.quarantine(name)?;
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
     /// Removes an artifact and its provenance sidecar.
     pub fn remove(&self, name: &str) -> Result<()> {
-        Self::validate_name(name)?;
-        let path = self.ckpt_path(name);
-        if !path.exists() {
-            return Err(CheckpointError::MissingSection {
-                name: format!("artifact '{name}' in {}", self.dir.display()),
-            });
-        }
-        std::fs::remove_file(path)?;
+        std::fs::remove_file(self.existing_path(name)?)?;
         let meta = self.meta_path(name);
         if meta.exists() {
             std::fs::remove_file(meta)?;
@@ -504,7 +397,7 @@ impl ArtifactStore {
         let newest_good = versions
             .iter()
             .rev()
-            .find(|(_, name)| self.verify(name).is_ok())
+            .find(|(_, name)| self.snapshot(name).is_ok())
             .map(|(_, name)| name.clone());
         let drop_count = versions.len().saturating_sub(keep);
         let mut removed = Vec::with_capacity(drop_count);
@@ -523,6 +416,7 @@ impl ArtifactStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::retry::{RecordingClock, RetryPolicy};
     use neural::Matrix;
 
     fn tmp_store(tag: &str) -> ArtifactStore {
@@ -544,17 +438,17 @@ mod tests {
         let mut prov = Provenance::new("test-kind", "{}", 7);
         prov.shape_sig = vec![(2, 2)];
         store.save("alpha", &sample_builder(), &prov).unwrap();
-        let a = store.load("alpha").unwrap();
-        assert_eq!(a.kind(), "test-kind");
+        let a = store.snapshot("alpha").unwrap();
+        assert_eq!(a.artifact().kind(), "test-kind");
         let recs = store.list().unwrap();
         assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].name, "alpha");
-        assert_eq!(recs[0].kind, "test-kind");
-        assert_eq!(recs[0].provenance.as_ref().unwrap().seed, 7);
-        assert_eq!(recs[0].provenance.as_ref().unwrap().shape_sig, vec![(2, 2)]);
+        assert_eq!(recs[0].name(), "alpha");
+        assert_eq!(recs[0].artifact().kind(), "test-kind");
+        assert_eq!(recs[0].provenance().unwrap().seed, 7);
+        assert_eq!(recs[0].provenance().unwrap().shape_sig, vec![(2, 2)]);
         store.remove("alpha").unwrap();
         assert!(store.list().unwrap().is_empty());
-        assert!(store.load("alpha").is_err());
+        assert!(store.snapshot("alpha").is_err());
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -633,7 +527,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(store.gc("model", 1).unwrap(), ["model-v001"]);
         assert_eq!(store.names().unwrap(), ["model-v002", "model-v003"]);
-        assert!(store.verify("model-v002").is_ok());
+        assert!(store.snapshot("model-v002").is_ok());
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -641,9 +535,23 @@ mod tests {
     fn bad_names_are_rejected() {
         let store = tmp_store("names");
         let prov = Provenance::new("k", "{}", 0);
+        let policy = RetryPolicy::default();
+        let clock = RecordingClock::new();
         for bad in ["", "../etc", "a/b", ".hidden", "sp ace"] {
             assert!(store.save(bad, &sample_builder(), &prov).is_err(), "{bad}");
+            assert!(store.snapshot(bad).is_err(), "{bad}");
+            assert!(
+                store.snapshot_or_quarantine(bad, &policy, &clock).is_err(),
+                "{bad}"
+            );
+            assert!(store.latest_good(bad, &policy, &clock).is_err(), "{bad}");
+            assert!(store.audit(bad).is_err(), "{bad}");
+            assert!(store.quarantine(bad).is_err(), "{bad}");
+            assert!(store.remove(bad).is_err(), "{bad}");
+            assert!(store.pin(bad).is_err(), "{bad}");
+            assert!(store.gc(bad, 0).is_err(), "{bad}");
         }
+        assert!(clock.sleeps().is_empty(), "a bad name is never retried");
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -652,13 +560,13 @@ mod tests {
         let store = tmp_store("verify");
         let prov = Provenance::new("test-kind", "{}", 0);
         let path = store.save("ok", &sample_builder(), &prov).unwrap();
-        assert!(store.verify("ok").is_ok());
+        assert!(store.snapshot("ok").is_ok());
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            store.verify("ok"),
+            store.snapshot("ok"),
             Err(CheckpointError::ChecksumMismatch { .. })
         ));
         let report = store.verify_all().unwrap();
@@ -727,8 +635,7 @@ mod tests {
     }
 
     #[test]
-    fn load_or_quarantine_falls_back_on_persistent_corruption() {
-        use crate::retry::{RecordingClock, RetryPolicy};
+    fn snapshot_or_quarantine_falls_back_on_persistent_corruption() {
         let store = tmp_store("loadq");
         let prov = Provenance::new("test-kind", "{}", 0);
         let clock = RecordingClock::new();
@@ -739,7 +646,7 @@ mod tests {
 
         // Healthy artifact loads with zero retries.
         store.save("ok", &sample_builder(), &prov).unwrap();
-        let got = store.load_or_quarantine("ok", &policy, &clock).unwrap();
+        let got = store.snapshot_or_quarantine("ok", &policy, &clock).unwrap();
         assert!(got.is_some());
         assert!(clock.sleeps().is_empty());
 
@@ -750,7 +657,7 @@ mod tests {
         bytes[last] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let got = store
-            .load_or_quarantine("corrupt", &policy, &clock)
+            .snapshot_or_quarantine("corrupt", &policy, &clock)
             .unwrap();
         assert!(got.is_none());
         assert_eq!(clock.sleeps(), vec![1, 2]);
@@ -762,7 +669,9 @@ mod tests {
             .exists());
 
         // Missing artifact is a permanent error, not a quarantine.
-        assert!(store.load_or_quarantine("absent", &policy, &clock).is_err());
+        assert!(store
+            .snapshot_or_quarantine("absent", &policy, &clock)
+            .is_err());
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -45,5 +45,5 @@ pub use plan::{
     FaultPlan, ObservationFaults, PlanError, StageSel, StorageFaults, SweepGrid, TrainingFaults,
 };
 pub use report::{degradation_report, DegradationPoint, DegradationReport};
-pub use storage::{corrupt_artifact_bytes, corrupt_artifact_file, latest_good_version};
+pub use storage::{corrupt_artifact_bytes, corrupt_artifact_file};
 pub use training::{CkptInterrupter, TrainingFaultInjector};

@@ -195,10 +195,7 @@ mod tests {
     #[test]
     fn sweep_covers_the_grid_and_masks_speed() {
         let ds = tiny_ds();
-        let cfg = OvsConfig {
-            dropout: 0.0,
-            ..OvsConfig::tiny()
-        };
+        let cfg = OvsConfig::tiny();
         let plan = FaultPlan {
             seed: 4,
             sweep: SweepGrid {
@@ -224,10 +221,7 @@ mod tests {
     #[test]
     fn same_plan_reproduces_the_report_bit_exactly() {
         let ds = tiny_ds();
-        let cfg = OvsConfig {
-            dropout: 0.0,
-            ..OvsConfig::tiny()
-        };
+        let cfg = OvsConfig::tiny();
         let plan = FaultPlan {
             seed: 11,
             sweep: SweepGrid {

@@ -6,15 +6,12 @@
 //! `Rng64::for_index(seed, flip_index)` restricted to the payload region
 //! past the container header, so the damage lands in section bytes the
 //! CRC table must catch rather than in the magic number (which would be a
-//! different, less interesting failure).
-//!
-//! [`latest_good_version`] is the recovery-side helper: walk a versioned
-//! artifact family newest-first, quarantining corrupt entries, and return
-//! the first one that loads clean.
+//! different, less interesting failure). Recovery is the store's own
+//! [`checkpoint::ArtifactStore::latest_good`]: it walks a versioned family
+//! newest-first, quarantining corrupt entries, and snapshots the first
+//! one that verifies clean.
 
 use crate::plan::StorageFaults;
-use checkpoint::store::ArtifactStore;
-use checkpoint::{Clock, RetryPolicy, Snapshot};
 use neural::rng::Rng64;
 use obs::global;
 use std::path::Path;
@@ -69,28 +66,11 @@ pub fn corrupt_artifact_file(
     Ok(changed)
 }
 
-/// Walks a versioned family (`{family}-vNNN`) newest-first and returns
-/// a [`Snapshot`] of the first version that loads clean, quarantining
-/// every corrupt entry it skips. `Ok(None)` means no version of the
-/// family survived. Thin wrapper over
-/// [`ArtifactStore::latest_good`] — the single validated read path
-/// shared with the serving layer's snapshot watcher.
-pub fn latest_good_version(
-    store: &ArtifactStore,
-    family: &str,
-    policy: &RetryPolicy,
-    clock: &dyn Clock,
-) -> checkpoint::Result<Option<(String, Snapshot)>> {
-    Ok(store
-        .latest_good(family, policy, clock)?
-        .map(|snap| (snap.name().to_string(), snap)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use checkpoint::store::Provenance;
-    use checkpoint::{audit_bytes, ArtifactBuilder, RecordingClock};
+    use checkpoint::store::{ArtifactStore, Provenance};
+    use checkpoint::{audit_bytes, ArtifactBuilder, RecordingClock, RetryPolicy};
 
     fn builder() -> ArtifactBuilder {
         let mut b = ArtifactBuilder::new("fault-test");
@@ -152,7 +132,7 @@ mod tests {
     }
 
     #[test]
-    fn latest_good_version_skips_corrupt_newest() {
+    fn latest_good_skips_corrupt_newest() {
         let dir = std::env::temp_dir().join(format!(
             "cityod-fault-store-{}-{:?}",
             std::process::id(),
@@ -173,10 +153,11 @@ mod tests {
         };
         corrupt_artifact_file(&store.artifact_path(&v2), &faults, 1).unwrap();
         let clock = RecordingClock::new();
-        let got = latest_good_version(&store, "model", &RetryPolicy::default(), &clock)
+        let got = store
+            .latest_good("model", &RetryPolicy::default(), &clock)
             .unwrap()
             .expect("v001 is still good");
-        assert_eq!(got.0, "model-v001");
+        assert_eq!(got.name(), "model-v001");
         // The corrupt newest version was quarantined out of the listing.
         assert!(!store.names().unwrap().contains(&v2));
         let _ = std::fs::remove_dir_all(&dir);

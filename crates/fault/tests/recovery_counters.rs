@@ -65,10 +65,7 @@ fn faulted_run_deltas(par: Parallelism) -> Vec<u64> {
             .train(&ds.train)
             .observed_speed(&imputed)
             .build();
-        let cfg = OvsConfig {
-            dropout: 0.0,
-            ..OvsConfig::tiny()
-        };
+        let cfg = OvsConfig::tiny();
         let mut injector = TrainingFaultInjector::new(&TrainingFaults {
             stage: Some(fault::StageSel::Fit),
             nonfinite_steps: vec![3],

@@ -9,8 +9,7 @@ use checkpoint::{RecordingClock, RetryPolicy};
 use datagen::dataset::DatasetSpec;
 use datagen::{Dataset, TodPattern};
 use fault::{
-    latest_good_version, CkptInterrupter, FaultPlan, StageSel, StorageFaults,
-    TrainingFaultInjector, TrainingFaults,
+    CkptInterrupter, FaultPlan, StageSel, StorageFaults, TrainingFaultInjector, TrainingFaults,
 };
 use ovs_core::{
     artifact, EstimatorInput, OvsConfig, OvsTrainer, RecoveryPolicy, RunOptions, Stage, Start,
@@ -38,10 +37,7 @@ fn input(ds: &Dataset) -> EstimatorInput<'_> {
 }
 
 fn cfg() -> OvsConfig {
-    OvsConfig {
-        dropout: 0.0,
-        ..OvsConfig::tiny()
-    }
+    OvsConfig::tiny()
 }
 
 fn temp_store(tag: &str) -> (std::path::PathBuf, ArtifactStore) {
@@ -130,10 +126,15 @@ fn combined_faults_heal_to_a_bit_identical_model() {
             .unwrap()
     );
     let clock = RecordingClock::new();
-    let (good_name, good) = latest_good_version(&store, "pipe", &RetryPolicy::default(), &clock)
+    let good = store
+        .latest_good("pipe", &RetryPolicy::default(), &clock)
         .unwrap()
         .expect("an older good version must survive");
-    assert_ne!(good_name, newest, "the corrupt newest version was skipped");
+    assert_ne!(
+        good.name(),
+        newest,
+        "the corrupt newest version was skipped"
+    );
     assert!(!store.names().unwrap().contains(&newest), "quarantined");
 
     let cp = artifact::load_pipeline(good.artifact(), &cfg()).unwrap();

@@ -72,8 +72,6 @@ pub struct OvsConfig {
     pub rnn_kind: RnnKind,
     /// Learning rate (paper: 1e-3).
     pub lr: f64,
-    /// Dropout rate on the V2S head (paper: 0.3).
-    pub dropout: f64,
     /// Epochs for stage 1 (V2S fit).
     pub epochs_v2s: usize,
     /// Epochs for stage 2 (TOD2V fit through frozen V2S).
@@ -135,7 +133,6 @@ impl Default for OvsConfig {
             lstm_hidden: 32,
             rnn_kind: RnnKind::Lstm,
             lr: 1e-3,
-            dropout: 0.0,
             epochs_v2s: 600,
             epochs_tod2v: 300,
             epochs_fit: 1500,
@@ -157,13 +154,13 @@ impl Default for OvsConfig {
 }
 
 impl OvsConfig {
-    /// The paper's exact hyperparameters (Tables IV-V): LSTM(128),
-    /// learning rate 1e-3, dropout 0.3, 10 000 epochs. Slow; provided for
+    /// The paper's hyperparameters (Tables IV-V): LSTM(128), learning
+    /// rate 1e-3, 10 000 epochs. The paper's dropout 0.3 is not
+    /// modelled: no OVS module has a dropout layer. Slow; provided for
     /// completeness.
     pub fn paper() -> Self {
         Self {
             lstm_hidden: 128,
-            dropout: 0.3,
             epochs_v2s: 10_000,
             epochs_tod2v: 10_000,
             epochs_fit: 10_000,
@@ -242,7 +239,6 @@ mod tests {
         assert_eq!(c.route_hidden, 16);
         assert_eq!(c.lstm_hidden, 128);
         assert_eq!(c.lr, 1e-3);
-        assert_eq!(c.dropout, 0.3);
         assert_eq!(c.epochs_v2s, 10_000);
     }
 

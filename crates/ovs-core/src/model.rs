@@ -5,9 +5,10 @@ use crate::routes::RouteTable;
 use crate::tod2v::TodVolumeMapping;
 use crate::tod_gen::TodGeneration;
 use crate::v2s::VolumeSpeedMapping;
+use checkpoint::{module, CheckpointError};
 use neural::rng::Rng64;
 use neural::Matrix;
-use roadnet::{OdSet, Result, RoadNetwork};
+use roadnet::{OdSet, Result, RoadNetwork, RoadnetError};
 
 /// The three-module OVS model. Modules are exposed individually because
 /// the training pipeline (§V-E) trains them in separate stages with
@@ -91,87 +92,47 @@ impl OvsModel {
         self.tod_gen = crate::tod_gen::TodGeneration::new(n_od, t, &self.cfg, &mut rng);
     }
 
+    /// Visits every `(param, grad)` pair of the three modules in the
+    /// deterministic slot order TOD generation, TOD-Volume, Volume-Speed:
+    /// the order of [`OvsModel::export_weights`], of the shape signature
+    /// and of every checkpoint's weight list.
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
+        self.tod_gen.visit_params(f);
+        self.tod2v.visit_params(f);
+        self.v2s.visit_params(f);
+    }
+
     /// Total scalar parameter count over all modules.
     pub fn param_count(&mut self) -> usize {
         let mut n = 0;
-        self.tod_gen.visit_params(&mut |p, _| n += p.len());
-        self.tod2v.visit_params(&mut |p, _| n += p.len());
-        n + self.v2s.param_count()
+        self.visit_params(&mut |p, _| n += p.len());
+        n
     }
 
     /// The `(rows, cols)` of every parameter slot in the deterministic
     /// traversal order — the shape signature recorded in artifact
     /// provenance and checked before a checkpoint is imported.
     pub fn shape_signature(&mut self) -> Vec<(usize, usize)> {
-        let mut shapes = Vec::new();
-        self.tod_gen
-            .visit_params(&mut |p, _| shapes.push(p.shape()));
-        self.tod2v.visit_params(&mut |p, _| shapes.push(p.shape()));
-        self.v2s.visit_params(&mut |p, _| shapes.push(p.shape()));
-        shapes
+        module::signature_visit(&mut |f| self.visit_params(f))
     }
 
-    /// Exports every parameter matrix in the deterministic traversal
-    /// order (TOD generation, TOD-Volume, Volume-Speed) — a checkpoint
-    /// that can be restored into a model built with the same
-    /// configuration.
+    /// Exports every parameter matrix in [`OvsModel::visit_params`]
+    /// order — a checkpoint that can be restored into a model built with
+    /// the same configuration.
     pub fn export_weights(&mut self) -> Vec<Matrix> {
-        let mut out = Vec::new();
-        self.tod_gen.visit_params(&mut |p, _| out.push(p.clone()));
-        self.tod2v.visit_params(&mut |p, _| out.push(p.clone()));
-        self.v2s.visit_params(&mut |p, _| out.push(p.clone()));
-        out
+        module::export_visit(&mut |f| self.visit_params(f))
     }
 
     /// Restores a checkpoint produced by [`OvsModel::export_weights`] on a
     /// model with the same configuration. Fails on any count or shape
     /// mismatch without modifying the model.
     pub fn import_weights(&mut self, weights: &[Matrix]) -> Result<()> {
-        use roadnet::RoadnetError;
-        // Validate first.
-        let mut shapes = Vec::new();
-        self.tod_gen
-            .visit_params(&mut |p, _| shapes.push(p.shape()));
-        self.tod2v.visit_params(&mut |p, _| shapes.push(p.shape()));
-        self.v2s.visit_params(&mut |p, _| shapes.push(p.shape()));
-        if shapes.len() != weights.len() {
-            return Err(RoadnetError::ShapeMismatch {
-                expected: format!("{} parameter tensors", shapes.len()),
-                actual: format!("{}", weights.len()),
-            });
-        }
-        for (i, (shape, w)) in shapes.iter().zip(weights).enumerate() {
-            if *shape != w.shape() {
-                return Err(RoadnetError::ShapeMismatch {
-                    expected: format!("parameter {i} of shape {shape:?}"),
-                    actual: format!("{:?}", w.shape()),
-                });
+        module::import_visit(&mut |f| self.visit_params(f), weights).map_err(|e| match e {
+            CheckpointError::ShapeMismatch { expected, actual } => {
+                RoadnetError::ShapeMismatch { expected, actual }
             }
-        }
-        // Apply.
-        let mut remaining = weights.iter();
-        let mut write = |p: &mut Matrix| {
-            if let Some(w) = remaining.next() {
-                p.as_mut_slice().copy_from_slice(w.as_slice());
-            }
-        };
-        self.tod_gen.visit_params(&mut |p, _| write(p));
-        self.tod2v.visit_params(&mut |p, _| write(p));
-        self.v2s.visit_params(&mut |p, _| write(p));
-        Ok(())
-    }
-
-    /// Serialises a checkpoint to JSON.
-    pub fn weights_to_json(&mut self) -> String {
-        serde_json::to_string(&self.export_weights()).expect("matrices serialise")
-    }
-
-    /// Restores a checkpoint from [`OvsModel::weights_to_json`] output.
-    pub fn weights_from_json(&mut self, json: &str) -> Result<()> {
-        let weights: Vec<Matrix> = serde_json::from_str(json).map_err(|e| {
-            roadnet::RoadnetError::InvalidSpec(format!("checkpoint parse error: {e}"))
-        })?;
-        self.import_weights(&weights)
+            other => RoadnetError::InvalidSpec(other.to_string()),
+        })
     }
 }
 
@@ -231,7 +192,7 @@ mod tests {
     fn checkpoint_round_trip_preserves_outputs() {
         let mut a = model(OvsVariant::Full);
         let (_, _, v_a) = a.forward_full(false);
-        let json = a.weights_to_json();
+        let weights = a.export_weights();
         // A differently-seeded model produces different outputs...
         let net = synthetic_grid();
         let ods = OdSet::all_pairs(&net);
@@ -241,7 +202,7 @@ mod tests {
         // ...until the checkpoint is restored. (The generator's Gaussian
         // seeds are parameters of the data flow, not weights, so we
         // compare the deterministic mappings instead.)
-        b.weights_from_json(&json).unwrap();
+        b.import_weights(&weights).unwrap();
         let g = a.recovered_tod();
         let (qa, va) = a.predict_from_tod(&g, false);
         let (qb, vb) = b.predict_from_tod(&g, false);
@@ -258,7 +219,6 @@ mod tests {
         let mut w = a.export_weights();
         w[0] = Matrix::zeros(1, 1);
         assert!(a.import_weights(&w).is_err());
-        assert!(a.weights_from_json("not json").is_err());
     }
 
     #[test]

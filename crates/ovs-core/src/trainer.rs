@@ -20,6 +20,7 @@ use crate::estimator::{
     link_to_matrix, matrix_to_tod, tod_to_matrix, validate_input, EstimatorInput, TodEstimator,
 };
 use crate::model::OvsModel;
+use checkpoint::module::ParamVisitor;
 use neural::loss::{huber, mse, mse_into};
 use neural::optim::{Adam, AdamSnapshot, Optimizer};
 use neural::{Matrix, Workspace};
@@ -263,8 +264,7 @@ impl Stage {
 /// stage's module weights, the full Adam moment state, the loss trace so
 /// far, and the early-stopping counters. Restoring this mid-stage and
 /// finishing the remaining steps reproduces the uninterrupted loss trace
-/// exactly (provided dropout is disabled — the dropout RNG is the one
-/// piece of state a snapshot does not capture).
+/// exactly.
 #[derive(Debug, Clone)]
 pub struct StageState {
     /// Which stage this state belongs to.
@@ -346,10 +346,6 @@ pub struct PipelineCheckpoint {
     /// Completed stage-2 loss trace (empty until stage 2 finishes).
     pub tod2v_losses: Vec<f64>,
 }
-
-/// A `visit_params`-style closure: calls its argument once per
-/// `(param, grad)` pair of a module.
-type ParamVisitor<'v> = dyn FnMut(&mut dyn FnMut(&mut Matrix, &mut Matrix)) + 'v;
 
 /// Visits the `(param, grad)` pairs of the module a stage trains.
 type StageVisit = fn(&mut OvsModel, &mut dyn FnMut(&mut Matrix, &mut Matrix));
@@ -1009,6 +1005,34 @@ impl OvsTrainer {
         Ok((model, report))
     }
 
+    /// [`OvsTrainer::run`] from `start`, then the fit ensemble: the
+    /// recovered TOD is averaged over `fit_restarts` test-time fits, each
+    /// restart from a re-seeded generator. The restarts fit under the
+    /// trainer's own (not corpus-adapted) configuration. Returns the model
+    /// as the last restart left it, and the averaged TOD.
+    pub fn run_ensemble(
+        &self,
+        input: &EstimatorInput<'_>,
+        start: Start<'_>,
+    ) -> TrainResult<(OvsModel, Matrix)> {
+        let opts = RunOptions {
+            start,
+            ..RunOptions::default()
+        };
+        let (mut model, _) = self.run(input, opts)?;
+        let restarts = self.cfg.fit_restarts.max(1);
+        let mut mean = model.recovered_tod();
+        let level = calibrate_demand_level(input);
+        for r in 1..restarts {
+            model.reset_generator(self.cfg.seed.wrapping_add(r as u64 * 7919));
+            set_generator_level(&mut model, level);
+            self.drive_plain(&mut model, self.fit_plan(input, level))?;
+            mean.add_assign(&model.recovered_tod());
+        }
+        mean.scale(1.0 / restarts as f64);
+        Ok((model, mean))
+    }
+
     /// A guarded warm run. Kept only for the benchmark harness in
     /// `citybench/`, which is built against this signature; workspace code
     /// calls [`OvsTrainer::run`] with [`Start::Warm`].
@@ -1058,23 +1082,10 @@ impl TodEstimator for OvsEstimator {
         self.cfg.variant.name()
     }
 
-    /// One cold [`OvsTrainer::run`], then the fit ensemble: the recovered
-    /// TOD is averaged over `fit_restarts` test-time fits, each restart
-    /// from a re-seeded generator. The restarts fit under the estimator's
-    /// own (not corpus-adapted) configuration.
+    /// A cold [`OvsTrainer::run_ensemble`].
     fn estimate(&mut self, input: &EstimatorInput<'_>) -> Result<TodTensor> {
         let trainer = OvsTrainer::new(self.cfg.clone()).with_registry(self.obs.clone());
-        let (mut model, _) = trainer.run(input, RunOptions::default())?;
-        let restarts = self.cfg.fit_restarts.max(1);
-        let mut mean = model.recovered_tod();
-        let level = calibrate_demand_level(input);
-        for r in 1..restarts {
-            model.reset_generator(self.cfg.seed.wrapping_add(r as u64 * 7919));
-            set_generator_level(&mut model, level);
-            trainer.drive_plain(&mut model, trainer.fit_plan(input, level))?;
-            mean.add_assign(&model.recovered_tod());
-        }
-        mean.scale(1.0 / restarts as f64);
+        let (_, mean) = trainer.run_ensemble(input, Start::Cold)?;
         Ok(matrix_to_tod(&mean))
     }
 }

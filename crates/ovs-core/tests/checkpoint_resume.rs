@@ -32,13 +32,10 @@ fn input(ds: &Dataset) -> EstimatorInput<'_> {
         .build()
 }
 
-/// Deterministic config: dropout off, because the dropout RNG is not part
-/// of the checkpoint (documented in DESIGN.md §7).
+/// The tiny config; no OVS module carries RNG state outside the
+/// checkpoint, so every run is deterministic.
 fn cfg() -> OvsConfig {
-    OvsConfig {
-        dropout: 0.0,
-        ..OvsConfig::tiny()
-    }
+    OvsConfig::tiny()
 }
 
 fn resume_from(cp: PipelineCheckpoint) -> RunOptions<'static> {

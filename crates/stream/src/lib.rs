@@ -23,7 +23,7 @@
 //!    version of the `stream-<run-id>` artifact family with window
 //!    provenance (interval range, observation count, masked RMSE).
 //! 3. **Serving handoff** — `cityod-serve`'s `SnapshotWatcher` follows
-//!    the same family via `SnapshotSource::latest_good`, hot-swapping
+//!    the same family via `SnapshotSource::Family`, hot-swapping
 //!    readers onto window *N*'s view while window *N+1* trains.
 //!
 //! The streaming invariant that makes this a *system* and not a script:

@@ -684,7 +684,7 @@ fn faults_cmd(args: &Args) -> ExitCode {
 
 /// Prints the per-section audit of a corrupt artifact: every failing
 /// section with its byte offset, plus structural damage, instead of just
-/// the first error `load` would surface.
+/// the first error a snapshot would surface.
 fn print_audit(store: &ArtifactStore, name: &str) {
     match store.audit(name) {
         Ok(audit) => {
@@ -712,24 +712,24 @@ fn checkpoint_cmd(args: &Args) -> ExitCode {
     match sub {
         "save" => checkpoint_save(args, &store),
         "list" => match store.list() {
-            Ok(records) => {
+            Ok(snapshots) => {
                 println!(
                     "{:<28} {:<14} {:>10} {:>10} {:>9}",
                     "name", "kind", "bytes", "crc32", "sections"
                 );
-                for r in &records {
+                for s in &snapshots {
                     println!(
                         "{:<28} {:<14} {:>10} {:>10} {:>9}",
-                        r.name,
-                        r.kind,
-                        r.size,
-                        format!("{:08x}", r.content_crc),
-                        r.sections.len()
+                        s.name(),
+                        s.artifact().kind(),
+                        s.size(),
+                        format!("{:08x}", s.content_crc()),
+                        s.artifact().section_names().len()
                     );
                 }
                 println!(
                     "# {} artifact(s) in {}",
-                    records.len(),
+                    snapshots.len(),
                     store.dir().display()
                 );
                 ExitCode::SUCCESS
@@ -743,21 +743,18 @@ fn checkpoint_cmd(args: &Args) -> ExitCode {
             let Some(name) = args.positional.get(2) else {
                 return usage();
             };
-            match store.inspect(name) {
-                Ok(r) => {
-                    println!("name:     {}", r.name);
-                    println!("path:     {}", r.path.display());
-                    println!("kind:     {}", r.kind);
-                    println!("size:     {} bytes", r.size);
-                    println!("crc32:    {:08x}", r.content_crc);
+            match store.snapshot(name) {
+                Ok(snap) => {
+                    println!("name:     {}", snap.name());
+                    println!("path:     {}", store.artifact_path(name).display());
+                    println!("kind:     {}", snap.artifact().kind());
+                    println!("size:     {} bytes", snap.size());
+                    println!("crc32:    {:08x}", snap.content_crc());
                     // The snapshot fingerprint doubles as the serving
                     // layer's ETag for this artifact.
-                    match store.snapshot(name) {
-                        Ok(snap) => println!("etag:     {}", snap.etag()),
-                        Err(e) => println!("etag:     (unavailable: {e})"),
-                    }
-                    println!("sections: {}", r.sections.join(", "));
-                    if let Some(p) = &r.provenance {
+                    println!("etag:     {}", snap.etag());
+                    println!("sections: {}", snap.artifact().section_names().join(", "));
+                    if let Some(p) = snap.provenance() {
                         println!("seed:     {}", p.seed);
                         println!("git:      {}", p.git);
                         println!("created:  {} (unix)", p.created_unix);
@@ -790,11 +787,13 @@ fn checkpoint_cmd(args: &Args) -> ExitCode {
             }
         }
         "verify" => match args.positional.get(2) {
-            Some(name) => match store.verify(name) {
-                Ok(r) => {
+            Some(name) => match store.snapshot(name) {
+                Ok(snap) => {
                     println!(
                         "{}: OK ({} bytes, crc32 {:08x})",
-                        r.name, r.size, r.content_crc
+                        snap.name(),
+                        snap.size(),
+                        snap.content_crc()
                     );
                     ExitCode::SUCCESS
                 }
