@@ -7,14 +7,17 @@
 //!
 //! * [`shortest_path`] / [`fastest_path`] — static Dijkstra by length or
 //!   free-flow travel time;
+//! * [`shortest_path_tree`] — the same search run to completion under a
+//!   closure mask, one [`ShortestPathTree`] answering a route to every
+//!   destination of its source (the simulator's route cache), so route
+//!   sets re-derive when incidents remove links and restore when they
+//!   clear;
 //! * [`k_shortest_paths`] — Yen's algorithm for the multi-route variant
 //!   (Eq. 3 allows several routes per OD);
 //! * [`time_dependent::fastest_path_at`] — fastest path under observed
 //!   per-interval link speeds, the "based on real-time traffic conditions"
 //!   policy used by the simulator's en-route vehicles;
-//! * the `_masked` variants — the same searches under a closure mask, so
-//!   route sets re-derive when incidents remove links and restore when
-//!   they clear.
+//! * [`k_shortest_paths_masked`] — Yen's algorithm under a closure mask.
 
 mod dijkstra;
 mod ksp;
@@ -22,8 +25,8 @@ mod path;
 pub mod time_dependent;
 
 pub use dijkstra::{
-    dijkstra, dijkstra_with_bans, fastest_path, fastest_path_masked, shortest_path,
-    shortest_path_masked, CostFn,
+    dijkstra, dijkstra_with_bans, fastest_path, shortest_path, shortest_path_tree, CostFn,
+    ShortestPathTree,
 };
 pub use ksp::{k_shortest_paths, k_shortest_paths_masked};
 pub use path::Route;

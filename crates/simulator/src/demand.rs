@@ -11,6 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use roadnet::{NodeId, OdPair, OdPairId, OdSet, Result, RoadNetwork, RoadnetError, TodTensor};
+use std::collections::VecDeque;
 
 /// A trip ready to enter the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,14 +48,16 @@ impl DemandSpawner {
         })
     }
 
-    /// Advances one tick within interval `t` of `tod` and returns the trips
-    /// that depart this tick. `ticks_per_interval` scales the rate.
+    /// Advances one tick within interval `t` of `tod` and appends the trips
+    /// that depart this tick to `out`. `ticks_per_interval` scales the
+    /// rate.
     pub fn tick(
         &mut self,
         tod: &TodTensor,
         t: usize,
         ticks_per_interval: u64,
-    ) -> Result<Vec<SpawnRequest>> {
+        out: &mut VecDeque<SpawnRequest>,
+    ) -> Result<()> {
         if tod.rows() != self.pairs.len() {
             return Err(RoadnetError::ShapeMismatch {
                 expected: format!("{} OD rows", self.pairs.len()),
@@ -67,7 +70,6 @@ impl DemandSpawner {
                 actual: format!("interval {t}"),
             });
         }
-        let mut out = Vec::new();
         let regions = &self.region_nodes;
         for (i, (acc, pair)) in self.accumulators.iter_mut().zip(&self.pairs).enumerate() {
             let count = tod.get(OdPairId(i), t).max(0.0);
@@ -78,7 +80,7 @@ impl DemandSpawner {
                 let to = pick(region_of(regions, pair.destination.index()), &mut self.rng);
                 if let (Some(from), Some(to)) = (from, to) {
                     if from != to {
-                        out.push(SpawnRequest {
+                        out.push_back(SpawnRequest {
                             od: OdPairId(i),
                             from,
                             to,
@@ -87,7 +89,7 @@ impl DemandSpawner {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -114,6 +116,17 @@ mod tests {
         (net, ods)
     }
 
+    /// The trips one tick departs, in a fresh buffer.
+    fn tick(
+        spawner: &mut DemandSpawner,
+        tod: &TodTensor,
+        t: usize,
+    ) -> Result<VecDeque<SpawnRequest>> {
+        let mut out = VecDeque::new();
+        spawner.tick(tod, t, 10, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn spawn_counts_match_tod_in_expectation() {
         let (net, ods) = setup();
@@ -122,7 +135,7 @@ mod tests {
         let mut total = 0usize;
         for t in 0..2 {
             for _ in 0..10 {
-                total += spawner.tick(&tod, t, 10).unwrap().len();
+                total += tick(&mut spawner, &tod, t).unwrap().len();
             }
         }
         // 5 trips x 2 intervals x N ods, minus at most N fractional carry
@@ -139,7 +152,7 @@ mod tests {
         let mut total = 0usize;
         for t in 0..4 {
             for _ in 0..10 {
-                total += spawner.tick(&tod, t, 10).unwrap().len();
+                total += tick(&mut spawner, &tod, t).unwrap().len();
             }
         }
         assert_eq!(total, 2 * ods.len());
@@ -152,7 +165,7 @@ mod tests {
         tod.set(OdPairId(0), 0, -5.0);
         let mut spawner = DemandSpawner::new(&net, &ods, 1).unwrap();
         for _ in 0..10 {
-            assert!(spawner.tick(&tod, 0, 10).unwrap().is_empty());
+            assert!(tick(&mut spawner, &tod, 0).unwrap().is_empty());
         }
     }
 
@@ -162,7 +175,7 @@ mod tests {
         let tod = TodTensor::filled(ods.len(), 1, 10.0);
         let mut spawner = DemandSpawner::new(&net, &ods, 3).unwrap();
         for _ in 0..10 {
-            for req in spawner.tick(&tod, 0, 10).unwrap() {
+            for req in tick(&mut spawner, &tod, 0).unwrap() {
                 let pair = ods.pair(req.od).unwrap();
                 assert_eq!(net.node(req.from).unwrap().region, pair.origin);
                 assert_eq!(net.node(req.to).unwrap().region, pair.destination);
@@ -183,7 +196,7 @@ mod tests {
             let mut s = DemandSpawner::new(&net, &ods, seed).unwrap();
             let mut all = Vec::new();
             for _ in 0..10 {
-                all.extend(s.tick(&tod, 0, 10).unwrap());
+                all.extend(tick(&mut s, &tod, 0).unwrap());
             }
             all
         };
@@ -196,8 +209,8 @@ mod tests {
         let (net, ods) = setup();
         let mut spawner = DemandSpawner::new(&net, &ods, 0).unwrap();
         let bad = TodTensor::zeros(3, 1);
-        assert!(spawner.tick(&bad, 0, 10).is_err());
+        assert!(tick(&mut spawner, &bad, 0).is_err());
         let tod = TodTensor::zeros(ods.len(), 1);
-        assert!(spawner.tick(&tod, 5, 10).is_err());
+        assert!(tick(&mut spawner, &tod, 5).is_err());
     }
 }
