@@ -223,6 +223,12 @@ impl ArtifactStore {
 
     /// Saves an artifact under `name`, overwriting any previous version,
     /// and writes its provenance sidecar. Returns the `.ckpt` path.
+    ///
+    /// The sidecar is renamed into place before the `.ckpt` is, and both
+    /// go through a temp file: by the time a name shows up in
+    /// [`ArtifactStore::names`] its sidecar is complete, so a reader that
+    /// polls mid-save never sees a torn sidecar and a sidecar that fails
+    /// to parse is damage, not a write in progress.
     pub fn save(
         &self,
         name: &str,
@@ -230,11 +236,14 @@ impl ArtifactStore {
         provenance: &Provenance,
     ) -> Result<PathBuf> {
         Self::validate_name(name)?;
-        let path = self.artifact_path(name);
-        builder.write_to(&path)?;
         let meta = serde_json::to_string(provenance)
             .map_err(|e| CheckpointError::Malformed(format!("provenance encode: {e}")))?;
-        std::fs::write(self.meta_path(name), meta)?;
+        let meta_path = self.meta_path(name);
+        let meta_tmp = self.dir.join(format!("{name}{META_SUFFIX}.tmp"));
+        std::fs::write(&meta_tmp, meta)?;
+        std::fs::rename(&meta_tmp, &meta_path)?;
+        let path = self.artifact_path(name);
+        builder.write_to(&path)?;
         Ok(path)
     }
 
@@ -247,11 +256,21 @@ impl ArtifactStore {
         provenance: &Provenance,
     ) -> Result<String> {
         Self::validate_name(family)?;
+        // Quarantined versions count too, so a number is never reused and
+        // a later quarantine never overwrites an earlier one's evidence.
+        let qdir = self.dir.join(QUARANTINE_DIR);
+        let quarantined = if qdir.is_dir() {
+            ckpt_names(&qdir)?
+        } else {
+            Vec::new()
+        };
+        let newest_quarantined = versions_of(family, quarantined).last().map(|&(v, _)| v);
         let next = self
             .family_versions(family)?
             .last()
-            .map(|&(v, _)| v + 1)
-            .unwrap_or(1);
+            .map(|&(v, _)| v)
+            .max(newest_quarantined)
+            .map_or(1, |v| v + 1);
         let name = format!("{family}-v{next:03}");
         self.save(&name, builder, provenance)?;
         Ok(name)
@@ -272,17 +291,7 @@ impl ArtifactStore {
 
     /// All artifact names in the store, sorted.
     pub fn names(&self) -> Result<Vec<String>> {
-        let mut out = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) == Some(CKPT_EXT) {
-                if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                    out.push(stem.to_string());
-                }
-            }
-        }
-        out.sort();
-        Ok(out)
+        ckpt_names(&self.dir)
     }
 
     /// Snapshots every artifact in the store (sorted by name), skipping
@@ -343,17 +352,7 @@ impl ArtifactStore {
     /// Versioned members of a family, as `(version, name)` sorted
     /// ascending by version.
     pub(crate) fn family_versions(&self, family: &str) -> Result<Vec<(u32, String)>> {
-        let prefix = format!("{family}-v");
-        let mut out: Vec<(u32, String)> = self
-            .names()?
-            .into_iter()
-            .filter_map(|n| {
-                let v = n.strip_prefix(&prefix)?.parse::<u32>().ok()?;
-                Some((v, n))
-            })
-            .collect();
-        out.sort();
-        Ok(out)
+        Ok(versions_of(family, self.names()?))
     }
 
     /// Pins an artifact against garbage collection for the guard's
@@ -411,6 +410,36 @@ impl ArtifactStore {
         }
         Ok(removed)
     }
+}
+
+/// The `.ckpt` artifact names directly inside `dir`, sorted.
+fn ckpt_names(dir: &Path) -> Result<Vec<String>> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.extension().and_then(|e| e.to_str()) == Some(CKPT_EXT) {
+            if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
+                out.push(stem.to_string());
+            }
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
+/// The `{family}-vNNN` members of `names`, as `(version, name)` sorted
+/// ascending by version.
+fn versions_of(family: &str, names: Vec<String>) -> Vec<(u32, String)> {
+    let prefix = format!("{family}-v");
+    let mut out: Vec<(u32, String)> = names
+        .into_iter()
+        .filter_map(|n| {
+            let v = n.strip_prefix(&prefix)?.parse::<u32>().ok()?;
+            Some((v, n))
+        })
+        .collect();
+    out.sort();
+    out
 }
 
 #[cfg(test)]
@@ -608,6 +637,24 @@ mod tests {
             failures.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(),
             ["a", "b"]
         );
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn save_versioned_never_reuses_a_quarantined_number() {
+        let store = tmp_store("reuse");
+        let prov = Provenance::new("test-kind", "{}", 0);
+        store
+            .save_versioned("fam", &sample_builder(), &prov)
+            .unwrap();
+        let v2 = store
+            .save_versioned("fam", &sample_builder(), &prov)
+            .unwrap();
+        store.quarantine(&v2).unwrap();
+        let next = store
+            .save_versioned("fam", &sample_builder(), &prov)
+            .unwrap();
+        assert_eq!(next, "fam-v003");
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
