@@ -6,8 +6,8 @@ pub fn build(m: usize, hidden: usize, n: usize, rng: &mut Rng) -> Sequential {
         Box::new(Dense::new(m, hidden, rng)),
         Box::new(Activation::new(ActKind::Relu)),
         Box::new(Dense::new(hidden, hidden, rng)),
-        Box::new(Dropout::new(0.1)),
+        Box::new(Activation::new(ActKind::Tanh)),
         Box::new(Dense::new(hidden, n, rng)),
-        Box::new(Softmax::new()),
+        Box::new(Activation::new(ActKind::Sigmoid)),
     ])
 }

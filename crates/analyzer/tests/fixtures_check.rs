@@ -223,8 +223,6 @@ fn hot_set_covers_the_neural_step_path() {
         "Lstm",
         "Conv1d",
         "Gru",
-        "Dropout",
-        "Softmax",
     ] {
         for method in ["forward_ws", "backward_ws"] {
             let qual = format!("{layer}::{method}");
@@ -238,8 +236,7 @@ fn hot_set_covers_the_neural_step_path() {
     for needed in [
         "mse_into",
         "mse_seq_into",
-        "begin_step",
-        "apply",
+        "Adam::step",
         "visit_params",
         "zero_grad",
         "take",

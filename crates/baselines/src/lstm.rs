@@ -12,7 +12,7 @@ use checkpoint::format::{Artifact, ArtifactBuilder};
 use checkpoint::CheckpointError;
 use neural::layers::{Dense, Lstm, SeqLayer, SeqSequential, TimeDistributed};
 use neural::loss::mse_seq;
-use neural::optim::{Adam, Optimizer};
+use neural::optim::Adam;
 use neural::rng::Rng64;
 use neural::{Matrix, Tensor3};
 use ovs_core::estimator::{link_to_matrix, tod_to_matrix};
@@ -66,7 +66,7 @@ impl TrainedLstm {
         b.add_f64s("scales", &[self.v_scale, self.g_max]);
         b.add_matrices(
             "weights",
-            &checkpoint::module::export_seq_layer(&mut self.net),
+            &checkpoint::module::export_visit(&mut |f| self.net.visit_params(f)),
         );
         b
     }
@@ -83,7 +83,10 @@ impl TrainedLstm {
         }
         let (m, hidden, n) = (dims[0] as usize, dims[1] as usize, dims[2] as usize);
         let mut net = Self::build_net(m, hidden, n);
-        checkpoint::module::import_seq_layer(&mut net, &artifact.matrices("weights")?)?;
+        checkpoint::module::import_visit(
+            &mut |f| net.visit_params(f),
+            &artifact.matrices("weights")?,
+        )?;
         Ok(Self {
             net,
             m,
@@ -180,7 +183,7 @@ impl LstmEstimator {
             let pred = net.forward(&x, true);
             let (_, grad) = mse_seq(&pred, &y);
             net.backward(&grad);
-            opt.step_seq(&mut net);
+            opt.step(&mut |f| net.visit_params(f));
             net.zero_grad();
         }
         Ok(TrainedLstm {

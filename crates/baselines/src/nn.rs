@@ -15,7 +15,7 @@ use checkpoint::format::{Artifact, ArtifactBuilder};
 use checkpoint::CheckpointError;
 use neural::layers::{ActKind, Activation, Dense, Layer, Sequential};
 use neural::loss::mse;
-use neural::optim::{Adam, Optimizer};
+use neural::optim::Adam;
 use neural::rng::Rng64;
 use neural::Matrix;
 use ovs_core::estimator::{link_to_matrix, tod_to_matrix};
@@ -75,7 +75,10 @@ impl TrainedNn {
         let mut b = ArtifactBuilder::new(NN_KIND);
         b.add_f64s("dims", &[self.m as f64, self.hidden as f64, self.n as f64]);
         b.add_f64s("scales", &[self.v_scale, self.g_scale]);
-        b.add_matrices("weights", &checkpoint::module::export_layer(&mut self.net));
+        b.add_matrices(
+            "weights",
+            &checkpoint::module::export_visit(&mut |f| self.net.visit_params(f)),
+        );
         b
     }
 
@@ -91,7 +94,10 @@ impl TrainedNn {
         }
         let (m, hidden, n) = (dims[0] as usize, dims[1] as usize, dims[2] as usize);
         let mut net = Self::build_net(m, hidden, n);
-        checkpoint::module::import_layer(&mut net, &artifact.matrices("weights")?)?;
+        checkpoint::module::import_visit(
+            &mut |f| net.visit_params(f),
+            &artifact.matrices("weights")?,
+        )?;
         Ok(Self {
             net,
             m,
@@ -176,7 +182,7 @@ impl NnEstimator {
             let pred = net.forward(&x, true);
             let (_, grad) = mse(&pred, &y);
             net.backward(&grad);
-            opt.step(&mut net);
+            opt.step(&mut |f| net.visit_params(f));
             net.zero_grad();
         }
         Ok(TrainedNn {

@@ -4,18 +4,16 @@
 //! Every trainable thing in the workspace — `neural` layers and stacks,
 //! the three OVS modules, the baseline nets — exposes its parameters
 //! through a `visit_params(&mut FnMut(&mut Matrix, &mut Matrix))` walk
-//! with a **deterministic slot order**. That order is the checkpoint
-//! schema: exporting clones the parameter matrices slot by slot, and
-//! importing validates every slot's shape against the artifact before a
-//! single value is written, so a failed load never leaves a model
-//! half-overwritten.
+//! with a **deterministic slot order**. These functions take that walk as
+//! a [`ParamVisitor`], `&mut |f| module.visit_params(f)`, exactly as the
+//! optimiser does. The slot order is the checkpoint schema: exporting
+//! clones the parameter matrices slot by slot, and importing validates
+//! every slot's shape against the artifact before a single value is
+//! written, so a failed load never leaves a model half-overwritten.
 
 use crate::{CheckpointError, Result};
-use neural::layers::{Layer, SeqLayer};
+use neural::layers::ParamVisitor;
 use neural::Matrix;
-
-/// The `visit_params` closure shape shared by all trainable modules.
-pub type ParamVisitor<'v> = dyn FnMut(&mut dyn FnMut(&mut Matrix, &mut Matrix)) + 'v;
 
 /// Clones every parameter matrix a visitor exposes, in slot order.
 pub fn export_visit(visit: &mut ParamVisitor<'_>) -> Vec<Matrix> {
@@ -65,40 +63,10 @@ pub fn check_signature(sig: &[(usize, usize)], weights: &[Matrix]) -> Result<()>
     Ok(())
 }
 
-/// [`export_visit`] for a flat [`Layer`] (or stack).
-pub fn export_layer(layer: &mut dyn Layer) -> Vec<Matrix> {
-    export_visit(&mut |f| layer.visit_params(f))
-}
-
-/// [`import_visit`] for a flat [`Layer`] (or stack).
-pub fn import_layer(layer: &mut dyn Layer, weights: &[Matrix]) -> Result<()> {
-    import_visit(&mut |f| layer.visit_params(f), weights)
-}
-
-/// [`signature_visit`] for a flat [`Layer`].
-pub fn layer_signature(layer: &mut dyn Layer) -> Vec<(usize, usize)> {
-    signature_visit(&mut |f| layer.visit_params(f))
-}
-
-/// [`export_visit`] for a [`SeqLayer`] (or stack).
-pub fn export_seq_layer(layer: &mut dyn SeqLayer) -> Vec<Matrix> {
-    export_visit(&mut |f| layer.visit_params(f))
-}
-
-/// [`import_visit`] for a [`SeqLayer`] (or stack).
-pub fn import_seq_layer(layer: &mut dyn SeqLayer, weights: &[Matrix]) -> Result<()> {
-    import_visit(&mut |f| layer.visit_params(f), weights)
-}
-
-/// [`signature_visit`] for a [`SeqLayer`].
-pub fn seq_layer_signature(layer: &mut dyn SeqLayer) -> Vec<(usize, usize)> {
-    signature_visit(&mut |f| layer.visit_params(f))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neural::layers::{ActKind, Activation, Dense, Sequential};
+    use neural::layers::{ActKind, Activation, Dense, Layer, Sequential};
     use neural::rng::Rng64;
 
     fn stack(seed: u64) -> Sequential {
@@ -110,37 +78,45 @@ mod tests {
         ])
     }
 
+    fn export(net: &mut Sequential) -> Vec<Matrix> {
+        export_visit(&mut |f| net.visit_params(f))
+    }
+
+    fn import(net: &mut Sequential, weights: &[Matrix]) -> Result<()> {
+        import_visit(&mut |f| net.visit_params(f), weights)
+    }
+
     #[test]
     fn export_import_round_trip() {
         let mut a = stack(1);
         let mut b = stack(2);
-        let wa = export_layer(&mut a);
+        let wa = export(&mut a);
         assert_eq!(wa.len(), 4); // W1 b1 W2 b2
-        import_layer(&mut b, &wa).unwrap();
-        assert_eq!(export_layer(&mut b), wa);
+        import(&mut b, &wa).unwrap();
+        assert_eq!(export(&mut b), wa);
     }
 
     #[test]
     fn mismatched_import_leaves_model_untouched() {
         let mut a = stack(1);
-        let before = export_layer(&mut a);
+        let before = export(&mut a);
         // Wrong count.
-        assert!(import_layer(&mut a, &before[..2]).is_err());
+        assert!(import(&mut a, &before[..2]).is_err());
         // Wrong shape in a later slot: nothing before it may be written.
         let mut wrong = before.clone();
         wrong[3] = Matrix::zeros(9, 9);
         assert!(matches!(
-            import_layer(&mut a, &wrong),
+            import(&mut a, &wrong),
             Err(CheckpointError::ShapeMismatch { .. })
         ));
-        assert_eq!(export_layer(&mut a), before);
+        assert_eq!(export(&mut a), before);
     }
 
     #[test]
     fn signature_matches_export() {
         let mut a = stack(3);
-        let sig = layer_signature(&mut a);
-        let ws = export_layer(&mut a);
+        let sig = signature_visit(&mut |f| a.visit_params(f));
+        let ws = export(&mut a);
         assert_eq!(sig, ws.iter().map(|w| w.shape()).collect::<Vec<_>>());
         assert!(check_signature(&sig, &ws).is_ok());
     }

@@ -5,10 +5,10 @@
 //! only surface as a typed error, never as data or a panic.
 
 use checkpoint::format::{crc32, Artifact, ArtifactBuilder, MAGIC};
-use checkpoint::module::{export_layer, export_seq_layer, import_layer, import_seq_layer};
+use checkpoint::module::{export_visit, import_visit};
 use checkpoint::CheckpointError;
 use neural::layers::{
-    ActKind, Activation, Dense, Lstm, SeqSequential, Sequential, TimeDistributed,
+    ActKind, Activation, Dense, Layer, Lstm, SeqLayer, SeqSequential, Sequential, TimeDistributed,
 };
 use neural::optim::AdamSnapshot;
 use neural::rng::Rng64;
@@ -19,7 +19,7 @@ use proptest::prelude::*;
 /// gaps, weights drawn from the seeded RNG.
 fn random_dense_stack(seed: u64, widths: &[usize]) -> Sequential {
     let mut rng = Rng64::new(seed);
-    let mut layers: Vec<Box<dyn neural::layers::Layer>> = Vec::new();
+    let mut layers: Vec<Box<dyn Layer>> = Vec::new();
     for pair in widths.windows(2) {
         layers.push(Box::new(Dense::new(pair[0], pair[1], &mut rng)));
         layers.push(Box::new(Activation::new(ActKind::Sigmoid)));
@@ -55,7 +55,7 @@ proptest! {
         let widths = [w1, w2, w3];
         let mut net = random_dense_stack(seed, &widths);
         let mut b = ArtifactBuilder::new("prop-dense");
-        b.add_matrices("weights", &export_layer(&mut net));
+        b.add_matrices("weights", &export_visit(&mut |f| net.visit_params(f)));
         let bytes = b.to_bytes();
 
         let parsed = Artifact::from_bytes(&bytes).unwrap();
@@ -63,9 +63,9 @@ proptest! {
 
         // Import into a differently-initialised net of the same shape.
         let mut other = random_dense_stack(seed.wrapping_add(1), &widths);
-        import_layer(&mut other, &parsed.matrices("weights").unwrap()).unwrap();
+        import_visit(&mut |f| other.visit_params(f), &parsed.matrices("weights").unwrap()).unwrap();
         let mut b2 = ArtifactBuilder::new("prop-dense");
-        b2.add_matrices("weights", &export_layer(&mut other));
+        b2.add_matrices("weights", &export_visit(&mut |f| other.visit_params(f)));
         prop_assert_eq!(b2.to_bytes(), bytes);
     }
 
@@ -81,20 +81,20 @@ proptest! {
         let build = |s: u64| {
             let mut rng = Rng64::new(s);
             SeqSequential::new(vec![
-                Box::new(Lstm::new(inp, hidden, &mut rng)) as Box<dyn neural::layers::SeqLayer>,
+                Box::new(Lstm::new(inp, hidden, &mut rng)) as Box<dyn SeqLayer>,
                 Box::new(TimeDistributed::new(Dense::new(hidden, out, &mut rng))),
             ])
         };
         let mut net = build(seed);
         let mut b = ArtifactBuilder::new("prop-lstm");
-        b.add_matrices("weights", &export_seq_layer(&mut net));
+        b.add_matrices("weights", &export_visit(&mut |f| net.visit_params(f)));
         let bytes = b.to_bytes();
 
         let parsed = Artifact::from_bytes(&bytes).unwrap();
         let mut other = build(seed.wrapping_add(17));
-        import_seq_layer(&mut other, &parsed.matrices("weights").unwrap()).unwrap();
+        import_visit(&mut |f| other.visit_params(f), &parsed.matrices("weights").unwrap()).unwrap();
         let mut b2 = ArtifactBuilder::new("prop-lstm");
-        b2.add_matrices("weights", &export_seq_layer(&mut other));
+        b2.add_matrices("weights", &export_visit(&mut |f| other.visit_params(f)));
         prop_assert_eq!(b2.to_bytes(), bytes);
     }
 
@@ -173,7 +173,7 @@ proptest! {
     ) {
         let mut net = random_dense_stack(seed, &[3, 4, 2]);
         let mut b = ArtifactBuilder::new("prop-corrupt");
-        b.add_matrices("weights", &export_layer(&mut net));
+        b.add_matrices("weights", &export_visit(&mut |f| net.visit_params(f)));
         b.add_f64s("losses", &[1.0, 0.5]);
         let bytes = b.to_bytes();
         let parsed = Artifact::from_bytes(&bytes).unwrap();

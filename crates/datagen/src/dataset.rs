@@ -120,7 +120,7 @@ impl Dataset {
 
         // Training corpus, generated in parallel. Every sample `k` draws
         // from its own RNG stream `Rng64::for_index(corpus_seed, k)` and
-        // runs its own clone of one warm template simulation, so the
+        // runs its own clone of one cold template simulation, so the
         // result is a pure function of `k` — bit-identical for any thread
         // count, including fully serial execution. Patterns cycle in the
         // paper's order ("every 20% of TOD tensors has a specific

@@ -10,7 +10,6 @@
 
 use crate::network::{IncidentSpec, NetworkFaults};
 use simulator::IncidentKind;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
 
@@ -39,7 +38,8 @@ impl StageSel {
             "fit" => Ok(Self::Fit),
             "any" => Ok(Self::Any),
             other => Err(PlanError::new(format!(
-                "unknown stage '{other}' (expected v2s|tod2v|fit|any)"
+                "unknown stage '{}' (expected v2s|tod2v|fit|any)",
+                Clip(other)
             ))),
         }
     }
@@ -246,6 +246,23 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
+/// At most this many characters of offending input are quoted in an
+/// error message, so a megabyte line cannot become a megabyte message.
+const QUOTED_CHARS: usize = 64;
+
+/// Displays at most [`QUOTED_CHARS`] characters of the wrapped text,
+/// with `...` when it was cut.
+struct Clip<'a>(&'a str);
+
+impl fmt::Display for Clip<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0.char_indices().nth(QUOTED_CHARS) {
+            Some((cut, _)) => write!(f, "{}...", &self.0[..cut]),
+            None => f.write_str(self.0),
+        }
+    }
+}
+
 /// One parsed right-hand side of the TOML subset.
 enum Value {
     Num(f64),
@@ -265,29 +282,36 @@ impl Value {
         }
         if let Some(inner) = raw.strip_prefix('[') {
             let Some(inner) = inner.strip_suffix(']') else {
-                return Err(PlanError::at(line, format!("unterminated array '{raw}'")));
+                return Err(PlanError::at(
+                    line,
+                    format!("unterminated array '{}'", Clip(raw)),
+                ));
             };
-            let mut out = Vec::new();
-            for item in inner.split(',') {
-                let item = item.trim();
-                if item.is_empty() {
-                    continue;
-                }
+            // Counted first so the array is allocated once, at its size.
+            let items = || inner.split(',').map(str::trim).filter(|i| !i.is_empty());
+            let mut out = Vec::with_capacity(items().count());
+            for item in items() {
                 out.push(item.parse::<f64>().map_err(|_| {
-                    PlanError::at(line, format!("array element '{item}' is not a number"))
+                    PlanError::at(
+                        line,
+                        format!("array element '{}' is not a number", Clip(item)),
+                    )
                 })?);
             }
             return Ok(Self::Array(out));
         }
         if let Some(inner) = raw.strip_prefix('"') {
             let Some(inner) = inner.strip_suffix('"') else {
-                return Err(PlanError::at(line, format!("unterminated string {raw}")));
+                return Err(PlanError::at(
+                    line,
+                    format!("unterminated string {}", Clip(raw)),
+                ));
             };
             return Ok(Self::Str(inner.to_string()));
         }
         raw.parse::<f64>()
             .map(Self::Num)
-            .map_err(|_| PlanError::at(line, format!("cannot parse value '{raw}'")))
+            .map_err(|_| PlanError::at(line, format!("cannot parse value '{}'", Clip(raw))))
     }
 
     fn num(&self, key: &str, line: usize) -> Result<f64, PlanError> {
@@ -322,7 +346,7 @@ impl Value {
         }
     }
 
-    fn array(&self, key: &str, line: usize) -> Result<&[f64], PlanError> {
+    fn array(self, key: &str, line: usize) -> Result<Vec<f64>, PlanError> {
         match self {
             Self::Array(v) => Ok(v),
             _ => Err(PlanError::at(line, format!("{key} expects an array"))),
@@ -330,32 +354,31 @@ impl Value {
     }
 
     /// An array of positive integer tick counts, order preserved.
-    fn tick_list(&self, key: &str, line: usize) -> Result<Vec<u64>, PlanError> {
-        let mut out = Vec::new();
-        for &v in self.array(key, line)? {
-            if v < 1.0 || v.fract() != 0.0 {
-                return Err(PlanError::at(
-                    line,
-                    format!("{key} expects positive integer tick counts, got {v}"),
-                ));
-            }
-            out.push(v as u64);
+    fn tick_list(self, key: &str, line: usize) -> Result<Vec<u64>, PlanError> {
+        let items = self.array(key, line)?;
+        if let Some(v) = items.iter().find(|v| **v < 1.0 || v.fract() != 0.0) {
+            return Err(PlanError::at(
+                line,
+                format!("{key} expects positive integer tick counts, got {v}"),
+            ));
         }
-        Ok(out)
+        // Same-size elements: the conversion reuses the array's buffer.
+        Ok(items.into_iter().map(|v| v as u64).collect())
     }
 
-    fn step_list(&self, key: &str, line: usize) -> Result<Vec<usize>, PlanError> {
-        let mut out = BTreeSet::new();
-        for &v in self.array(key, line)? {
-            if v < 0.0 || v.fract() != 0.0 {
-                return Err(PlanError::at(
-                    line,
-                    format!("{key} expects non-negative integer steps, got {v}"),
-                ));
-            }
-            out.insert(v as usize);
+    /// An array of non-negative integer steps, sorted and deduplicated.
+    fn step_list(self, key: &str, line: usize) -> Result<Vec<usize>, PlanError> {
+        let items = self.array(key, line)?;
+        if let Some(v) = items.iter().find(|v| **v < 0.0 || v.fract() != 0.0) {
+            return Err(PlanError::at(
+                line,
+                format!("{key} expects non-negative integer steps, got {v}"),
+            ));
         }
-        Ok(out.into_iter().collect())
+        let mut out: Vec<usize> = items.into_iter().map(|v| v as usize).collect();
+        out.sort_unstable();
+        out.dedup();
+        Ok(out)
     }
 }
 
@@ -364,8 +387,12 @@ impl FaultPlan {
     /// rejected so a typo cannot silently disable a fault.
     pub fn parse(text: &str) -> Result<Self, PlanError> {
         let mut plan = Self::default();
-        let mut section = String::new();
-        let mut drafts: Vec<IncidentDraft> = Vec::new();
+        let mut section = "";
+        // The open [[network.incident]] section, and the first error a
+        // closed one raised: that error is reported only once every line
+        // has parsed, so a bad line anywhere takes precedence over it.
+        let mut draft: Option<IncidentDraft> = None;
+        let mut incident_error: Option<PlanError> = None;
         for (idx, raw_line) in text.lines().enumerate() {
             let line_no = idx + 1;
             // A '#' inside a quoted string would be cut too; plan
@@ -380,63 +407,63 @@ impl FaultPlan {
                 let Some(name) = name.strip_suffix("]]") else {
                     return Err(PlanError::at(
                         line_no,
-                        format!("malformed array section '{line}'"),
+                        format!("malformed array section '{}'", Clip(line)),
                     ));
                 };
                 let name = name.trim();
                 if name != "network.incident" {
                     return Err(PlanError::at(
                         line_no,
-                        format!("unknown array section [[{name}]]"),
+                        format!("unknown array section [[{}]]", Clip(name)),
                     )
                     .spanned(column_of(raw_line, name)));
                 }
-                drafts.push(IncidentDraft::new(line_no));
-                section = "network.incident".to_string();
+                plan.close_incident(
+                    draft.replace(IncidentDraft::new(line_no)),
+                    &mut incident_error,
+                );
                 continue;
             }
             if let Some(name) = line.strip_prefix('[') {
                 let Some(name) = name.strip_suffix(']') else {
                     return Err(PlanError::at(
                         line_no,
-                        format!("malformed section '{line}'"),
+                        format!("malformed section '{}'", Clip(line)),
                     ));
                 };
                 let name = name.trim();
                 match name {
                     "observation" | "training" | "storage" | "sweep" | "network" => {
-                        section = name.to_string();
+                        section = name;
                     }
                     other => {
-                        return Err(PlanError::at(line_no, format!("unknown section [{other}]"))
-                            .spanned(column_of(raw_line, other)));
+                        return Err(PlanError::at(
+                            line_no,
+                            format!("unknown section [{}]", Clip(other)),
+                        )
+                        .spanned(column_of(raw_line, other)));
                     }
                 }
+                plan.close_incident(draft.take(), &mut incident_error);
                 continue;
             }
             let Some((key, raw_value)) = line.split_once('=') else {
                 return Err(PlanError::at(
                     line_no,
-                    format!("expected 'key = value', got '{line}'"),
+                    format!("expected 'key = value', got '{}'", Clip(line)),
                 ));
             };
             let key = key.trim();
             let value = Value::parse(raw_value, line_no)?;
-            let applied = if section == "network.incident" {
-                match drafts.last_mut() {
-                    Some(draft) => draft.apply(key, &value, line_no),
-                    None => Err(PlanError::at(
-                        line_no,
-                        "incident key outside a [[network.incident]] section".to_string(),
-                    )),
-                }
-            } else {
-                plan.apply(&section, key, &value, line_no)
+            let applied = match draft.as_mut() {
+                Some(draft) => draft.apply(key, value, line_no),
+                None => plan.apply(section, key, value, line_no),
             };
             applied.map_err(|e| e.spanned(column_of(raw_line, key)))?;
         }
-        for draft in drafts {
-            plan.network.incidents.push(draft.finish()?);
+        plan.close_incident(draft, &mut incident_error);
+        if let Some(e) = incident_error {
+            return Err(e);
         }
         plan.validate()?;
         Ok(plan)
@@ -449,11 +476,26 @@ impl FaultPlan {
         Self::parse(&text)
     }
 
+    /// Closes an incident section: its spec joins the timeline, or its
+    /// error is kept if no earlier section failed.
+    fn close_incident(
+        &mut self,
+        draft: Option<IncidentDraft>,
+        first_error: &mut Option<PlanError>,
+    ) {
+        if let (Some(draft), None) = (draft, &first_error) {
+            match draft.finish() {
+                Ok(spec) => self.network.incidents.push(spec),
+                Err(e) => *first_error = Some(e),
+            }
+        }
+    }
+
     fn apply(
         &mut self,
         section: &str,
         key: &str,
-        value: &Value,
+        value: Value,
         line: usize,
     ) -> Result<(), PlanError> {
         match (section, key) {
@@ -478,8 +520,8 @@ impl FaultPlan {
             ("storage", "truncate_bytes") => {
                 self.storage.truncate_bytes = value.uint(key, line)?;
             }
-            ("sweep", "dropouts") => self.sweep.dropouts = value.array(key, line)?.to_vec(),
-            ("sweep", "noise_stds") => self.sweep.noise_stds = value.array(key, line)?.to_vec(),
+            ("sweep", "dropouts") => self.sweep.dropouts = value.array(key, line)?,
+            ("sweep", "noise_stds") => self.sweep.noise_stds = value.array(key, line)?,
             ("network", "kind") => {
                 self.network.sweep.kind = parse_kind(value.string(key, line)?, line)?;
             }
@@ -490,7 +532,7 @@ impl FaultPlan {
                 self.network.sweep.onset_tick = value.uint(key, line)?;
             }
             ("network", "sweep_severities") => {
-                self.network.sweep.severities = value.array(key, line)?.to_vec();
+                self.network.sweep.severities = value.array(key, line)?;
             }
             ("network", "sweep_durations") => {
                 self.network.sweep.duration_ticks = value.tick_list(key, line)?;
@@ -503,7 +545,7 @@ impl FaultPlan {
                 };
                 return Err(PlanError::at(
                     line,
-                    format!("unknown key '{key}' in {place}"),
+                    format!("unknown key '{}' in {place}", Clip(key)),
                 ));
             }
         }
@@ -540,7 +582,10 @@ fn parse_kind(s: &str, line: usize) -> Result<IncidentKind, PlanError> {
     IncidentKind::parse(s).ok_or_else(|| {
         PlanError::at(
             line,
-            format!("unknown incident kind '{s}' (expected closure|capacity_drop|signal_outage)"),
+            format!(
+                "unknown incident kind '{}' (expected closure|capacity_drop|signal_outage)",
+                Clip(s)
+            ),
         )
     })
 }
@@ -576,7 +621,7 @@ impl IncidentDraft {
         }
     }
 
-    fn apply(&mut self, key: &str, value: &Value, line: usize) -> Result<(), PlanError> {
+    fn apply(&mut self, key: &str, value: Value, line: usize) -> Result<(), PlanError> {
         match key {
             "kind" => self.kind = Some(parse_kind(value.string(key, line)?, line)?),
             "link" => self.link = Some(value.uint(key, line)?),
@@ -587,7 +632,7 @@ impl IncidentDraft {
             other => {
                 return Err(PlanError::at(
                     line,
-                    format!("unknown key '{other}' in [[network.incident]]"),
+                    format!("unknown key '{}' in [[network.incident]]", Clip(other)),
                 ));
             }
         }
@@ -778,6 +823,34 @@ severity = 0.8
         assert!(err.to_string().contains("probability"), "{err}");
         let err = FaultPlan::parse("[sweep]\ndropouts = []\nnoise_stds = [0.0]\n").unwrap_err();
         assert!(err.to_string().contains("non-empty"), "{err}");
+    }
+
+    #[test]
+    fn a_bad_line_outranks_an_incomplete_incident_before_it() {
+        let err =
+            FaultPlan::parse("[[network.incident]]\nlink = 1\n[sweep]\nbogus = 1\n").unwrap_err();
+        assert_eq!(err.line, Some(4));
+        assert!(err.to_string().contains("bogus"), "{err}");
+        // Without the bad line, the first incomplete incident is reported.
+        let err = FaultPlan::parse(
+            "[[network.incident]]\nlink = 1\n[[network.incident]]\nseverity = 2\n",
+        )
+        .unwrap_err();
+        assert_eq!(err.line, Some(1));
+        assert!(err.to_string().contains("explicit kind"), "{err}");
+    }
+
+    #[test]
+    fn errors_quote_at_most_64_characters_of_input() {
+        let long = "k".repeat(10_000);
+        let err = FaultPlan::parse(&format!("{long} = 1\n")).unwrap_err();
+        assert!(
+            err.message.contains(&format!("'{}...'", &long[..64])),
+            "{err}"
+        );
+        assert!(err.message.len() < 128, "{} bytes", err.message.len());
+        let err = FaultPlan::parse("[training]\nstage = \"fiT\"\n").unwrap_err();
+        assert!(err.message.contains("'fiT'"), "{err}");
     }
 
     #[test]

@@ -24,6 +24,7 @@ proptest! {
 
     /// Corruption is a pure function of `(tensor, faults, seed)` — the
     /// worker-thread count never changes a byte of the output.
+    #[test]
     fn corruption_is_thread_count_invariant(
         seed in 0u64..10_000,
         dropout in 0.0f64..0.6,

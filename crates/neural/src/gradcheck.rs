@@ -6,7 +6,7 @@
 //! that passes these checks computes exact gradients, which is what makes
 //! the training results in `ovs-core` meaningful.
 
-use crate::layers::{Layer, SeqLayer};
+use crate::layers::{Layer, ParamVisitor, SeqLayer};
 use crate::matrix::Matrix;
 use crate::tensor3::Tensor3;
 
@@ -24,21 +24,10 @@ fn half_sq_tensor(y: &Tensor3) -> f64 {
     0.5 * y.as_slice().iter().map(|v| v * v).sum::<f64>()
 }
 
-/// Adds `delta` to parameter `pi`'s element `idx` of a flat layer.
-fn perturb_flat(layer: &mut dyn Layer, pi: usize, idx: usize, delta: f64) {
+/// Adds `delta` to element `idx` of parameter slot `pi` of a module.
+fn perturb(visit: &mut ParamVisitor<'_>, pi: usize, idx: usize, delta: f64) {
     let mut seen = 0usize;
-    layer.visit_params(&mut |p, _| {
-        if seen == pi {
-            p.as_mut_slice()[idx] += delta;
-        }
-        seen += 1;
-    });
-}
-
-/// Adds `delta` to parameter `pi`'s element `idx` of a sequence layer.
-fn perturb_seq(layer: &mut dyn SeqLayer, pi: usize, idx: usize, delta: f64) {
-    let mut seen = 0usize;
-    layer.visit_params(&mut |p, _| {
+    visit(&mut |p, _| {
         if seen == pi {
             p.as_mut_slice()[idx] += delta;
         }
@@ -82,11 +71,11 @@ pub fn check_layer_params(layer: &mut dyn Layer, x: &Matrix, eps: f64, tol: f64)
     let mut ok = true;
     for (pi, grad) in grads.iter().enumerate() {
         for idx in 0..grad.len() {
-            perturb_flat(layer, pi, idx, eps);
+            perturb(&mut |f| layer.visit_params(f), pi, idx, eps);
             let lp = half_sq_matrix(&layer.forward(x, false));
-            perturb_flat(layer, pi, idx, -2.0 * eps);
+            perturb(&mut |f| layer.visit_params(f), pi, idx, -2.0 * eps);
             let lm = half_sq_matrix(&layer.forward(x, false));
-            perturb_flat(layer, pi, idx, eps); // restore
+            perturb(&mut |f| layer.visit_params(f), pi, idx, eps); // restore
             let numeric = (lp - lm) / (2.0 * eps);
             let analytic = grad.as_slice()[idx];
             if !close(analytic, numeric, tol) {
@@ -132,11 +121,11 @@ pub fn check_seq_layer_params(layer: &mut dyn SeqLayer, x: &Tensor3, eps: f64, t
     let mut ok = true;
     for (pi, grad) in grads.iter().enumerate() {
         for idx in 0..grad.len() {
-            perturb_seq(layer, pi, idx, eps);
+            perturb(&mut |f| layer.visit_params(f), pi, idx, eps);
             let lp = half_sq_tensor(&layer.forward(x, false));
-            perturb_seq(layer, pi, idx, -2.0 * eps);
+            perturb(&mut |f| layer.visit_params(f), pi, idx, -2.0 * eps);
             let lm = half_sq_tensor(&layer.forward(x, false));
-            perturb_seq(layer, pi, idx, eps);
+            perturb(&mut |f| layer.visit_params(f), pi, idx, eps);
             let numeric = (lp - lm) / (2.0 * eps);
             let analytic = grad.as_slice()[idx];
             if !close(analytic, numeric, tol) {

@@ -11,8 +11,9 @@
 //! **accumulates** parameter gradients (so several backward passes sum,
 //! enabling composite losses like the paper's main + auxiliary loss of
 //! Eq. 13), and returns the gradient with respect to the layer's input.
-//! `visit_params` exposes `(param, grad)` pairs in a deterministic order
-//! for the optimisers.
+//! `visit_params` exposes `(param, grad)` pairs in a deterministic order;
+//! as a [`ParamVisitor`] that one walk is how the optimiser steps and
+//! clips a module and how checkpoints export and import it.
 //!
 //! Each layer has exactly one implementation: the [`Workspace`] pair
 //! `forward_ws`/`backward_ws`, which draws outputs and temporaries from a
@@ -24,29 +25,32 @@
 mod activation;
 mod conv1d;
 mod dense;
-mod dropout;
 mod gru;
 mod lstm;
 mod sequential;
-mod softmax;
 
 pub use activation::{ActKind, Activation, SeqActivation};
 pub use conv1d::Conv1d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use gru::Gru;
 pub use lstm::Lstm;
 pub use sequential::{SeqSequential, Sequential, TimeDistributed};
-pub use softmax::Softmax;
 
 use crate::matrix::Matrix;
 use crate::tensor3::Tensor3;
 use crate::workspace::Workspace;
 
+/// A module's `visit_params` walk as a closure: called with a slot
+/// visitor, it hands that visitor every `(parameter, gradient)` pair in
+/// the module's fixed slot order. Any trainable module — a [`Layer`], a
+/// [`SeqLayer`] or a composite such as an OVS stage — becomes one with
+/// `&mut |f| module.visit_params(f)`.
+pub type ParamVisitor<'v> = dyn FnMut(&mut dyn FnMut(&mut Matrix, &mut Matrix)) + 'v;
+
 /// A differentiable transformation of `(batch, features)` matrices.
 pub trait Layer {
     /// Computes the layer output, caching intermediates for the backward
-    /// pass. `train` toggles train-only behaviour (dropout). The output
+    /// pass. `train` marks a training pass. The output
     /// and internal temporaries come from `ws`; callers should `ws.give`
     /// the returned matrix back once done.
     fn forward_ws(&mut self, x: &Matrix, train: bool, ws: &mut Workspace) -> Matrix;

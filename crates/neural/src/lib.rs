@@ -20,7 +20,7 @@
 //! ```
 //! use neural::layers::{Dense, Activation, ActKind, Layer, Sequential};
 //! use neural::loss::mse;
-//! use neural::optim::{Adam, Optimizer};
+//! use neural::optim::Adam;
 //! use neural::Matrix;
 //! use neural::rng::Rng64;
 //!
@@ -37,7 +37,7 @@
 //!     let pred = net.forward(&x, true);
 //!     let (_, grad) = mse(&pred, &y);
 //!     net.backward(&grad);
-//!     opt.step(&mut net);
+//!     opt.step(&mut |f| net.visit_params(f));
 //!     net.zero_grad();
 //! }
 //! let pred = net.forward(&x, false);

@@ -747,19 +747,8 @@ fn softmax_row_inplace(row: &mut [f64]) {
 /// upstream gradient `dy`, returns `dx` where
 /// `dx = y * (dy - sum(dy * y, per row))`.
 pub fn softmax_rows_backward(y: &Matrix, dy: &Matrix) -> Matrix {
-    let mut dx = Matrix::zeros(y.rows(), y.cols());
-    softmax_rows_backward_into(y, dy, &mut dx);
-    dx
-}
-
-/// [`softmax_rows_backward`] into a caller-owned output (overwritten).
-pub(crate) fn softmax_rows_backward_into(y: &Matrix, dy: &Matrix, dx: &mut Matrix) {
     assert_eq!(y.shape(), dy.shape(), "softmax backward shape mismatch");
-    assert_eq!(
-        dx.shape(),
-        y.shape(),
-        "softmax backward output shape mismatch"
-    );
+    let mut dx = Matrix::zeros(y.rows(), y.cols());
     for r in 0..y.rows() {
         let yr = y.row(r);
         let dyr = dy.row(r);
@@ -768,6 +757,7 @@ pub(crate) fn softmax_rows_backward_into(y: &Matrix, dy: &Matrix, dx: &mut Matri
             *o = yv * (dyv - s);
         }
     }
+    dx
 }
 
 #[cfg(test)]
@@ -815,6 +805,7 @@ mod tests {
 
         /// All three tiled block kernels are bit-identical to the naive
         /// reference for arbitrary shapes and tile sizes.
+        #[test]
         fn tiled_kernels_match_naive(
             m in 1usize..24,
             k in 1usize..24,
@@ -844,6 +835,7 @@ mod tests {
 
         /// The public kernels (fixed production tiles) match the naive
         /// reference at shapes spanning several tiles.
+        #[test]
         fn public_kernels_match_naive(
             m in 60usize..110,
             k in 40usize..90,

@@ -1,156 +1,18 @@
-//! Optimisers.
+//! The optimiser: Adam, the one every model in the workspace trains with.
 //!
-//! The paper trains with learning rate 1e-3 (Table V); we provide plain
-//! SGD (with optional momentum) and Adam. Optimiser state (momentum /
-//! moment estimates) is kept per parameter *slot*, identified by the
-//! deterministic order `visit_params` yields — so an optimiser must be
-//! paired with one model for its lifetime.
+//! The paper trains with learning rate 1e-3 (Table V). Optimiser state
+//! (the moment estimates) is kept per parameter *slot*, identified by the
+//! deterministic order a module's `visit_params` walk yields — so an
+//! optimiser must be paired with one model for its lifetime. Every module
+//! is stepped and clipped through that walk as a [`ParamVisitor`]:
+//! `opt.step(&mut |f| net.visit_params(f))`.
 
-use crate::layers::{Layer, SeqLayer};
+use crate::layers::ParamVisitor;
 use crate::matrix::Matrix;
 use obs::Counter;
 
-/// Global counter of completed [`Sgd`] steps (all instances).
-pub const SGD_STEPS_METRIC: &str = "optim_sgd_steps_total";
 /// Global counter of completed [`Adam`] steps (all instances).
 pub const ADAM_STEPS_METRIC: &str = "optim_adam_steps_total";
-/// Global counter of completed [`RmsProp`] steps (all instances).
-pub const RMSPROP_STEPS_METRIC: &str = "optim_rmsprop_steps_total";
-
-/// Common optimiser interface over both layer families.
-pub trait Optimizer {
-    /// Called once per optimisation step before any [`Optimizer::apply`].
-    fn begin_step(&mut self);
-
-    /// Updates one `(param, grad)` slot.
-    fn apply(&mut self, slot: usize, p: &mut Matrix, g: &Matrix);
-
-    /// Number of slots this optimiser currently holds state for (0 until
-    /// the first step for stateful optimisers, always 0 for stateless
-    /// ones). [`Optimizer::step`] uses it to detect a model whose
-    /// parameter list shrank after the optimiser was bound to it.
-    fn bound_slots(&self) -> usize {
-        0
-    }
-
-    /// Steps every parameter of a flat layer/stack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layer exposes fewer parameter slots than the
-    /// optimiser holds state for — the optimiser was bound to a different
-    /// (larger) model and would silently mis-pair state otherwise.
-    fn step(&mut self, layer: &mut dyn Layer)
-    where
-        Self: Sized,
-    {
-        self.begin_step();
-        let mut slot = 0usize;
-        layer.visit_params(&mut |p, g| {
-            self.apply(slot, p, g);
-            slot += 1;
-        });
-        check_slot_count(slot, self.bound_slots());
-    }
-
-    /// Steps every parameter of a sequence layer/stack.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a slot-count mismatch, as for [`Optimizer::step`].
-    fn step_seq(&mut self, layer: &mut dyn SeqLayer)
-    where
-        Self: Sized,
-    {
-        self.begin_step();
-        let mut slot = 0usize;
-        layer.visit_params(&mut |p, g| {
-            self.apply(slot, p, g);
-            slot += 1;
-        });
-        check_slot_count(slot, self.bound_slots());
-    }
-}
-
-/// Shared slot-count guard for [`Optimizer::step`]/[`Optimizer::step_seq`].
-fn check_slot_count(visited: usize, bound: usize) {
-    assert!(
-        visited >= bound,
-        "optimiser/model mismatch: optimiser holds state for {bound} parameter \
-         slots but the model exposes only {visited}; an optimiser must stay \
-         paired with one model for its lifetime (create a fresh optimiser \
-         after editing the model)"
-    );
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: Vec<Matrix>,
-    // Cached handle: registry lookups allocate a key String per call,
-    // which would put a heap allocation in every training step.
-    steps: Counter,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(lr: f64) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-            steps: obs::global().counter(SGD_STEPS_METRIC),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-            steps: obs::global().counter(SGD_STEPS_METRIC),
-        }
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f64 {
-        self.lr
-    }
-
-    /// Adjusts the learning rate (schedules).
-    pub fn set_lr(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-
-    /// Number of parameter slots with momentum state.
-    pub fn slot_count(&self) -> usize {
-        self.velocity.len()
-    }
-}
-
-impl Optimizer for Sgd {
-    fn begin_step(&mut self) {
-        self.steps.inc();
-    }
-
-    fn bound_slots(&self) -> usize {
-        self.velocity.len()
-    }
-
-    fn apply(&mut self, slot: usize, p: &mut Matrix, g: &Matrix) {
-        if self.momentum == 0.0 {
-            p.axpy(-self.lr, g);
-            return;
-        }
-        let v = slot_state(&mut self.velocity, slot, p, "SGD");
-        v.scale(self.momentum);
-        v.axpy(-self.lr, g);
-        p.add_assign(v);
-    }
-}
 
 /// Grows `states` so `slot` exists, lazily sizes a fresh slot to the
 /// parameter, and returns the slot's state. A slot that already carries
@@ -158,12 +20,7 @@ impl Optimizer for Sgd {
 /// a model it was not paired with — refuse loudly instead of silently
 /// mis-pairing state.
 // lint: cold — sizes optimiser state on the first step only; steady-state calls return the live slot
-fn slot_state<'s>(
-    states: &'s mut Vec<Matrix>,
-    slot: usize,
-    p: &Matrix,
-    opt_name: &str,
-) -> &'s mut Matrix {
+fn slot_state<'s>(states: &'s mut Vec<Matrix>, slot: usize, p: &Matrix) -> &'s mut Matrix {
     if states.len() <= slot {
         states.resize_with(slot + 1, || Matrix::zeros(0, 0));
     }
@@ -172,7 +29,7 @@ fn slot_state<'s>(
     if s.shape() != p.shape() {
         assert!(
             s.is_empty(),
-            "{opt_name} slot {slot} shape mismatch: optimiser state is {:?} but the \
+            "Adam slot {slot} shape mismatch: optimiser state is {:?} but the \
              parameter is {:?}; an optimiser must stay paired with one model for \
              its lifetime (create a fresh optimiser after editing the model)",
             s.shape(),
@@ -193,7 +50,8 @@ pub struct Adam {
     t: u64,
     m: Vec<Matrix>,
     v: Vec<Matrix>,
-    // Cached handle: see `Sgd::steps`.
+    // Cached handle: registry lookups allocate a key String per call,
+    // which would put a heap allocation in every training step.
     steps: Counter,
 }
 
@@ -239,7 +97,7 @@ impl Adam {
         self.lr
     }
 
-    /// Adjusts the learning rate (schedules).
+    /// Adjusts the learning rate (the trainer's non-finite backoff).
     pub fn set_lr(&mut self, lr: f64) {
         self.lr = lr;
     }
@@ -249,6 +107,52 @@ impl Adam {
     /// of the model the optimiser is paired with.
     pub fn slot_count(&self) -> usize {
         self.m.len()
+    }
+
+    /// Takes one optimisation step over every `(param, grad)` slot the
+    /// module's `visit_params` walk yields.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot's shape differs from the moment state it holds, or
+    /// if the walk yields fewer slots than the optimiser holds state for:
+    /// either way the optimiser was bound to a different model and would
+    /// silently mis-pair state otherwise.
+    // lint: hot — the update of every zero-alloc training step
+    pub fn step(&mut self, visit: &mut ParamVisitor<'_>) {
+        self.t += 1;
+        self.steps.inc();
+        // The bias corrections depend on `t` alone, so they are the same
+        // for every slot of this step.
+        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
+        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        let mut slot = 0usize;
+        visit(&mut |p, g| {
+            let m = slot_state(&mut self.m, slot, p);
+            let v = slot_state(&mut self.v, slot, p);
+            for ((pv, gv), (mv, vv)) in p
+                .as_mut_slice()
+                .iter_mut()
+                .zip(g.as_slice())
+                .zip(m.as_mut_slice().iter_mut().zip(v.as_mut_slice().iter_mut()))
+            {
+                *mv = beta1 * *mv + (1.0 - beta1) * gv;
+                *vv = beta2 * *vv + (1.0 - beta2) * gv * gv;
+                let m_hat = *mv / bc1;
+                let v_hat = *vv / bc2;
+                *pv -= lr * m_hat / (v_hat.sqrt() + eps);
+            }
+            slot += 1;
+        });
+        let bound = self.m.len();
+        assert!(
+            slot >= bound,
+            "optimiser/model mismatch: optimiser holds state for {bound} parameter \
+             slots but the model exposes only {slot}; an optimiser must stay \
+             paired with one model for its lifetime (create a fresh optimiser \
+             after editing the model)"
+        );
     }
 
     /// Captures the full optimiser state for checkpointing.
@@ -287,142 +191,15 @@ impl Adam {
     }
 }
 
-impl Optimizer for Adam {
-    // lint: hot — advances the step counter once per zero-alloc training step
-    fn begin_step(&mut self) {
-        self.t += 1;
-        self.steps.inc();
-    }
-
-    fn bound_slots(&self) -> usize {
-        self.m.len()
-    }
-
-    // lint: hot — per-parameter update kernel of the zero-alloc training step
-    fn apply(&mut self, slot: usize, p: &mut Matrix, g: &Matrix) {
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let m = slot_state(&mut self.m, slot, p, "Adam");
-        let v = slot_state(&mut self.v, slot, p, "Adam");
-        for ((pv, gv), (mv, vv)) in p
-            .as_mut_slice()
-            .iter_mut()
-            .zip(g.as_slice())
-            .zip(m.as_mut_slice().iter_mut().zip(v.as_mut_slice().iter_mut()))
-        {
-            *mv = self.beta1 * *mv + (1.0 - self.beta1) * gv;
-            *vv = self.beta2 * *vv + (1.0 - self.beta2) * gv * gv;
-            let m_hat = *mv / bc1;
-            let v_hat = *vv / bc2;
-            *pv -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-        }
-    }
-}
-
-/// RMSProp (Tieleman & Hinton 2012): per-parameter learning rates from an
-/// exponential moving average of squared gradients.
-#[derive(Debug, Clone)]
-pub struct RmsProp {
-    lr: f64,
-    decay: f64,
-    eps: f64,
-    v: Vec<Matrix>,
-    // Cached handle: see `Sgd::steps`.
-    steps: Counter,
-}
-
-impl RmsProp {
-    /// RMSProp with the customary decay of 0.9.
-    pub fn new(lr: f64) -> Self {
-        Self {
-            lr,
-            decay: 0.9,
-            eps: 1e-8,
-            v: Vec::new(),
-            steps: obs::global().counter(RMSPROP_STEPS_METRIC),
-        }
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f64 {
-        self.lr
-    }
-
-    /// Adjusts the learning rate (schedules).
-    pub fn set_lr(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-}
-
-impl Optimizer for RmsProp {
-    fn begin_step(&mut self) {
-        self.steps.inc();
-    }
-
-    fn bound_slots(&self) -> usize {
-        self.v.len()
-    }
-
-    fn apply(&mut self, slot: usize, p: &mut Matrix, g: &Matrix) {
-        let v = slot_state(&mut self.v, slot, p, "RMSProp");
-        for ((pv, gv), vv) in p
-            .as_mut_slice()
-            .iter_mut()
-            .zip(g.as_slice())
-            .zip(v.as_mut_slice().iter_mut())
-        {
-            *vv = self.decay * *vv + (1.0 - self.decay) * gv * gv;
-            *pv -= self.lr * gv / (vv.sqrt() + self.eps);
-        }
-    }
-}
-
-/// Step-decay learning-rate schedule: multiplies the base rate by
-/// `gamma` every `period` steps.
-#[derive(Debug, Clone)]
-pub struct StepDecay {
-    base_lr: f64,
-    gamma: f64,
-    period: usize,
-}
-
-impl StepDecay {
-    /// Creates a schedule. `period` must be positive; `gamma` in (0, 1].
-    pub fn new(base_lr: f64, gamma: f64, period: usize) -> Self {
-        Self {
-            base_lr,
-            gamma: gamma.clamp(1e-6, 1.0),
-            period: period.max(1),
-        }
-    }
-
-    /// The learning rate at `step` (0-based).
-    pub fn lr_at(&self, step: usize) -> f64 {
-        self.base_lr * self.gamma.powi((step / self.period) as i32)
-    }
-}
-
-/// Scales all gradients of `layer` so their global L2 norm is at most
-/// `max_norm`. Returns the pre-clip norm.
-pub fn clip_grad_norm(layer: &mut dyn Layer, max_norm: f64) -> f64 {
+/// Scales every gradient the walk yields so their global L2 norm is at
+/// most `max_norm`. Returns the pre-clip norm.
+pub fn clip_grad_norm(visit: &mut ParamVisitor<'_>, max_norm: f64) -> f64 {
     let mut sq = 0.0;
-    layer.visit_params(&mut |_, g| sq += g.as_slice().iter().map(|v| v * v).sum::<f64>());
+    visit(&mut |_, g| sq += g.as_slice().iter().map(|v| v * v).sum::<f64>());
     let norm = sq.sqrt();
     if norm > max_norm && norm > 0.0 {
         let scale = max_norm / norm;
-        layer.visit_params(&mut |_, g| g.scale(scale));
-    }
-    norm
-}
-
-/// Sequence-layer variant of [`clip_grad_norm`].
-pub fn clip_grad_norm_seq(layer: &mut dyn SeqLayer, max_norm: f64) -> f64 {
-    let mut sq = 0.0;
-    layer.visit_params(&mut |_, g| sq += g.as_slice().iter().map(|v| v * v).sum::<f64>());
-    let norm = sq.sqrt();
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        layer.visit_params(&mut |_, g| g.scale(scale));
+        visit(&mut |_, g| g.scale(scale));
     }
     norm
 }
@@ -430,12 +207,12 @@ pub fn clip_grad_norm_seq(layer: &mut dyn SeqLayer, max_norm: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{ActKind, Activation, Dense, Sequential};
+    use crate::layers::{ActKind, Activation, Dense, Layer, Sequential};
     use crate::loss::mse;
     use crate::rng::Rng64;
 
     /// A convex quadratic fit: y = 2x - 1 learned by a linear layer.
-    fn train_linear(opt: &mut impl Optimizer, steps: usize) -> f64 {
+    fn train_linear(opt: &mut Adam, steps: usize) -> f64 {
         let mut rng = Rng64::new(0);
         let mut net = Dense::new(1, 1, &mut rng);
         let x = Matrix::from_vec(8, 1, (0..8).map(|i| i as f64 / 4.0).collect()).unwrap();
@@ -445,26 +222,16 @@ mod tests {
             let pred = net.forward(&x, true);
             let (loss, grad) = mse(&pred, &y);
             net.backward(&grad);
-            opt.step(&mut net);
+            opt.step(&mut |f| net.visit_params(f));
             net.zero_grad();
             last = loss;
         }
         last
     }
 
-    #[test]
-    fn sgd_converges_on_linear_fit() {
-        let mut opt = Sgd::new(0.1);
-        assert!(train_linear(&mut opt, 500) < 1e-3);
-    }
-
-    #[test]
-    fn momentum_accelerates_sgd() {
-        let mut plain = Sgd::new(0.02);
-        let mut fancy = Sgd::with_momentum(0.02, 0.9);
-        let slow = train_linear(&mut plain, 100);
-        let fast = train_linear(&mut fancy, 100);
-        assert!(fast < slow, "momentum {fast} should beat plain {slow}");
+    /// Steps `opt` over one bare `(param, grad)` slot.
+    fn step_one(opt: &mut Adam, p: &mut Matrix, g: &mut Matrix) {
+        opt.step(&mut |f| f(p, g));
     }
 
     #[test]
@@ -479,9 +246,8 @@ mod tests {
         // ~lr regardless of gradient scale.
         let mut opt = Adam::new(0.1);
         let mut p = Matrix::filled(1, 1, 0.0);
-        let g = Matrix::filled(1, 1, 1234.0);
-        opt.begin_step();
-        opt.apply(0, &mut p, &g);
+        let mut g = Matrix::filled(1, 1, 1234.0);
+        step_one(&mut opt, &mut p, &mut g);
         assert!((p.get(0, 0).abs() - 0.1).abs() < 1e-6, "{}", p.get(0, 0));
     }
 
@@ -497,21 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn rmsprop_converges_on_linear_fit() {
-        let mut opt = RmsProp::new(0.01);
-        assert!(train_linear(&mut opt, 500) < 1e-3);
-    }
-
-    #[test]
-    fn step_decay_schedule() {
-        let s = StepDecay::new(0.1, 0.5, 100);
-        assert_eq!(s.lr_at(0), 0.1);
-        assert_eq!(s.lr_at(99), 0.1);
-        assert!((s.lr_at(100) - 0.05).abs() < 1e-12);
-        assert!((s.lr_at(250) - 0.025).abs() < 1e-12);
-    }
-
-    #[test]
     fn clip_grad_norm_caps_and_reports() {
         let mut rng = Rng64::new(1);
         let mut net = Sequential::new(vec![
@@ -521,7 +272,7 @@ mod tests {
         let x = Matrix::filled(4, 2, 1.0);
         let y = net.forward(&x, true);
         net.backward(&y);
-        let pre = clip_grad_norm(&mut net, 1e-3);
+        let pre = clip_grad_norm(&mut |f| net.visit_params(f), 1e-3);
         assert!(pre > 1e-3);
         let mut sq = 0.0;
         net.visit_params(&mut |_, g| sq += g.as_slice().iter().map(|v| v * v).sum::<f64>());
@@ -542,7 +293,7 @@ mod tests {
             let pred = net.forward(&x, true);
             let (loss, grad) = mse(&pred, &y);
             net.backward(&grad);
-            opt.step(net);
+            opt.step(&mut |f| net.visit_params(f));
             net.zero_grad();
             loss
         };
@@ -569,15 +320,13 @@ mod tests {
     fn adam_panics_on_repaired_model_shape() {
         let mut opt = Adam::new(0.1);
         let mut p = Matrix::filled(2, 2, 0.0);
-        let g = Matrix::filled(2, 2, 1.0);
-        opt.begin_step();
-        opt.apply(0, &mut p, &g);
+        let mut g = Matrix::filled(2, 2, 1.0);
+        step_one(&mut opt, &mut p, &mut g);
         // Same slot, different shape: the optimiser was bound to another
         // model — must refuse instead of silently resetting state.
         let mut p2 = Matrix::filled(3, 1, 0.0);
-        let g2 = Matrix::filled(3, 1, 1.0);
-        opt.begin_step();
-        opt.apply(0, &mut p2, &g2);
+        let mut g2 = Matrix::filled(3, 1, 1.0);
+        step_one(&mut opt, &mut p2, &mut g2);
     }
 
     #[test]
@@ -593,18 +342,15 @@ mod tests {
         let mut opt = Adam::new(0.1);
         let y = big.forward(&x, true);
         big.backward(&y);
-        opt.step(&mut big);
+        opt.step(&mut |f| big.visit_params(f));
         assert_eq!(opt.slot_count(), 4);
         let y = small.forward(&x, true);
         small.backward(&y);
-        opt.step(&mut small); // 2 slots < 4 bound slots
+        opt.step(&mut |f| small.visit_params(f)); // 2 slots < 4 bound slots
     }
 
     #[test]
     fn lr_setters() {
-        let mut s = Sgd::new(0.1);
-        s.set_lr(0.01);
-        assert_eq!(s.lr(), 0.01);
         let mut a = Adam::new(0.1);
         a.set_lr(0.5);
         assert_eq!(a.lr(), 0.5);

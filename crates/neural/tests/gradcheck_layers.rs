@@ -1,12 +1,12 @@
-//! Integration-level gradient checks for the layers the OVS model relies
+//! Integration-level gradient checks for the pieces the OVS model relies
 //! on most: `Conv1d` (speed-pattern feature extraction), `Lstm` (temporal
-//! encoder), and `Softmax` (attention-weight head). Each analytic backward
-//! pass is compared against central finite differences of the scalar loss
-//! `L(y) = 0.5 * ||y||^2`; every forward runs with `train = false`, so
-//! dropout (were any present in the stack under test) is disabled.
+//! encoder), and the row-wise softmax behind TOD2V's route shares. Each
+//! analytic backward pass is compared against central finite differences
+//! of the scalar loss `L(y) = 0.5 * ||y||^2`.
 
-use neural::gradcheck::{check_layer_input, check_seq_layer_input, check_seq_layer_params};
-use neural::layers::{Conv1d, Lstm, Softmax};
+use neural::gradcheck::{check_seq_layer_input, check_seq_layer_params};
+use neural::layers::{Conv1d, Lstm};
+use neural::matrix::{softmax_rows, softmax_rows_backward};
 use neural::rng::Rng64;
 use neural::{Matrix, Tensor3};
 
@@ -27,19 +27,44 @@ fn random_tensor(b: usize, t: usize, f: usize, seed: u64) -> Tensor3 {
     x
 }
 
+fn softmax(x: &Matrix) -> Matrix {
+    let mut y = x.clone();
+    softmax_rows(&mut y);
+    y
+}
+
+/// Checks `softmax_rows_backward` against central differences of
+/// `0.5 * ||softmax(x)||^2`, whose upstream gradient is `y` itself, with
+/// the same relative/absolute comparison as `neural::gradcheck`.
+fn softmax_backward_matches_finite_differences(x: &Matrix, tol: f64) {
+    let y = softmax(x);
+    let dx = softmax_rows_backward(&y, &y);
+    let half_sq = |m: &Matrix| 0.5 * softmax(m).as_slice().iter().map(|v| v * v).sum::<f64>();
+    for idx in 0..x.len() {
+        let mut xp = x.clone();
+        xp.as_mut_slice()[idx] += EPS;
+        let mut xm = x.clone();
+        xm.as_mut_slice()[idx] -= EPS;
+        let numeric = (half_sq(&xp) - half_sq(&xm)) / (2.0 * EPS);
+        let analytic = dx.as_slice()[idx];
+        let denom = analytic.abs().max(numeric.abs()).max(1.0);
+        assert!(
+            (analytic - numeric).abs() / denom <= tol,
+            "softmax grad mismatch at {idx}: analytic {analytic} vs numeric {numeric}"
+        );
+    }
+}
+
 #[test]
 fn softmax_input_gradient_matches_finite_differences() {
-    let mut layer = Softmax::new();
-    let x = random_matrix(4, 6, 11);
-    assert!(check_layer_input(&mut layer, &x, EPS, TOL));
+    softmax_backward_matches_finite_differences(&random_matrix(4, 6, 11), TOL);
 }
 
 #[test]
 fn softmax_input_gradient_survives_large_logits() {
     // Shifted logits exercise the max-subtraction stabilisation path.
-    let mut layer = Softmax::new();
     let x = random_matrix(3, 5, 12).map(|v| v * 4.0 + 50.0);
-    assert!(check_layer_input(&mut layer, &x, EPS, 1e-5));
+    softmax_backward_matches_finite_differences(&x, 1e-5);
 }
 
 #[test]

@@ -7,7 +7,7 @@ use neural::gradcheck::{
 use neural::layers::{ActKind, Activation, Conv1d, Dense, Layer, Lstm, Sequential};
 use neural::loss::mse;
 use neural::matrix::softmax_rows;
-use neural::optim::{Adam, Optimizer, Sgd};
+use neural::optim::Adam;
 use neural::rng::Rng64;
 use neural::{Matrix, Tensor3};
 use proptest::prelude::*;
@@ -76,7 +76,7 @@ proptest! {
         }
     }
 
-    /// One optimiser step along the analytic gradient reduces the loss of
+    /// One gradient-descent step along the analytic gradient reduces the loss of
     /// a smooth network (small enough learning rate).
     #[test]
     fn gradient_step_descends(seed in 0u64..500) {
@@ -94,8 +94,8 @@ proptest! {
         let before = mse(&net.forward(&x, true), &y).0;
         let (_, grad) = mse(&net.forward(&x, true), &y);
         net.backward(&grad);
-        let mut opt = Sgd::new(1e-3);
-        opt.step(&mut net);
+        // Plain SGD: p -= 1e-3 * g.
+        net.visit_params(&mut |p, g| p.axpy(-1e-3, g));
         net.zero_grad();
         let after = mse(&net.forward(&x, false), &y).0;
         prop_assert!(after <= before + 1e-12, "{after} vs {before}");
@@ -119,7 +119,7 @@ fn adam_solves_random_linear_regression() {
         let pred = net.forward(&x, true);
         let (loss, grad) = mse(&pred, &y);
         net.backward(&grad);
-        opt.step(&mut net);
+        opt.step(&mut |f| net.visit_params(f));
         net.zero_grad();
         last = loss;
     }

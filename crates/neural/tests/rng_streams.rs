@@ -11,6 +11,7 @@ proptest! {
 
     /// For any master seed, 10_000 consecutive indices map to 10_000
     /// distinct stream seeds (and none equals the master itself).
+    #[test]
     fn stream_seeds_never_collide_across_10k_indices(master in 0u64..u64::MAX) {
         let mut seen = HashSet::with_capacity(10_000);
         for index in 0..10_000u64 {
@@ -22,6 +23,7 @@ proptest! {
 
     /// Randomly scattered (not just consecutive) indices stay collision
     /// free, and streams for a fixed index differ across master seeds.
+    #[test]
     fn scattered_indices_stay_distinct(
         master in 0u64..u64::MAX,
         indices in proptest::collection::vec(0u64..1_000_000_000, 200),

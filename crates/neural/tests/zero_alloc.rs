@@ -1,7 +1,7 @@
 //! Steady-state training steps through the `_ws` (workspace) paths must
 //! be allocation-free: after a short warmup that sizes the buffer pool,
 //! the optimiser moment slots and the layers' caches (LSTM/GRU state,
-//! im2col, dropout mask), a training step touches the heap zero times.
+//! im2col), a training step touches the heap zero times.
 //! Every layer type runs in at least one of the stacks below.
 //!
 //! A counting `#[global_allocator]` wraps `System`; the whole file is one
@@ -11,12 +11,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use neural::layers::{
-    ActKind, Activation, Conv1d, Dense, Dropout, Gru, Layer, Lstm, SeqActivation, SeqLayer,
-    SeqSequential, Sequential, Softmax, TimeDistributed,
+    ActKind, Activation, Conv1d, Dense, Gru, Layer, Lstm, SeqActivation, SeqLayer, SeqSequential,
+    Sequential, TimeDistributed,
 };
 use neural::loss::{mse_into, mse_seq_into};
 use neural::matrix::Matrix;
-use neural::optim::{Adam, Optimizer};
+use neural::optim::Adam;
 use neural::rng::Rng64;
 use neural::tensor3::Tensor3;
 use neural::workspace::Workspace;
@@ -72,12 +72,7 @@ fn flat_step(
     ws.give(y);
     let dx = model.backward_ws(grad, ws);
     ws.give(dx);
-    opt.begin_step();
-    let mut slot = 0;
-    model.visit_params(&mut |p, g| {
-        opt.apply(slot, p, g);
-        slot += 1;
-    });
+    opt.step(&mut |f| model.visit_params(f));
     model.zero_grad();
     loss
 }
@@ -95,12 +90,7 @@ fn seq_step(
     ws.give3(y);
     let dx = model.backward_ws(grad, ws);
     ws.give3(dx);
-    opt.begin_step();
-    let mut slot = 0;
-    model.visit_params(&mut |p, g| {
-        opt.apply(slot, p, g);
-        slot += 1;
-    });
+    opt.step(&mut |f| model.visit_params(f));
     model.zero_grad();
     loss
 }
@@ -181,15 +171,6 @@ fn training_steps_are_allocation_free_after_warmup() {
         Box::new(Activation::new(ActKind::Sigmoid)),
     ]);
     assert_flat_stack_allocation_free("dense stack", &mut dense, (8, 3, 2), &mut rng);
-
-    // Flat stack with train-mode dropout and a softmax head.
-    let mut dropout = Sequential::new(vec![
-        Box::new(Dense::new(4, 12, &mut rng)) as Box<dyn Layer>,
-        Box::new(Dropout::new(0.3, 5)),
-        Box::new(Dense::new(12, 3, &mut rng)),
-        Box::new(Softmax::new()),
-    ]);
-    assert_flat_stack_allocation_free("dropout/softmax stack", &mut dropout, (8, 4, 3), &mut rng);
 
     // LSTM sequence stack (the paper's V2S shape).
     let mut lstm = SeqSequential::new(vec![

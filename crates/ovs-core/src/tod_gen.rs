@@ -201,7 +201,7 @@ mod tests {
     /// exactly the paper's test-time procedure.
     fn fit(variant: OvsVariant) -> (f64, f64) {
         use neural::loss::mse;
-        use neural::optim::{Adam, Optimizer};
+        use neural::optim::Adam;
         let c = cfg().with_variant(variant);
         let mut rng = Rng64::new(1);
         let mut gen = TodGeneration::new(5, 4, &c, &mut rng);
@@ -213,12 +213,7 @@ mod tests {
             let g = gen.forward(true);
             let (loss, grad) = mse(&g, &target);
             gen.backward(&grad);
-            let mut slot = 0;
-            opt.begin_step();
-            gen.visit_params(&mut |p, gr| {
-                opt.apply(slot, p, gr);
-                slot += 1;
-            });
+            opt.step(&mut |f| gen.visit_params(f));
             gen.zero_grad();
             last = loss;
         }

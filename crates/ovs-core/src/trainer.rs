@@ -20,9 +20,9 @@ use crate::estimator::{
     link_to_matrix, matrix_to_tod, tod_to_matrix, validate_input, EstimatorInput, TodEstimator,
 };
 use crate::model::OvsModel;
-use checkpoint::module::ParamVisitor;
+use neural::layers::ParamVisitor;
 use neural::loss::{huber, mse, mse_into};
-use neural::optim::{Adam, AdamSnapshot, Optimizer};
+use neural::optim::{clip_grad_norm, Adam, AdamSnapshot};
 use neural::{Matrix, Workspace};
 use roadnet::{Result, RoadnetError, TodTensor};
 // lint: allow(determinism) — wall clock feeds the trainer's Timing-class
@@ -488,29 +488,6 @@ impl StageGuard {
     }
 }
 
-/// Steps an Adam optimiser over a module exposed through a
-/// `visit_params`-style closure.
-fn adam_step(opt: &mut Adam, visit: &mut ParamVisitor<'_>) {
-    opt.begin_step();
-    let mut slot = 0usize;
-    visit(&mut |p, g| {
-        opt.apply(slot, p, g);
-        slot += 1;
-    });
-}
-
-/// Clips the global gradient norm of a module; returns the pre-clip norm.
-fn clip_grads(visit: &mut ParamVisitor<'_>, max_norm: f64) -> f64 {
-    let mut sq = 0.0;
-    visit(&mut |_, g| sq += g.as_slice().iter().map(|v| v * v).sum::<f64>());
-    let norm = sq.sqrt();
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        visit(&mut |_, g| g.scale(scale));
-    }
-    norm
-}
-
 /// Estimates the per-cell demand level of the hidden scenario by
 /// interpolating the corpus (total demand -> city mean speed) curve at the
 /// observed mean speed.
@@ -864,7 +841,7 @@ impl OvsTrainer {
         let mut steps_taken = 0usize;
         while p.step < plan.epochs {
             let mut loss = (plan.step)(model, &mut ws);
-            let mut norm = clip_grads(&mut |f| visit(model, f), self.cfg.grad_clip);
+            let mut norm = clip_grad_norm(&mut |f| visit(model, f), self.cfg.grad_clip);
             if let Some(tamper) = opts.tamper.as_mut() {
                 tamper(stage, p.step, &mut loss, &mut norm);
             }
@@ -875,7 +852,7 @@ impl OvsTrainer {
                 visit(model, &mut |_, g| g.fill_zero());
                 continue;
             }
-            adam_step(&mut p.opt, &mut |f| visit(model, f));
+            p.opt.step(&mut |f| visit(model, f));
             visit(model, &mut |_, g| g.fill_zero());
             p.losses.push(loss);
             p.step += 1;

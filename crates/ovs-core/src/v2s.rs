@@ -127,7 +127,7 @@ impl VolumeSpeedMapping {
 mod tests {
     use super::*;
     use neural::loss::mse;
-    use neural::optim::{Adam, Optimizer};
+    use neural::optim::Adam;
 
     fn cfg(variant: OvsVariant) -> OvsConfig {
         OvsConfig::tiny().with_variant(variant)
@@ -159,12 +159,7 @@ mod tests {
             let pred = m.forward(&q, true);
             let (loss, grad) = mse(&pred, &target);
             m.backward(&grad);
-            let mut slot = 0;
-            opt.begin_step();
-            m.visit_params(&mut |p, g| {
-                opt.apply(slot, p, g);
-                slot += 1;
-            });
+            opt.step(&mut |f| m.visit_params(f));
             m.zero_grad();
             last = loss;
         }

@@ -106,6 +106,7 @@ proptest! {
     /// Routes read off a full shortest-path tree equal the early-exit
     /// search on grids (where equal-cost ties abound) under random link
     /// masks, for every node pair.
+    #[test]
     fn grid_tree_routes_match_dijkstra(
         rows in 2usize..6,
         cols in 2usize..6,
@@ -121,6 +122,7 @@ proptest! {
 
     /// The same on irregular networks, whose sparse, uneven degrees leave
     /// pairs unreachable under far lighter masks.
+    #[test]
     fn irregular_tree_routes_match_dijkstra(
         nodes in 4usize..14,
         seed in 0u64..10_000,
