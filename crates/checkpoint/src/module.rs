@@ -66,7 +66,7 @@ pub fn check_signature(sig: &[(usize, usize)], weights: &[Matrix]) -> Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neural::layers::{ActKind, Activation, Dense, Layer, Sequential};
+    use neural::layers::{ActKind, Activation, Dense, Layer, Lstm, SeqLayer, Sequential};
     use neural::rng::Rng64;
 
     fn stack(seed: u64) -> Sequential {
@@ -110,6 +110,64 @@ mod tests {
             Err(CheckpointError::ShapeMismatch { .. })
         ));
         assert_eq!(export(&mut a), before);
+    }
+
+    #[test]
+    fn seq_layers_round_trip_through_the_same_functions() {
+        let mut a = Lstm::new(2, 3, &mut Rng64::new(4));
+        let mut b = Lstm::new(2, 3, &mut Rng64::new(5));
+        let wa = export_visit(&mut |f| a.visit_params(f));
+        assert_ne!(export_visit(&mut |f| b.visit_params(f)), wa);
+        import_visit(&mut |f| b.visit_params(f), &wa).unwrap();
+        assert_eq!(export_visit(&mut |f| b.visit_params(f)), wa);
+    }
+
+    #[test]
+    fn one_walk_may_span_several_modules() {
+        // Composite modules (an OVS stage, a baseline net) chain their
+        // parts' walks; the chained order is the schema.
+        let mut dense = stack(6);
+        let mut lstm = Lstm::new(2, 2, &mut Rng64::new(6));
+        let mut both = |f: &mut dyn FnMut(&mut Matrix, &mut Matrix)| {
+            dense.visit_params(f);
+            lstm.visit_params(f);
+        };
+        let ws = export_visit(&mut both);
+        let sig = signature_visit(&mut both);
+        assert_eq!(ws.iter().map(Matrix::shape).collect::<Vec<_>>(), sig);
+        // The dense stack's four slots come first, then the LSTM's.
+        assert!(sig.len() > 4);
+        assert_eq!(sig[..4], [(3, 4), (1, 4), (4, 2), (1, 2)]);
+        // The parts' own walks, swapped, are a different schema.
+        let mut swapped = ws.clone();
+        swapped.rotate_left(4);
+        assert!(import_visit(&mut both, &swapped).is_err());
+        assert!(import_visit(&mut both, &ws).is_ok());
+    }
+
+    #[test]
+    fn parameter_free_modules_have_an_empty_schema() {
+        let mut act = Activation::new(ActKind::Tanh);
+        assert!(export_visit(&mut |f| act.visit_params(f)).is_empty());
+        assert!(import_visit(&mut |f| act.visit_params(f), &[]).is_ok());
+        let err = import_visit(&mut |f| act.visit_params(f), &[Matrix::zeros(1, 1)]);
+        assert!(matches!(err, Err(CheckpointError::ShapeMismatch { .. })));
+    }
+
+    #[test]
+    fn check_signature_names_the_first_mismatched_slot() {
+        let sig = [(2, 2), (1, 2), (2, 1)];
+        let ws = [
+            Matrix::zeros(2, 2),
+            Matrix::zeros(2, 1),
+            Matrix::zeros(1, 2),
+        ];
+        let Err(CheckpointError::ShapeMismatch { expected, actual }) = check_signature(&sig, &ws)
+        else {
+            panic!("a transposed slot must be refused");
+        };
+        assert_eq!(expected, "slot 1 of shape (1, 2)");
+        assert_eq!(actual, "(2, 1)");
     }
 
     #[test]

@@ -853,6 +853,216 @@ severity = 0.8
         assert!(err.message.contains("'fiT'"), "{err}");
     }
 
+    /// The message of the error `text` must fail with.
+    fn error_of(text: &str) -> String {
+        FaultPlan::parse(text).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn blank_array_items_are_skipped() {
+        let plan = FaultPlan::parse("[sweep]\ndropouts = [0.1, , 0.2,]\n").unwrap();
+        assert_eq!(plan.sweep.dropouts, vec![0.1, 0.2]);
+        let plan = FaultPlan::parse("[training]\nnonfinite_steps = []\n").unwrap();
+        assert!(plan.training.nonfinite_steps.is_empty());
+    }
+
+    #[test]
+    fn unterminated_arrays_and_strings_are_rejected() {
+        let err = FaultPlan::parse("[sweep]\ndropouts = [0.1, 0.2\n").unwrap_err();
+        assert_eq!(err.line, Some(2));
+        assert!(
+            err.message.contains("unterminated array '[0.1, 0.2'"),
+            "{err}"
+        );
+        let err = FaultPlan::parse("[training]\nstage = \"fit\n").unwrap_err();
+        assert_eq!(err.line, Some(2));
+        assert!(err.message.contains("unterminated string \"fit"), "{err}");
+    }
+
+    #[test]
+    fn non_numeric_array_elements_are_quoted() {
+        let err = FaultPlan::parse("[sweep]\n\ndropouts = [0.1, zero]\n").unwrap_err();
+        assert_eq!(err.line, Some(3));
+        assert!(err.message.contains("array element 'zero'"), "{err}");
+    }
+
+    #[test]
+    fn tick_lists_keep_their_order_and_repeats() {
+        let plan = FaultPlan::parse("[network]\nsweep_durations = [120, 30, 30]\n").unwrap();
+        assert_eq!(plan.network.sweep.duration_ticks, vec![120, 30, 30]);
+    }
+
+    #[test]
+    fn tick_lists_reject_zero_and_fractional_ticks() {
+        for bad in ["[0]", "[30, 1.5]", "[-2]"] {
+            let err = error_of(&format!("[network]\nsweep_durations = {bad}\n"));
+            assert!(err.contains("positive integer tick counts"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn step_lists_reject_negative_and_fractional_steps() {
+        for bad in ["[-1]", "[3, 2.5]"] {
+            let err = error_of(&format!("[training]\nckpt_fail_steps = {bad}\n"));
+            assert!(err.contains("non-negative integer steps"), "{bad}: {err}");
+        }
+        let plan = FaultPlan::parse("[training]\nckpt_fail_steps = [0, 9, 0, 4, 9]\n").unwrap();
+        assert_eq!(plan.training.ckpt_fail_steps, vec![0, 4, 9]);
+    }
+
+    #[test]
+    fn seed_must_be_a_non_negative_integer() {
+        assert_eq!(FaultPlan::parse("seed = 7\n").unwrap().seed, 7);
+        for bad in ["-1", "1.5", "1e30"] {
+            let err = error_of(&format!("seed = {bad}\n"));
+            assert!(
+                err.contains("seed expects a non-negative integer"),
+                "{bad}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn values_of_the_wrong_type_name_the_key() {
+        for (text, want) in [
+            (
+                "[observation]\ndropout = \"high\"\n",
+                "dropout expects a number",
+            ),
+            (
+                "[training]\npersistent = 1\n",
+                "persistent expects true/false",
+            ),
+            ("[training]\nstage = fit\n", "cannot parse value 'fit'"),
+            ("[training]\nstage = 2\n", "stage expects a string"),
+            ("[sweep]\ndropouts = 0.5\n", "dropouts expects an array"),
+            ("[network]\nkind = [1]\n", "kind expects a string"),
+        ] {
+            let err = error_of(text);
+            assert!(err.contains(want), "{text:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn bit_flips_saturate_at_u32_max() {
+        let plan = FaultPlan::parse("[storage]\nbit_flips = 10000000000\n").unwrap();
+        assert_eq!(plan.storage.bit_flips, u32::MAX);
+        let plan = FaultPlan::parse("[storage]\ntruncate_bytes = 10000000000\n").unwrap();
+        assert_eq!(plan.storage.truncate_bytes, 10_000_000_000);
+    }
+
+    #[test]
+    fn comments_indentation_and_blank_lines_are_ignored() {
+        let plan = FaultPlan::parse(
+            "# header\n\n   seed = 3   # trailing\n  [observation]  \n\tdropout=0.25\n#[storage]\n",
+        )
+        .unwrap();
+        assert_eq!(plan.seed, 3);
+        assert_eq!(plan.observation.dropout, 0.25);
+        assert!(!plan.storage.is_active());
+    }
+
+    #[test]
+    fn malformed_section_headers_are_rejected() {
+        let err = FaultPlan::parse("seed = 1\n[observation\n").unwrap_err();
+        assert_eq!(err.line, Some(2));
+        assert!(
+            err.message.contains("malformed section '[observation'"),
+            "{err}"
+        );
+        let err = FaultPlan::parse("[[network.incident]\n").unwrap_err();
+        assert!(err.message.contains("malformed array section"), "{err}");
+    }
+
+    #[test]
+    fn a_section_header_closes_an_open_incident() {
+        let plan = FaultPlan::parse(
+            "[[network.incident]]\nkind = \"closure\"\nlink = 1\nduration_ticks = 5\nseverity = 1\n\
+             [network]\nkind = \"signal_outage\"\n",
+        )
+        .unwrap();
+        assert_eq!(plan.network.incidents.len(), 1);
+        assert_eq!(plan.network.incidents[0].kind, IncidentKind::Closure);
+        assert_eq!(plan.network.sweep.kind, IncidentKind::SignalOutage);
+        // Keys of a closed incident's section are not incident keys any more.
+        let err = error_of(
+            "[[network.incident]]\nkind = \"closure\"\nlink = 1\nduration_ticks = 5\nseverity = 1\n\
+             [sweep]\nlink = 2\n",
+        );
+        assert!(
+            err.contains("unknown key 'link' in section [sweep]"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn noise_sigmas_must_be_finite_and_non_negative() {
+        for bad in ["-0.5", "inf", "nan"] {
+            let err = error_of(&format!("[observation]\nnoise_std = {bad}\n"));
+            assert!(err.contains("observation.noise_std"), "{bad}: {err}");
+            let err = error_of(&format!("[sweep]\nnoise_stds = [0.0, {bad}]\n"));
+            assert!(err.contains("sweep.noise_stds entry"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn sweep_dropouts_must_be_probabilities() {
+        let err = error_of("[sweep]\ndropouts = [0.0, 1.2]\n");
+        assert!(err.contains("sweep.dropouts entry 1.2"), "{err}");
+        let plan = FaultPlan::parse("[sweep]\ndropouts = [0.0, 1.0]\n").unwrap();
+        assert_eq!(plan.sweep.dropouts, vec![0.0, 1.0]);
+    }
+
+    #[test]
+    fn lines_without_an_equals_sign_are_rejected() {
+        let err = FaultPlan::parse("seed = 1\nseed 2\n").unwrap_err();
+        assert_eq!(err.line, Some(2));
+        assert!(
+            err.message.contains("expected 'key = value', got 'seed 2'"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn keys_before_any_section_are_top_level() {
+        let err = error_of("dropout = 0.3\n");
+        assert!(err.contains("unknown key 'dropout' in top level"), "{err}");
+    }
+
+    #[test]
+    fn quotes_are_cut_on_a_character_boundary() {
+        let long = "é".repeat(100);
+        let err = FaultPlan::parse(&format!("[training]\nstage = \"{long}\"\n")).unwrap_err();
+        assert!(
+            err.message.contains(&format!("'{}...'", "é".repeat(64))),
+            "{err}"
+        );
+        assert!(!err.message.contains(&"é".repeat(65)), "{err}");
+        // Exactly 64 characters are quoted whole, without an ellipsis.
+        let exact = "é".repeat(64);
+        let err = FaultPlan::parse(&format!("[training]\nstage = \"{exact}\"\n")).unwrap_err();
+        assert!(err.message.contains(&format!("'{exact}'")), "{err}");
+    }
+
+    #[test]
+    fn errors_display_their_line_and_column() {
+        let mut err = PlanError::new("bad".to_string());
+        assert_eq!(err.to_string(), "fault plan: bad");
+        err.line = Some(4);
+        assert_eq!(err.to_string(), "fault plan line 4: bad");
+        let err = err.spanned(Some(7)).spanned(Some(9));
+        assert_eq!(err.to_string(), "fault plan line 4, col 7: bad");
+    }
+
+    #[test]
+    fn unreadable_plan_files_are_reported() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("no-such-plan.toml");
+        let err = FaultPlan::from_file(&path).unwrap_err();
+        assert!(err.message.starts_with("cannot read"), "{err}");
+        assert!(err.message.contains("no-such-plan.toml"), "{err}");
+        assert_eq!(err.line, None);
+    }
+
     #[test]
     fn stage_selector_matches_trainer_stages() {
         assert!(StageSel::Any.matches(ovs_core::Stage::V2s));

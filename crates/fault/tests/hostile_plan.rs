@@ -10,25 +10,37 @@
 //! and complete), and megabyte-long keys, values, strings, comments and
 //! section headers.
 //!
-//! A counting `#[global_allocator]` sums the bytes requested; the whole
-//! file is one `#[test]` so no sibling test thread can pollute the sum.
+//! A counting `#[global_allocator]` sums the bytes each thread requests,
+//! so every input family is its own `#[test]` and sibling test threads
+//! cannot pollute one another's sums.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use fault::plan::FaultPlan;
 
 struct CountingAlloc;
 
-static REQUESTED: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Bytes this thread has asked the allocator for. A `const` `Cell`
+    /// has no destructor and no lazy initialiser, so touching it never
+    /// allocates and never re-enters the allocator.
+    static REQUESTED: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System` plus a relaxed counter bump; every
+/// Adds `bytes` to the calling thread's count. `try_with` fails only while
+/// the thread is being torn down, when nothing is being measured.
+fn count(bytes: usize) {
+    let _ = REQUESTED.try_with(|r| r.set(r.get() + bytes as u64));
+}
+
+// SAFETY: pure pass-through to `System` plus a thread-local counter bump; every
 // call forwards the caller's layout/pointer unchanged, so `System`'s own
 // GlobalAlloc contract is what holds the invariants.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwards the unmodified layout to `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: caller upholds GlobalAlloc's contract; layout unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -42,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // SAFETY: forwards the unmodified arguments to `System.realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         // SAFETY: `ptr` came from `System.alloc`; layout/new_size forwarded
         // unchanged per the GlobalAlloc contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -100,9 +112,9 @@ impl Tally {
     /// bound for its length.
     fn feed(&mut self, what: &str, text: &str) {
         self.inputs += 1;
-        let before = REQUESTED.load(Ordering::Relaxed);
+        let before = REQUESTED.with(Cell::get);
         let outcome = FaultPlan::parse(text);
-        let bytes = REQUESTED.load(Ordering::Relaxed) - before;
+        let bytes = REQUESTED.with(Cell::get) - before;
         match outcome {
             Ok(_) => self.plans += 1,
             Err(_) => self.errors += 1,
@@ -118,6 +130,23 @@ impl Tally {
             self.worst_ratio = ratio;
             self.worst = what.to_string();
         }
+    }
+}
+
+impl Tally {
+    /// Checks that the family reached both outcomes, and prints its
+    /// summary.
+    fn report(&self, family: &str) {
+        assert!(
+            self.plans > 0 && self.errors > 0,
+            "{family}: {} plans, {} errors",
+            self.plans,
+            self.errors
+        );
+        println!(
+            "{family}: {} inputs: {} plans, {} errors; worst allocation on inputs of {LONG_INPUT}+ bytes: {:.1} bytes per input byte ({}; bound {BYTES_PER_INPUT_BYTE} per byte + {SLACK_BYTES} B per call)",
+            self.inputs, self.plans, self.errors, self.worst_ratio, self.worst
+        );
     }
 }
 
@@ -203,17 +232,21 @@ fn array_plan(section: &str, key: &str, n: usize, elem: impl Fn(usize) -> String
 }
 
 #[test]
-fn hostile_plans_parse_to_outcomes_within_the_allocation_bound() {
+fn flipped_and_truncated_plans_stay_within_the_allocation_bound() {
     let mut t = Tally::default();
-
     for (s, seed) in SEEDS.iter().enumerate() {
         t.feed(&format!("seed {s}"), seed);
         flips_and_cuts(&mut t, &format!("seed {s}"), seed);
     }
+    t.report("bit flips and truncations");
+}
 
-    // Huge arrays under every array key: the smallest elements, distinct
-    // elements (which the step lists sort and deduplicate), only commas,
-    // and a bad element at the very end.
+/// Huge arrays under every array key: the smallest elements, distinct
+/// elements (which the step lists sort and deduplicate), only commas, and
+/// a bad element at the very end.
+#[test]
+fn huge_arrays_stay_within_the_allocation_bound() {
+    let mut t = Tally::default();
     let array_keys = [
         ("sweep", "dropouts"),
         ("sweep", "noise_stds"),
@@ -241,8 +274,15 @@ fn hostile_plans_parse_to_outcomes_within_the_allocation_bound() {
         );
     }
 
-    // Tens of thousands of incident sections: bare headers, complete
-    // incidents, and complete incidents with one bad key at the end.
+    t.report("huge arrays");
+}
+
+/// Tens of thousands of incident sections: bare headers, complete
+/// incidents, complete incidents with one bad key at the end, and
+/// complete incidents after one without a kind.
+#[test]
+fn thousands_of_incident_sections_stay_within_the_allocation_bound() {
+    let mut t = Tally::default();
     let bare = "[[network.incident]]\n".repeat(20_000);
     t.feed("20000 bare incident headers", &bare);
     let incident =
@@ -258,8 +298,14 @@ fn hostile_plans_parse_to_outcomes_within_the_allocation_bound() {
         &format!("[[network.incident]]\nlink = 1\nduration_ticks = 5\nseverity = 1\n{complete}"),
     );
 
-    // Megabyte lines: keys, values, strings, comments, headers, and lines
-    // without an `=`, in ASCII and in multi-byte characters.
+    t.report("incident sections");
+}
+
+/// Megabyte lines: keys, values, strings, comments, headers, and lines
+/// without an `=`, in ASCII and in multi-byte characters.
+#[test]
+fn megabyte_lines_stay_within_the_allocation_bound() {
+    let mut t = Tally::default();
     const MB: usize = 1 << 20;
     for fill in ["a", "é", "7"] {
         let long = fill.repeat(MB / fill.len());
@@ -293,8 +339,14 @@ fn hostile_plans_parse_to_outcomes_within_the_allocation_bound() {
     t.feed("megabyte of spaces", &" ".repeat(MB));
     t.feed("megabyte of headers", &"[sweep]\n".repeat(MB / 8));
 
-    // Random text: arbitrary characters, and plan-shaped lines assembled
-    // from the grammar's own sections, keys and values.
+    t.report("megabyte lines");
+}
+
+/// Random text: arbitrary characters, and plan-shaped lines assembled
+/// from the grammar's own sections, keys and values.
+#[test]
+fn random_text_stays_within_the_allocation_bound() {
+    let mut t = Tally::default();
     let sections = [
         "[observation]",
         "[training]",
@@ -370,9 +422,5 @@ fn hostile_plans_parse_to_outcomes_within_the_allocation_bound() {
         t.feed(&format!("random plan-shaped text {i}"), &shaped);
     }
 
-    assert!(t.plans > 0 && t.errors > 0);
-    println!(
-        "{} inputs: {} plans, {} errors; worst allocation on inputs of {LONG_INPUT}+ bytes: {:.1} bytes per input byte ({}; bound {BYTES_PER_INPUT_BYTE} per byte + {SLACK_BYTES} B per call)",
-        t.inputs, t.plans, t.errors, t.worst_ratio, t.worst
-    );
+    t.report("random text");
 }

@@ -142,7 +142,7 @@ pub fn check_seq_layer_params(layer: &mut dyn SeqLayer, x: &Tensor3, eps: f64, t
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::Dense;
+    use crate::layers::{Dense, Lstm, Sequential};
     use crate::rng::Rng64;
     use crate::workspace::Workspace;
 
@@ -179,6 +179,84 @@ mod tests {
         let mut x = Matrix::zeros(2, 3);
         rng.fill_normal(x.as_mut_slice());
         assert!(!check_layer_input(&mut b, &x, 1e-6, 1e-6));
+    }
+
+    /// A deliberately wrong layer: backward scales the true parameter
+    /// gradients.
+    struct BrokenParams(Dense);
+
+    impl Layer for BrokenParams {
+        fn forward_ws(&mut self, x: &Matrix, train: bool, ws: &mut Workspace) -> Matrix {
+            self.0.forward_ws(x, train, ws)
+        }
+        fn backward_ws(&mut self, dy: &Matrix, ws: &mut Workspace) -> Matrix {
+            let dx = self.0.backward_ws(dy, ws);
+            self.0.visit_params(&mut |_, g| g.scale(1.5)); // wrong on purpose
+            dx
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
+            self.0.visit_params(f);
+        }
+    }
+
+    /// The sequence counterpart of [`BrokenParams`].
+    struct BrokenSeqParams(Lstm);
+
+    impl SeqLayer for BrokenSeqParams {
+        fn forward_ws(&mut self, x: &Tensor3, train: bool, ws: &mut Workspace) -> Tensor3 {
+            self.0.forward_ws(x, train, ws)
+        }
+        fn backward_ws(&mut self, dy: &Tensor3, ws: &mut Workspace) -> Tensor3 {
+            let dx = self.0.backward_ws(dy, ws);
+            self.0.visit_params(&mut |_, g| g.scale(1.5)); // wrong on purpose
+            dx
+        }
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Matrix, &mut Matrix)) {
+            self.0.visit_params(f);
+        }
+    }
+
+    #[test]
+    fn param_check_detects_broken_gradients() {
+        let mut rng = Rng64::new(3);
+        let mut x = Matrix::zeros(2, 3);
+        rng.fill_normal(x.as_mut_slice());
+        let mut d = Dense::new(3, 2, &mut rng);
+        assert!(check_layer_params(&mut d, &x, 1e-6, 1e-6));
+        let mut b = BrokenParams(d);
+        assert!(!check_layer_params(&mut b, &x, 1e-6, 1e-6));
+    }
+
+    #[test]
+    fn seq_param_check_detects_broken_gradients() {
+        let mut rng = Rng64::new(5);
+        let mut x = Tensor3::zeros(2, 3, 2);
+        rng.fill_normal(x.as_mut_slice());
+        let mut l = Lstm::new(2, 2, &mut rng);
+        assert!(check_seq_layer_params(&mut l, &x, 1e-6, 1e-5));
+        let mut b = BrokenSeqParams(l);
+        assert!(!check_seq_layer_params(&mut b, &x, 1e-6, 1e-5));
+    }
+
+    #[test]
+    fn perturb_touches_one_element_of_one_slot() {
+        let mut rng = Rng64::new(6);
+        let mut net = Sequential::new(vec![
+            Box::new(Dense::new(2, 3, &mut rng)),
+            Box::new(Dense::new(3, 2, &mut rng)),
+        ]);
+        let snapshot = |net: &mut Sequential| {
+            let mut out = Vec::new();
+            net.visit_params(&mut |p, _| out.push(p.clone()));
+            out
+        };
+        let before = snapshot(&mut net);
+        perturb(&mut |f| net.visit_params(f), 2, 4, 0.25);
+        let mut want = before.clone();
+        want[2].as_mut_slice()[4] += 0.25;
+        assert_eq!(snapshot(&mut net), want);
+        perturb(&mut |f| net.visit_params(f), 2, 4, -0.25);
+        assert_eq!(snapshot(&mut net), before);
     }
 
     #[test]

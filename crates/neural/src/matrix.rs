@@ -1031,6 +1031,16 @@ mod tests {
     }
 
     #[test]
+    fn softmax_backward_of_a_constant_upstream_is_zero() {
+        // Softmax rows always sum to one, so a loss that weighs every
+        // output equally cannot change with the logits.
+        let mut y = Matrix::from_fn(3, 5, |r, c| (r * 5 + c) as f64 * 0.37 - 2.0);
+        softmax_rows(&mut y);
+        let dx = softmax_rows_backward(&y, &Matrix::filled(3, 5, 1.75));
+        assert!(dx.as_slice().iter().all(|v| v.abs() < 1e-15), "{dx:?}");
+    }
+
+    #[test]
     fn serde_round_trip() {
         let a = Matrix::from_fn(2, 3, |r, c| (r + c) as f64 * 1.5);
         let json = serde_json::to_string(&a).unwrap();

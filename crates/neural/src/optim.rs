@@ -350,6 +350,141 @@ mod tests {
     }
 
     #[test]
+    fn adam_matches_the_update_with_per_slot_bias_correction() {
+        // Reference: Kingma & Ba's update written out per slot, the bias
+        // corrections recomputed inside every slot's loop.
+        let (lr, b1, b2, eps) = (0.01, 0.9, 0.999, 1e-8);
+        let mut opt = Adam::new(lr);
+        let mut ps = vec![Matrix::filled(2, 3, 0.5), Matrix::filled(1, 4, -0.25)];
+        let mut want = ps.clone();
+        let mut ms: Vec<Matrix> = ps
+            .iter()
+            .map(|p| Matrix::zeros(p.rows(), p.cols()))
+            .collect();
+        let mut vs = ms.clone();
+        for t in 1..=6i32 {
+            let mut gs: Vec<Matrix> = ps
+                .iter()
+                .enumerate()
+                .map(|(s, p)| {
+                    Matrix::from_fn(p.rows(), p.cols(), |r, c| {
+                        ((s + 1) as f64 * (r + 2 * c) as f64 - t as f64).sin()
+                    })
+                })
+                .collect();
+            for ((w, g), (m, v)) in want
+                .iter_mut()
+                .zip(&gs)
+                .zip(ms.iter_mut().zip(vs.iter_mut()))
+            {
+                for i in 0..w.len() {
+                    let gv = g.as_slice()[i];
+                    let mv = b1 * m.as_slice()[i] + (1.0 - b1) * gv;
+                    let vv = b2 * v.as_slice()[i] + (1.0 - b2) * gv * gv;
+                    m.as_mut_slice()[i] = mv;
+                    v.as_mut_slice()[i] = vv;
+                    let m_hat = mv / (1.0 - b1.powi(t));
+                    let v_hat = vv / (1.0 - b2.powi(t));
+                    w.as_mut_slice()[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+                }
+            }
+            opt.step(&mut |f| {
+                for (p, g) in ps.iter_mut().zip(gs.iter_mut()) {
+                    f(p, g);
+                }
+            });
+        }
+        assert_eq!(ps, want);
+        let snap = opt.snapshot();
+        assert_eq!((snap.m, snap.v), (ms, vs));
+    }
+
+    #[test]
+    fn adam_reads_gradients_without_changing_them() {
+        let mut opt = Adam::new(0.1);
+        let mut p = Matrix::filled(2, 2, 1.0);
+        let mut g = Matrix::from_fn(2, 2, |r, c| (r * 2 + c) as f64 - 1.5);
+        let before = g.clone();
+        step_one(&mut opt, &mut p, &mut g);
+        assert_eq!(g, before);
+    }
+
+    #[test]
+    fn adam_sizes_moment_state_to_the_model_on_the_first_step() {
+        let mut rng = Rng64::new(2);
+        let mut net = Sequential::new(vec![
+            Box::new(Dense::new(3, 4, &mut rng)),
+            Box::new(Activation::new(ActKind::Relu)),
+            Box::new(Dense::new(4, 2, &mut rng)),
+        ]);
+        let mut opt = Adam::new(0.1);
+        assert_eq!(opt.slot_count(), 0);
+        opt.step(&mut |f| net.visit_params(f));
+        let mut shapes = Vec::new();
+        net.visit_params(&mut |p, _| shapes.push(p.shape()));
+        let snap = opt.snapshot();
+        assert_eq!(opt.slot_count(), shapes.len());
+        assert_eq!(snap.m.iter().map(Matrix::shape).collect::<Vec<_>>(), shapes);
+        assert_eq!(snap.v.iter().map(Matrix::shape).collect::<Vec<_>>(), shapes);
+    }
+
+    #[test]
+    fn adam_trains_a_sequence_layer_through_its_walk() {
+        use crate::layers::{Lstm, SeqLayer};
+        use crate::tensor3::Tensor3;
+        let mut rng = Rng64::new(4);
+        let mut lstm = Lstm::new(2, 3, &mut rng);
+        let x =
+            Tensor3::from_vec(2, 4, 2, (0..16).map(|i| (i as f64 * 0.3).cos()).collect()).unwrap();
+        let half_sq = |y: &Tensor3| 0.5 * y.as_slice().iter().map(|v| v * v).sum::<f64>();
+        let mut opt = Adam::new(0.05);
+        let first = half_sq(&lstm.forward(&x, true));
+        for _ in 0..30 {
+            let y = lstm.forward(&x, true);
+            lstm.backward(&y);
+            opt.step(&mut |f| lstm.visit_params(f));
+            lstm.zero_grad();
+        }
+        let last = half_sq(&lstm.forward(&x, false));
+        assert!(last < 0.5 * first, "{first} -> {last}");
+    }
+
+    #[test]
+    fn clip_grad_norm_leaves_gradients_within_the_bound_alone() {
+        let mut p = Matrix::zeros(1, 2);
+        let mut g = Matrix::from_vec(1, 2, vec![0.3, -0.4]).unwrap();
+        let norm = clip_grad_norm(&mut |f| f(&mut p, &mut g), 1.0);
+        assert!((norm - 0.5).abs() < 1e-15, "{norm}");
+        assert_eq!(g.as_slice(), &[0.3, -0.4]);
+    }
+
+    #[test]
+    fn clip_grad_norm_scales_every_slot_by_one_global_factor() {
+        // Each slot alone is within the bound; together their norm is 5.
+        let (mut pa, mut pb) = (Matrix::zeros(1, 1), Matrix::zeros(1, 1));
+        let mut ga = Matrix::filled(1, 1, 3.0);
+        let mut gb = Matrix::filled(1, 1, -4.0);
+        let norm = clip_grad_norm(
+            &mut |f| {
+                f(&mut pa, &mut ga);
+                f(&mut pb, &mut gb);
+            },
+            4.5,
+        );
+        assert_eq!(norm, 5.0);
+        assert!((ga.get(0, 0) - 2.7).abs() < 1e-12, "{}", ga.get(0, 0));
+        assert!((gb.get(0, 0) + 3.6).abs() < 1e-12, "{}", gb.get(0, 0));
+    }
+
+    #[test]
+    fn clip_grad_norm_of_zero_gradients_stays_zero() {
+        let mut p = Matrix::zeros(2, 2);
+        let mut g = Matrix::zeros(2, 2);
+        assert_eq!(clip_grad_norm(&mut |f| f(&mut p, &mut g), 0.0), 0.0);
+        assert!(g.as_slice().iter().all(|v| *v == 0.0));
+    }
+
+    #[test]
     fn lr_setters() {
         let mut a = Adam::new(0.1);
         a.set_lr(0.5);

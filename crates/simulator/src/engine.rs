@@ -808,21 +808,35 @@ impl<'a> Simulation<'a> {
                 let prev = (interval - 1).min(self.cfg.intervals.saturating_sub(1));
                 let desired = &self.desired_mps;
                 let cost = |l: &roadnet::Link| {
-                    let obs = observer.mean_speed(l.id, prev);
                     // The 0.5 m/s floor also covers the (unreachable)
                     // out-of-range link id, keeping the cost finite.
-                    let v_max = desired.get(l.id.index()).copied().unwrap_or(0.5);
-                    let v = if obs.is_finite() && obs > 0.0 {
-                        obs.min(v_max).max(0.5)
-                    } else {
-                        v_max
-                    };
-                    l.length_m / v
+                    let v_max = desired
+                        .get(l.id.index())
+                        .copied()
+                        .unwrap_or(MIN_ROUTING_SPEED_MPS);
+                    observed_travel_time_s(l.length_m, observer.mean_speed(l.id, prev), v_max)
                 };
                 shortest_path_tree(net, req.from, &cost, &masked)
             }),
         }
     }
+}
+
+/// Slowest speed (m/s) the time-dependent policy routes with, so a link
+/// observed as fully stopped keeps a finite travel time.
+const MIN_ROUTING_SPEED_MPS: f64 = 0.5;
+
+/// Travel time (s) of a `length_m` link under the time-dependent policy:
+/// the observed mean speed, capped at the link's desired speed `v_max`
+/// and floored at [`MIN_ROUTING_SPEED_MPS`]. A missing observation (not
+/// finite, or not positive) falls back to `v_max`.
+fn observed_travel_time_s(length_m: f64, observed_mps: f64, v_max: f64) -> f64 {
+    let v = if observed_mps.is_finite() && observed_mps > 0.0 {
+        observed_mps.min(v_max).max(MIN_ROUTING_SPEED_MPS)
+    } else {
+        v_max
+    };
+    length_m / v
 }
 
 /// Re-queues a vehicle at the head of `links[li]`; a no-op when `li` is
@@ -1287,5 +1301,59 @@ mod tests {
             let mtt = out.stats.mean_travel_time_s();
             assert!(mtt > 0.0 && mtt < 3600.0, "mean travel time {mtt}");
         }
+    }
+
+    #[test]
+    fn missing_observation_routes_at_the_desired_speed() {
+        for missing in [0.0, -3.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                observed_travel_time_s(300.0, missing, 15.0),
+                20.0,
+                "{missing}"
+            );
+        }
+    }
+
+    #[test]
+    fn observed_speed_cannot_exceed_the_desired_speed() {
+        assert_eq!(observed_travel_time_s(300.0, 100.0, 15.0), 20.0);
+        assert_eq!(observed_travel_time_s(300.0, 10.0, 15.0), 30.0);
+    }
+
+    #[test]
+    fn stopped_link_keeps_a_finite_travel_time() {
+        let t = observed_travel_time_s(300.0, 1e-12, 15.0);
+        assert_eq!(t, 300.0 / MIN_ROUTING_SPEED_MPS);
+    }
+
+    #[test]
+    fn congestion_redirects_the_time_dependent_route() {
+        use roadnet::network::NetworkBuilder;
+        use roadnet::Point;
+        // Diamond a -> {b, c} -> d with equal arms.
+        let mut b = NetworkBuilder::new();
+        let a = b.add_node(Point::new(0.0, 0.0));
+        let north = b.add_node(Point::new(100.0, 100.0));
+        let south = b.add_node(Point::new(100.0, -100.0));
+        let d = b.add_node(Point::new(200.0, 0.0));
+        for (x, y) in [(a, north), (north, d), (a, south), (south, d)] {
+            b.add_road(x, y, 1, 15.0).unwrap();
+        }
+        let net = b.build().unwrap();
+        let (north_arm, south_arm) = (net.out_links(a)[0], net.out_links(a)[1]);
+        let route_with_jam = |jammed: LinkId| {
+            let cost = |l: &roadnet::Link| {
+                let observed = if l.id == jammed { 1.0 } else { 15.0 };
+                observed_travel_time_s(l.length_m, observed, l.speed_limit_mps)
+            };
+            shortest_path_tree(&net, a, &cost, &|_| false)
+                .unwrap()
+                .route_to(&net, d)
+                .unwrap()
+        };
+        let r = route_with_jam(north_arm);
+        assert!(r.contains_link(south_arm) && !r.contains_link(north_arm));
+        let r = route_with_jam(south_arm);
+        assert!(r.contains_link(north_arm) && !r.contains_link(south_arm));
     }
 }
