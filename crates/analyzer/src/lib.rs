@@ -18,14 +18,16 @@
 //!   end `_seconds` (`_per_sec` for rate gauges), label keys sorted,
 //!   Stable metrics never fed from wall-clock sources;
 //! * **A — hot-path allocation**: no heap allocation in functions
-//!   reachable from the `Workspace` step path or a `// lint: hot` root.
+//!   reachable from the `Workspace` step path or a `// lint: hot` root;
+//! * **X — dead API**: no `pub fn` in `crates/*/src` whose name no
+//!   non-test code (any crate, the examples or `citybench/src`) uses.
 //!
-//! Rules C/M/A are *cross-file*: the driver first builds a
+//! Rules C/M/A/X are *cross-file*: the driver first builds a
 //! [`symbols::WorkspaceIndex`] (fn/impl symbol table, per-crate string
 //! consts, and an intra-crate name-based call graph) over every analysed
 //! file, then runs the passes with that index in hand (DESIGN.md §14).
 //!
-//! Run with `cargo run -p analyzer -- check [--json] [--rule D|P|S|U|C|M|A]
+//! Run with `cargo run -p analyzer -- check [--json] [--rule D|P|S|U|C|M|A|X]
 //! [--baseline <path>] [--update-baseline]`.
 
 pub mod baseline;
@@ -39,8 +41,8 @@ pub mod walk;
 use baseline::Baseline;
 use report::Report;
 use rules::{
-    alloc_pass, concurrency_pass, determinism_pass, metrics_pass, panic_pass, shape_pass,
-    unsafe_pass, Finding, Rule,
+    alloc_pass, concurrency_pass, dead_api_pass, determinism_pass, metrics_pass, panic_pass,
+    shape_pass, unsafe_pass, Finding, Rule,
 };
 use source::{FileKind, SourceFile};
 use std::path::{Path, PathBuf};
@@ -97,6 +99,9 @@ pub fn check_files(files: &[SourceFile], only: Option<Rule>) -> Vec<Finding> {
     let want = |r: Rule| only.is_none() || only == Some(r);
     let mut findings = Vec::new();
     for (ix, file) in files.iter().enumerate() {
+        if file.kind == FileKind::External {
+            continue;
+        }
         let protected = PROTECTED_CRATES.contains(&file.crate_name.as_str());
         let lib = file.kind == FileKind::Lib;
         let mut local = Vec::new();
@@ -121,16 +126,13 @@ pub fn check_files(files: &[SourceFile], only: Option<Rule>) -> Vec<Finding> {
         if want(Rule::Alloc) && lib {
             local.extend(alloc_pass(file, ix, &idx));
         }
+        if want(Rule::DeadApi) && lib {
+            local.extend(dead_api_pass(file, ix, &idx));
+        }
         local.retain(|f| !file.is_allowed(f.rule, f.line));
         findings.append(&mut local);
     }
     findings
-}
-
-/// Single-file convenience wrapper around [`check_files`]: the call
-/// graph, const index and hot set only see this one file.
-pub fn check_file(file: &SourceFile, only: Option<Rule>) -> Vec<Finding> {
-    check_files(std::slice::from_ref(file), only)
 }
 
 /// Analyses a whole workspace tree and builds the report.

@@ -1,11 +1,11 @@
 //! CLI for cityod-lint.
 //!
 //! ```text
-//! cargo run -p analyzer -- check [--json] [--rule D|P|S|U|C|M|A]
+//! cargo run -p analyzer -- check [--json] [--rule D|P|S|U|C|M|A|X]
 //!     [--baseline <path>] [--root <path>] [--update-baseline]
 //! ```
 //!
-//! Exits 0 when the workspace is clean (all D/S/U/C/M/A findings
+//! Exits 0 when the workspace is clean (all D/S/U/C/M/A/X findings
 //! suppressed or absent, all P debt within the ratchet baseline), 1
 //! otherwise, 2 on usage or I/O errors.
 
@@ -42,7 +42,7 @@ fn real_main() -> i32 {
             "--rule" => match it.next().and_then(|r| Rule::from_name(r)) {
                 Some(r) => opts.rule = Some(r),
                 None => {
-                    eprintln!("--rule expects one of D, P, S, U, C, M, A\n{USAGE}");
+                    eprintln!("--rule expects one of D, P, S, U, C, M, A, X\n{USAGE}");
                     return 2;
                 }
             },
@@ -98,7 +98,7 @@ USAGE:
 
 FLAGS:
     --json               machine-readable findings (stable key order)
-    --rule <R>           run a single rule pass (D|P|S|U|C|M|A)
+    --rule <R>           run a single rule pass (D|P|S|U|C|M|A|X)
     --baseline <path>    ratchet baseline (default: crates/analyzer/baseline.toml)
     --root <path>        workspace root (default: nearest [workspace] ancestor)
     --update-baseline    rewrite the baseline to the observed debt counts
@@ -114,4 +114,5 @@ RULES:
     M  metrics         counters end _total, timing metrics end _seconds,
                        sorted label keys, no Stable metric fed from wall clock
     A  hot-path alloc  no heap allocation reachable from the Workspace
-                       step path (or any `// lint: hot` root)";
+                       step path (or any `// lint: hot` root)
+    X  dead API        no `pub fn` in crates/*/src that only tests name";

@@ -314,11 +314,12 @@ mod tests {
         assert!(pos("\"file\"") < pos("\"kind\""));
         assert!(pos("\"kind\"") < pos("\"line\""));
         assert!(pos("\"line\"") < pos("\"message\""));
-        // Per-rule counts are present for all seven rules, sorted by code.
+        // Per-rule counts are present for all eight rules, sorted by code.
         assert!(a.contains("\"A\": 0"));
         assert!(a.contains("\"M\": 1"));
         assert!(a.contains("\"S\": 1"));
         assert!(pos("\"A\":") < pos("\"C\":"));
         assert!(pos("\"C\":") < pos("\"D\":"));
+        assert!(pos("\"U\":") < pos("\"X\":"));
     }
 }

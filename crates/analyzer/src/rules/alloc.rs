@@ -15,7 +15,7 @@
 //! (kind `hot-alloc`).
 //!
 //! The reachability set is the caller→callee closure from
-//! [`WorkspaceIndex::hot_set`]; name conflation across `impl` blocks is
+//! [`WorkspaceIndex::is_hot`]; name conflation across `impl` blocks is
 //! deliberate — it is what makes `dyn Layer` dispatch visible to a
 //! token-level analysis. Warm-up-only allocations (pool refills on a
 //! miss) are real but intentional: suppress them with

@@ -4,7 +4,7 @@
 //! stability conventions the metrics-golden CI job relies on:
 //!
 //! * counters must end in `_total` (kind `counter-name`);
-//! * timing instruments (`timer`, `timer_with`, `timing_histogram`) must
+//! * timing instruments (`timer`, `timing_histogram`) must
 //!   end in `_seconds`; `timing_gauge` may also end in `_per_sec` for
 //!   rate gauges (kind `timing-name`);
 //! * literal label slices passed to `*_with` must already be in sorted
@@ -41,9 +41,8 @@ fn classify_method(name: &str) -> Option<(Class, bool)> {
         "counter" => Some((Class::Counter, false)),
         "counter_with" => Some((Class::Counter, true)),
         "gauge" | "histogram" => Some((Class::OtherStable, false)),
-        "gauge_with" | "histogram_with" => Some((Class::OtherStable, true)),
+        "gauge_with" => Some((Class::OtherStable, true)),
         "timer" | "timing_gauge" | "timing_histogram" => Some((Class::Timing, false)),
-        "timer_with" => Some((Class::Timing, true)),
         _ => None,
     }
 }

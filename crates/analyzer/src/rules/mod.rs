@@ -7,6 +7,7 @@
 
 mod alloc;
 mod concurrency;
+mod dead_api;
 mod determinism;
 mod metrics_contract;
 mod panic;
@@ -15,6 +16,7 @@ mod unsafety;
 
 pub use alloc::alloc_pass;
 pub use concurrency::concurrency_pass;
+pub use dead_api::dead_api_pass;
 pub use determinism::determinism_pass;
 pub use metrics_contract::metrics_pass;
 pub use panic::panic_pass;
@@ -23,7 +25,7 @@ pub use unsafety::unsafe_pass;
 
 use crate::source::SourceFile;
 
-/// The seven rules, named as in the CLI (`--rule D|P|S|U|C|M|A`).
+/// The eight rules, named as in the CLI (`--rule D|P|S|U|C|M|A|X`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// D — determinism: no unordered-map iteration sources, wall-clock or
@@ -45,6 +47,8 @@ pub enum Rule {
     /// A — hot-path allocation: no heap allocation in functions reachable
     /// from the `Workspace` step path or a `// lint: hot` root.
     Alloc,
+    /// X — dead API: no `pub fn` in `crates/*/src` that only tests name.
+    DeadApi,
 }
 
 impl Rule {
@@ -58,6 +62,7 @@ impl Rule {
             Rule::Concurrency => "C",
             Rule::Metrics => "M",
             Rule::Alloc => "A",
+            Rule::DeadApi => "X",
         }
     }
 
@@ -71,6 +76,7 @@ impl Rule {
             Rule::Concurrency => "concurrency",
             Rule::Metrics => "metrics",
             Rule::Alloc => "alloc",
+            Rule::DeadApi => "dead_api",
         }
     }
 
@@ -84,12 +90,13 @@ impl Rule {
             "C" | "concurrency" => Some(Rule::Concurrency),
             "M" | "metrics" => Some(Rule::Metrics),
             "A" | "alloc" => Some(Rule::Alloc),
+            "X" | "dead_api" => Some(Rule::DeadApi),
             _ => None,
         }
     }
 
     /// All rules, in report order.
-    pub fn all() -> [Rule; 7] {
+    pub fn all() -> [Rule; 8] {
         [
             Rule::Determinism,
             Rule::Panic,
@@ -98,6 +105,7 @@ impl Rule {
             Rule::Concurrency,
             Rule::Metrics,
             Rule::Alloc,
+            Rule::DeadApi,
         ]
     }
 }

@@ -10,7 +10,7 @@
 //! | `Dense::new(i, o, rng)`              | `i → o`             |
 //! | `Conv1d::new(ci, co, k, rng)`        | `ci → co` (channels)|
 //! | `Conv1d::strided(ci, co, k, s, rng)` | `ci → co` (channels)|
-//! | `Lstm::new(i, h, rng)` / `Gru`       | `i → h`             |
+//! | `Lstm::new(i, h, rng)`               | `i → h`             |
 //! | `Activation` / `SeqActivation`       | preserving          |
 //! | `TimeDistributed::new(inner)`        | inner's signature   |
 //!
@@ -40,12 +40,7 @@ use crate::source::SourceFile;
 
 /// Layer constructors with an `(input, output)` dimension signature, and
 /// the argument positions holding those dimensions.
-const PARAM_LAYERS: &[(&str, usize, usize)] = &[
-    ("Dense", 0, 1),
-    ("Conv1d", 0, 1),
-    ("Lstm", 0, 1),
-    ("Gru", 0, 1),
-];
+const PARAM_LAYERS: &[(&str, usize, usize)] = &[("Dense", 0, 1), ("Conv1d", 0, 1), ("Lstm", 0, 1)];
 
 /// Shape-preserving layers: output dims equal input dims.
 const PRESERVING: &[&str] = &["Activation", "SeqActivation", "TimeDistributed"];
@@ -492,7 +487,7 @@ mod tests {
     #[test]
     fn match_arms_with_agreeing_sigs_chain() {
         let src = "let net = SeqSequential::new(vec![
-            match kind { K::A => Box::new(Lstm::new(input, h, rng)), K::B => Box::new(Gru::new(input, h, rng)) },
+            match kind { K::A => Box::new(Lstm::new(input, h, rng)), K::B => Box::new(TimeDistributed::new(Dense::new(input, h, rng))) },
             Box::new(TimeDistributed::new(Dense::new(h, 1, rng))),
         ]);";
         assert!(run(src).is_empty());

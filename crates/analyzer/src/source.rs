@@ -11,6 +11,9 @@ pub enum FileKind {
     Lib,
     /// `tests/`, `examples/`, `benches/` — never on the stable path.
     TestLike,
+    /// The benchmark harness (`citybench/src/**`), outside the workspace:
+    /// read only for the uses it makes of the public API, never linted.
+    External,
 }
 
 /// An `// lint: allow(<rule>) — reason` annotation.

@@ -30,6 +30,11 @@
 //!   constructors (per-shape layer state). Rule A flags heap-
 //!   allocating constructs inside hot functions, making the zero-alloc
 //!   invariant reviewable statically.
+//! * **Use set** — every identifier named in non-test code of any crate,
+//!   the examples or the benchmark harness, outside `use` declarations
+//!   and `fn` definitions. Comments never reach the token stream, so a
+//!   name mentioned only in a doc link is not a use. Rule X flags a
+//!   `pub fn` whose name is missing from it.
 //!
 //! [`Workspace`]: https://docs.rs/ (neural::workspace::Workspace)
 
@@ -61,6 +66,8 @@ pub struct FnInfo {
     pub body: (usize, usize),
     /// True inside `#[cfg(test)]` / `#[test]` regions or test-like files.
     pub is_test: bool,
+    /// Declared plain `pub` (not `pub(crate)` and the like).
+    pub public: bool,
     /// Carries a `// lint: hot` annotation.
     pub hot_annotated: bool,
     /// Carries a `// lint: cold` annotation — a barrier the hot closure
@@ -99,6 +106,8 @@ pub struct WorkspaceIndex {
     /// Per-fn: on the hot path (workspace root, annotated, or reachable
     /// from one within its crate).
     hot: Vec<bool>,
+    /// Identifiers named by non-test code anywhere (see the module docs).
+    uses: BTreeSet<String>,
 }
 
 impl WorkspaceIndex {
@@ -106,7 +115,12 @@ impl WorkspaceIndex {
     pub fn build(files: &[SourceFile]) -> Self {
         let mut idx = WorkspaceIndex::default();
         for (file_ix, file) in files.iter().enumerate() {
-            scan_file(file, file_ix, &mut idx);
+            if file.kind != FileKind::External {
+                scan_file(file, file_ix, &mut idx);
+            }
+            if file.kind != FileKind::TestLike || is_example(&file.path) {
+                collect_uses(file, &mut idx.uses);
+            }
         }
         for (id, f) in idx.fns.iter().enumerate() {
             idx.by_name
@@ -150,20 +164,9 @@ impl WorkspaceIndex {
         flag(&self.hot, id)
     }
 
-    /// True when fn `id` acquires locks directly or transitively.
-    pub fn is_locking(&self, id: usize) -> bool {
-        flag(&self.locking, id)
-    }
-
-    /// The hot-path function set of one crate, as `Type::name` qualified
-    /// names — what the reachability regression test asserts against.
-    pub fn hot_set(&self, crate_name: &str) -> BTreeSet<String> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(id, f)| f.crate_name == crate_name && flag(&self.hot, *id))
-            .map(|(_, f)| f.qual.clone())
-            .collect()
+    /// True when non-test code anywhere names `name` (rule X).
+    pub fn is_used(&self, name: &str) -> bool {
+        self.uses.contains(name)
     }
 
     /// Monotone fixed point of `seed` propagated along same-crate call
@@ -274,6 +277,58 @@ pub fn call_edge(toks: &[Token], i: usize) -> Option<String> {
         return None; // `::<…>::call` shapes we don't resolve
     }
     Some(t.text.clone())
+}
+
+/// True for files under an `examples/` directory: test-like for every
+/// other rule, but their calls are real uses of the public API.
+fn is_example(path: &str) -> bool {
+    path.starts_with("examples/") || path.contains("/examples/")
+}
+
+/// Adds the identifiers `file`'s non-test code names to `uses`. A `use`
+/// declaration names an item without using it, so only the alias side of
+/// `x as y` counts there; the name after `fn` is a definition.
+fn collect_uses(file: &SourceFile, uses: &mut BTreeSet<String>) {
+    let toks = &file.tokens;
+    let mut in_use = false;
+    for (i, t) in toks.iter().enumerate() {
+        if file.masked(i) {
+            continue;
+        }
+        if t.is_ident("use") {
+            in_use = true;
+        } else if in_use && t.is_punct(';') {
+            in_use = false;
+        }
+        if t.kind != TokKind::Ident || is_keyword(&t.text) {
+            continue;
+        }
+        let definition = i
+            .checked_sub(1)
+            .is_some_and(|p| tok(toks, p).is_ident("fn"));
+        let aliased = toks.get(i + 1).is_some_and(|n| n.is_ident("as"));
+        if !definition && (!in_use || aliased) {
+            uses.insert(t.text.clone());
+        }
+    }
+}
+
+/// True when the `fn` at token `i` is declared plain `pub`, past any
+/// `const`/`async`/`unsafe`/`extern "abi"` qualifiers.
+fn is_plain_pub(toks: &[Token], i: usize) -> bool {
+    let mut j = i;
+    while let Some(p) = j.checked_sub(1) {
+        let t = tok(toks, p);
+        let qualifier = ["const", "async", "unsafe", "extern"]
+            .iter()
+            .any(|q| t.is_ident(q))
+            || t.kind == TokKind::Str;
+        if !qualifier {
+            return t.is_ident("pub");
+        }
+        j = p;
+    }
+    false
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -561,6 +616,7 @@ fn scan_fn(file: &SourceFile, toks: &[Token], i: usize) -> Option<FnInfo> {
         sig: (i, body_open),
         body: (body_open, body_close),
         is_test: file.kind == FileKind::TestLike || file.in_test.get(i).copied().unwrap_or(false),
+        public: is_plain_pub(toks, i),
         hot_annotated,
         cold_annotated,
         workspace_root,
@@ -638,9 +694,9 @@ mod tests {
         let (low, _) = fn_by_name(&idx, "low");
         let (mid, _) = fn_by_name(&idx, "mid");
         let (free, _) = fn_by_name(&idx, "free");
-        assert!(idx.is_locking(low));
-        assert!(idx.is_locking(mid), "locking must propagate to callers");
-        assert!(!idx.is_locking(free));
+        assert!(flag(&idx.locking, low));
+        assert!(flag(&idx.locking, mid), "locking must propagate to callers");
+        assert!(!flag(&idx.locking, free));
         assert!(idx.is_locking_call("x", "mid"));
         assert!(!idx.is_locking_call("x", "free"));
     }
@@ -652,7 +708,7 @@ mod tests {
             "fn io(r: &mut impl std::io::Read, buf: &mut [u8]) { let _ = r.read(buf); }\n",
         )]);
         let (io, _) = fn_by_name(&idx, "io");
-        assert!(!idx.is_locking(io));
+        assert!(!flag(&idx.locking, io));
     }
 
     #[test]
@@ -673,8 +729,6 @@ mod tests {
         }
         let (cold, _) = fn_by_name(&idx, "cold");
         assert!(!idx.is_hot(cold));
-        let hot = idx.hot_set("x");
-        assert!(hot.contains("forward_ws") && hot.contains("deep2"));
     }
 
     #[test]

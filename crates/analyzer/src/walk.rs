@@ -82,6 +82,7 @@ fn classify(rel: &str) -> Option<(String, FileKind)> {
         ["tests" | "examples" | "benches", ..] => {
             Some((ROOT_CRATE.to_string(), FileKind::TestLike))
         }
+        ["citybench", "src", ..] => Some(("citybench".to_string(), FileKind::External)),
         _ => None,
     }
 }
@@ -108,6 +109,11 @@ mod tests {
             classify("examples/quickstart.rs"),
             Some((ROOT_CRATE.into(), FileKind::TestLike))
         );
+        assert_eq!(
+            classify("citybench/src/main.rs"),
+            Some(("citybench".into(), FileKind::External))
+        );
+        assert_eq!(classify("citybench/build.rs"), None);
         assert_eq!(classify("build.rs"), None);
     }
 }

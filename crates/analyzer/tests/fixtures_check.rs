@@ -4,7 +4,7 @@
 
 use analyzer::rules::Rule;
 use analyzer::source::{FileKind, SourceFile};
-use analyzer::{check_file, check_workspace, CheckOptions};
+use analyzer::{check_files, check_workspace, CheckOptions};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -43,7 +43,7 @@ fn ok_fixtures_produce_no_findings() {
         "ok/unsafe_safety.rs",
     ] {
         let f = load(rel);
-        let findings = check_file(&f, None);
+        let findings = check_files(std::slice::from_ref(&f), None);
         assert!(
             findings.is_empty(),
             "{rel} should be clean, got: {:?}",
@@ -60,7 +60,7 @@ fn ok_fixtures_produce_no_findings() {
 #[test]
 fn bad_determinism_is_caught_and_reasonless_allow_does_not_suppress() {
     let f = load("bad/determinism.rs");
-    let findings = check_file(&f, Some(Rule::Determinism));
+    let findings = check_files(std::slice::from_ref(&f), Some(Rule::Determinism));
     assert_eq!(kinds(&findings), vec!["env-read", "hashmap"]);
     // The `// lint: allow(determinism)` with no reason sits directly above
     // the env::var call — it must not have suppressed the finding.
@@ -73,7 +73,7 @@ fn bad_determinism_is_caught_and_reasonless_allow_does_not_suppress() {
 #[test]
 fn bad_panic_catches_every_kind() {
     let f = load("bad/panic.rs");
-    let findings = check_file(&f, Some(Rule::Panic));
+    let findings = check_files(std::slice::from_ref(&f), Some(Rule::Panic));
     assert_eq!(
         kinds(&findings),
         vec!["expect", "indexing", "panic", "unwrap"]
@@ -83,7 +83,7 @@ fn bad_panic_catches_every_kind() {
 #[test]
 fn bad_shape_mismatch_is_caught() {
     let f = load("bad/shape.rs");
-    let findings = check_file(&f, Some(Rule::Shape));
+    let findings = check_files(std::slice::from_ref(&f), Some(Rule::Shape));
     assert_eq!(findings.len(), 1);
     assert_eq!(findings[0].kind, "shape-mismatch");
     assert!(findings[0]
@@ -94,7 +94,7 @@ fn bad_shape_mismatch_is_caught() {
 #[test]
 fn bad_conv_seq_catches_even_kernel_and_underflow() {
     let f = load("bad/conv_seq.rs");
-    let findings = check_file(&f, Some(Rule::Shape));
+    let findings = check_files(std::slice::from_ref(&f), Some(Rule::Shape));
     assert_eq!(
         kinds(&findings),
         vec!["conv-even-kernel", "conv-seq-underflow"]
@@ -112,7 +112,7 @@ fn bad_conv_seq_catches_even_kernel_and_underflow() {
 #[test]
 fn bad_unsafe_without_safety_comment_is_caught() {
     let f = load("bad/unsafety.rs");
-    let findings = check_file(&f, Some(Rule::UnsafeAudit));
+    let findings = check_files(std::slice::from_ref(&f), Some(Rule::UnsafeAudit));
     assert_eq!(findings.len(), 1);
     assert_eq!(findings[0].rule, Rule::UnsafeAudit);
 }
@@ -120,7 +120,7 @@ fn bad_unsafe_without_safety_comment_is_caught() {
 #[test]
 fn bad_concurrency_catches_every_kind() {
     let f = load("bad/concurrency.rs");
-    let findings = check_file(&f, Some(Rule::Concurrency));
+    let findings = check_files(std::slice::from_ref(&f), Some(Rule::Concurrency));
     assert_eq!(
         kinds(&findings),
         vec![
@@ -135,7 +135,7 @@ fn bad_concurrency_catches_every_kind() {
 #[test]
 fn bad_metrics_catches_every_kind() {
     let f = load("bad/metrics.rs");
-    let findings = check_file(&f, Some(Rule::Metrics));
+    let findings = check_files(std::slice::from_ref(&f), Some(Rule::Metrics));
     assert_eq!(
         kinds(&findings),
         vec![
@@ -150,7 +150,7 @@ fn bad_metrics_catches_every_kind() {
 #[test]
 fn bad_hot_alloc_is_caught_through_both_roots() {
     let f = load("bad/hot_alloc.rs");
-    let findings = check_file(&f, Some(Rule::Alloc));
+    let findings = check_files(std::slice::from_ref(&f), Some(Rule::Alloc));
     assert_eq!(kinds(&findings), vec!["hot-alloc"]);
     // One through the Workspace-signature root (`step` -> `scratch`), one
     // direct, one through the `// lint: hot` annotation root.
@@ -212,7 +212,10 @@ fn hot_set_covers_the_neural_step_path() {
     }
     assert!(!files.is_empty(), "no neural sources found");
     let idx = analyzer::symbols::WorkspaceIndex::build(&files);
-    let hot = idx.hot_set("neural");
+    let hot: Vec<&str> = (idx.fns.iter().enumerate())
+        .filter(|(id, f)| f.crate_name == "neural" && idx.is_hot(*id))
+        .map(|(_, f)| f.qual.as_str())
+        .collect();
     for layer in [
         "Dense",
         "Activation",
@@ -222,12 +225,11 @@ fn hot_set_covers_the_neural_step_path() {
         "TimeDistributed",
         "Lstm",
         "Conv1d",
-        "Gru",
     ] {
         for method in ["forward_ws", "backward_ws"] {
             let qual = format!("{layer}::{method}");
             assert!(
-                hot.contains(&qual),
+                hot.contains(&qual.as_str()),
                 "`{qual}` missing from hot set: {hot:#?}"
             );
         }
@@ -246,7 +248,7 @@ fn hot_set_covers_the_neural_step_path() {
     ] {
         let covered = hot
             .iter()
-            .any(|q| q == needed || q.ends_with(&format!("::{needed}")));
+            .any(|q| *q == needed || q.ends_with(&format!("::{needed}")));
         assert!(covered, "`{needed}` missing from hot set: {hot:#?}");
     }
 }
@@ -291,6 +293,69 @@ fn missing_baseline_means_zero_budget() {
     );
 }
 
+// ---- rule X over a multi-crate workspace tree ----------------------------
+
+/// The `file: name` of every rule-X finding over `ws_dead_api/`.
+fn dead_api_findings() -> Vec<String> {
+    let opts = CheckOptions {
+        rule: Some(Rule::DeadApi),
+        ..Default::default()
+    };
+    let rep = check_workspace(&fixture_dir().join("ws_dead_api"), &opts).expect("check runs");
+    rep.errors
+        .iter()
+        .map(|f| format!("{}: {}", f.file, f.message.split('`').nth(1).unwrap_or("")))
+        .collect()
+}
+
+fn flagged(name: &str) -> bool {
+    let suffix = format!(": {name}");
+    dead_api_findings().iter().any(|f| f.ends_with(&suffix))
+}
+
+#[test]
+fn dead_api_flags_a_fn_only_tests_use() {
+    assert!(flagged("only_tested"), "{:#?}", dead_api_findings());
+}
+
+#[test]
+fn dead_api_counts_uses_in_other_crates_examples_and_citybench() {
+    for name in ["used_by_beta", "used_by_bench", "used_by_example"] {
+        assert!(!flagged(name), "{name}: {:#?}", dead_api_findings());
+    }
+    // citybench is read for its uses only: its own dead items stay quiet.
+    let findings = dead_api_findings();
+    assert!(
+        findings.iter().all(|f| !f.starts_with("citybench/")),
+        "{findings:#?}"
+    );
+}
+
+#[test]
+fn dead_api_respects_an_annotation_with_a_reason() {
+    assert!(!flagged("annotated"), "{:#?}", dead_api_findings());
+}
+
+#[test]
+fn dead_api_skips_trait_impl_methods_and_pub_crate_items() {
+    for name in ["crate_visible", "Unit::speak"] {
+        assert!(!flagged(name), "{name}: {:#?}", dead_api_findings());
+    }
+}
+
+#[test]
+fn dead_api_does_not_count_a_name_in_a_doc_comment_as_a_use() {
+    assert!(flagged("only_in_docs"), "{:#?}", dead_api_findings());
+    assert_eq!(
+        dead_api_findings(),
+        [
+            "crates/alpha/src/lib.rs: only_tested",
+            "crates/alpha/src/lib.rs: only_in_docs"
+        ],
+        "exactly the two unused items are flagged"
+    );
+}
+
 // ---- CLI end-to-end: exit codes and file:line output ---------------------
 
 #[test]
@@ -313,6 +378,7 @@ fn cli_exits_nonzero_with_file_line_on_seeded_violations() {
         "shape error: {text}"
     );
     assert!(text.contains("error[P/ratchet]"), "ratchet error: {text}");
+    assert!(text.contains("error[X/dead-api]"), "dead-API error: {text}");
     assert!(
         text.contains("crates/simulator/src/lib.rs:"),
         "file:line locations: {text}"

@@ -42,13 +42,6 @@ impl GeneticEstimator {
             seed,
         }
     }
-
-    /// Overrides the search budget.
-    pub fn with_budget(mut self, population: usize, generations: usize) -> Self {
-        self.population = population.max(2);
-        self.generations = generations;
-        self
-    }
 }
 
 impl TodEstimator for GeneticEstimator {
@@ -134,18 +127,5 @@ impl TodEstimator for GeneticEstimator {
         }
 
         Ok(scored.remove(0).1)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn name_and_budget_builder() {
-        let g = GeneticEstimator::new(0).with_budget(1, 3);
-        assert_eq!(g.name(), "Genetic");
-        assert_eq!(g.population, 2, "population is clamped to >= 2");
-        assert_eq!(g.generations, 3);
     }
 }

@@ -8,8 +8,6 @@
 //! pairs. Two LSTMs plus a time-distributed FC head. At test time the
 //! observed speed sequence is pushed through once.
 
-use checkpoint::format::{Artifact, ArtifactBuilder};
-use checkpoint::CheckpointError;
 use neural::layers::{Dense, Lstm, SeqLayer, SeqSequential, TimeDistributed};
 use neural::loss::mse_seq;
 use neural::optim::Adam;
@@ -19,32 +17,16 @@ use ovs_core::estimator::{link_to_matrix, tod_to_matrix};
 use ovs_core::{EstimatorInput, TodEstimator};
 use roadnet::{LinkTensor, OdPairId, Result, RoadnetError, TodTensor};
 
-/// Artifact kind of a trained LSTM baseline.
-pub const LSTM_KIND: &str = "baseline-lstm";
-
 /// A fitted LSTM baseline: the trained recurrent stack plus the corpus
-/// normalisation scales. Save/load round trips are bit-exact.
+/// normalisation scales.
 pub struct TrainedLstm {
     net: SeqSequential,
-    m: usize,
-    hidden: usize,
     n: usize,
     v_scale: f64,
     g_max: f64,
 }
 
 impl TrainedLstm {
-    fn build_net(m: usize, hidden: usize, n: usize) -> SeqSequential {
-        // Weights are immediately overwritten by training or an import;
-        // the RNG only satisfies the constructor.
-        let mut rng = Rng64::new(0);
-        SeqSequential::new(vec![
-            Box::new(Lstm::new(m, hidden, &mut rng)),
-            Box::new(Lstm::new(hidden, hidden, &mut rng)),
-            Box::new(TimeDistributed::new(Dense::new(hidden, n, &mut rng))),
-        ])
-    }
-
     /// Predicts the TOD tensor for an observed speed tensor.
     pub fn predict(&mut self, observed_speed: &LinkTensor) -> TodTensor {
         let x_obs = speed_to_seq(&link_to_matrix(observed_speed), self.v_scale);
@@ -57,44 +39,6 @@ impl TrainedLstm {
             }
         }
         tod
-    }
-
-    /// Serialises the trained stack into a `"baseline-lstm"` artifact.
-    pub fn to_artifact(&mut self) -> ArtifactBuilder {
-        let mut b = ArtifactBuilder::new(LSTM_KIND);
-        b.add_f64s("dims", &[self.m as f64, self.hidden as f64, self.n as f64]);
-        b.add_f64s("scales", &[self.v_scale, self.g_max]);
-        b.add_matrices(
-            "weights",
-            &checkpoint::module::export_visit(&mut |f| self.net.visit_params(f)),
-        );
-        b
-    }
-
-    /// Rebuilds a trained stack from a `"baseline-lstm"` artifact.
-    pub fn from_artifact(artifact: &Artifact) -> checkpoint::Result<Self> {
-        artifact.expect_kind(LSTM_KIND)?;
-        let dims = artifact.f64s("dims")?;
-        let scales = artifact.f64s("scales")?;
-        if dims.len() != 3 || dims.iter().any(|&d| d < 1.0) || scales.len() != 2 {
-            return Err(CheckpointError::Malformed(format!(
-                "baseline-lstm dims/scales inconsistent: {dims:?} / {scales:?}"
-            )));
-        }
-        let (m, hidden, n) = (dims[0] as usize, dims[1] as usize, dims[2] as usize);
-        let mut net = Self::build_net(m, hidden, n);
-        checkpoint::module::import_visit(
-            &mut |f| net.visit_params(f),
-            &artifact.matrices("weights")?,
-        )?;
-        Ok(Self {
-            net,
-            m,
-            hidden,
-            n,
-            v_scale: scales[0],
-            g_max: scales[1],
-        })
     }
 }
 
@@ -148,8 +92,7 @@ fn tod_to_seq(g: &Matrix, scale: f64) -> Tensor3 {
 
 impl LstmEstimator {
     /// Trains the stack on the input's corpus, returning the fitted
-    /// model (use [`TrainedLstm::predict`] for inference, or
-    /// [`TrainedLstm::to_artifact`] to persist it).
+    /// model (use [`TrainedLstm::predict`] for inference).
     pub fn fit(&self, input: &EstimatorInput<'_>) -> Result<TrainedLstm> {
         ovs_core::estimator::validate_input(input)?;
         if input.train.is_empty() {
@@ -188,8 +131,6 @@ impl LstmEstimator {
         }
         Ok(TrainedLstm {
             net,
-            m,
-            hidden: self.hidden,
             n,
             v_scale,
             g_max,

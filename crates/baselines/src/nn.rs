@@ -11,8 +11,6 @@
 //! column by column. No temporal structure — that is the LSTM baseline's
 //! job.
 
-use checkpoint::format::{Artifact, ArtifactBuilder};
-use checkpoint::CheckpointError;
 use neural::layers::{ActKind, Activation, Dense, Layer, Sequential};
 use neural::loss::mse;
 use neural::optim::Adam;
@@ -22,33 +20,18 @@ use ovs_core::estimator::{link_to_matrix, tod_to_matrix};
 use ovs_core::{EstimatorInput, TodEstimator};
 use roadnet::{LinkTensor, OdPairId, Result, RoadnetError, TodTensor};
 
-/// Artifact kind of a trained NN baseline.
-pub const NN_KIND: &str = "baseline-nn";
-
 /// A fitted NN baseline: the trained two-layer net plus the corpus
 /// normalisation scales — everything inference needs, detached from the
-/// training corpus. Save/load round trips are bit-exact.
+/// training corpus.
 pub struct TrainedNn {
     net: Sequential,
     m: usize,
-    hidden: usize,
     n: usize,
     v_scale: f64,
     g_scale: f64,
 }
 
 impl TrainedNn {
-    fn build_net(m: usize, hidden: usize, n: usize) -> Sequential {
-        // Weights are immediately overwritten by training or an import;
-        // the RNG only satisfies the constructor.
-        let mut rng = Rng64::new(0);
-        Sequential::new(vec![
-            Box::new(Dense::new(m, hidden, &mut rng)),
-            Box::new(Activation::new(ActKind::Sigmoid)),
-            Box::new(Dense::new(hidden, n, &mut rng)),
-        ])
-    }
-
     /// Predicts the TOD tensor for an observed speed tensor, interval by
     /// interval.
     pub fn predict(&mut self, observed_speed: &LinkTensor) -> TodTensor {
@@ -68,44 +51,6 @@ impl TrainedNn {
             }
         }
         tod
-    }
-
-    /// Serialises the trained net into a `"baseline-nn"` artifact.
-    pub fn to_artifact(&mut self) -> ArtifactBuilder {
-        let mut b = ArtifactBuilder::new(NN_KIND);
-        b.add_f64s("dims", &[self.m as f64, self.hidden as f64, self.n as f64]);
-        b.add_f64s("scales", &[self.v_scale, self.g_scale]);
-        b.add_matrices(
-            "weights",
-            &checkpoint::module::export_visit(&mut |f| self.net.visit_params(f)),
-        );
-        b
-    }
-
-    /// Rebuilds a trained net from a `"baseline-nn"` artifact.
-    pub fn from_artifact(artifact: &Artifact) -> checkpoint::Result<Self> {
-        artifact.expect_kind(NN_KIND)?;
-        let dims = artifact.f64s("dims")?;
-        let scales = artifact.f64s("scales")?;
-        if dims.len() != 3 || dims.iter().any(|&d| d < 1.0) || scales.len() != 2 {
-            return Err(CheckpointError::Malformed(format!(
-                "baseline-nn dims/scales inconsistent: {dims:?} / {scales:?}"
-            )));
-        }
-        let (m, hidden, n) = (dims[0] as usize, dims[1] as usize, dims[2] as usize);
-        let mut net = Self::build_net(m, hidden, n);
-        checkpoint::module::import_visit(
-            &mut |f| net.visit_params(f),
-            &artifact.matrices("weights")?,
-        )?;
-        Ok(Self {
-            net,
-            m,
-            hidden,
-            n,
-            v_scale: scales[0],
-            g_scale: scales[1],
-        })
     }
 }
 
@@ -135,8 +80,7 @@ impl NnEstimator {
 
 impl NnEstimator {
     /// Trains the network on the input's corpus, returning the fitted
-    /// model (use [`TrainedNn::predict`] for inference, or
-    /// [`TrainedNn::to_artifact`] to persist it).
+    /// model (use [`TrainedNn::predict`] for inference).
     pub fn fit(&self, input: &EstimatorInput<'_>) -> Result<TrainedNn> {
         ovs_core::estimator::validate_input(input)?;
         if input.train.is_empty() {
@@ -188,7 +132,6 @@ impl NnEstimator {
         Ok(TrainedNn {
             net,
             m,
-            hidden: self.hidden,
             n,
             v_scale,
             g_scale,

@@ -117,7 +117,7 @@ fn genetic_final_candidate_fits_speed_well() {
     // corpus tensor does.
     let ds = tiny_dataset();
     let inp = input(&ds, &ds.train);
-    let mut gen = baselines::GeneticEstimator::new(3).with_budget(8, 5);
+    let mut gen = baselines::GeneticEstimator::new(3);
     let tod = gen.estimate(&inp).unwrap();
     let fit = |t: &TodTensor| {
         datagen::dataset::simulate(&ds.net, &ds.ods, &ds.sim_config, t)

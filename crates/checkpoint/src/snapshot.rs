@@ -289,11 +289,6 @@ impl SnapshotWatcher {
         self
     }
 
-    /// The configured base poll interval in milliseconds.
-    pub fn poll_interval_ms(&self) -> u64 {
-        self.interval_ms
-    }
-
     /// How long the host loop should sleep before the next poll: the base
     /// interval, doubled for each consecutive poll that resolved no
     /// artifact, capped at `interval * `[`WATCH_BACKOFF_CAP`]. Any poll
@@ -660,7 +655,6 @@ mod tests {
             RetryPolicy::default(),
         )
         .with_poll_interval(10);
-        assert_eq!(watcher.poll_interval_ms(), 10);
         assert_eq!(watcher.next_poll_delay_ms(), 10);
         // Each empty poll doubles the suggested delay, capped at
         // interval * WATCH_BACKOFF_CAP.

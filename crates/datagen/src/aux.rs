@@ -13,7 +13,7 @@
 //! not exact.
 
 use neural::rng::Rng64;
-use roadnet::{LinkId, LinkTensor, OdPairId, OdSet, TodTensor};
+use roadnet::{LinkId, LinkTensor, OdPairId, TodTensor};
 
 /// LEHD-style census constraint: for OD pair `i`, the expected total
 /// number of daily trips (`sum_t g_{i,t}` in the auxiliary loss of §IV-E).
@@ -33,15 +33,6 @@ impl CensusOdTotals {
             })
             .collect();
         Self { totals }
-    }
-
-    /// Exact totals (for tests and upper-bound experiments).
-    pub fn exact(tod: &TodTensor) -> Self {
-        Self {
-            totals: (0..tod.rows())
-                .map(|i| tod.row_total(OdPairId(i)))
-                .collect(),
-        }
     }
 
     /// The daily total for OD `i`.
@@ -114,11 +105,6 @@ impl CameraObservations {
     }
 }
 
-/// Validates that census totals cover exactly the OD set.
-pub fn census_matches_ods(census: &CensusOdTotals, ods: &OdSet) -> bool {
-    census.len() == ods.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,7 +116,7 @@ mod tests {
     #[test]
     fn exact_totals_match_row_sums() {
         let t = tod();
-        let c = CensusOdTotals::exact(&t);
+        let c = CensusOdTotals::from_groundtruth(&t, 0.0, &mut Rng64::new(0));
         assert_eq!(c.as_slice(), &[6.0, 22.0, 38.0]);
         assert_eq!(c.total(OdPairId(1)), 22.0);
         assert_eq!(c.len(), 3);
@@ -141,13 +127,10 @@ mod tests {
         let t = tod();
         let mut rng = Rng64::new(0);
         let c = CensusOdTotals::from_groundtruth(&t, 0.05, &mut rng);
-        for (n, e) in c
-            .as_slice()
-            .iter()
-            .zip(CensusOdTotals::exact(&t).as_slice())
-        {
+        for (i, n) in c.as_slice().iter().enumerate() {
+            let e = t.row_total(OdPairId(i));
             assert!(*n >= 0.0);
-            if *e > 0.0 {
+            if e > 0.0 {
                 assert!((n - e).abs() / e < 0.3, "noisy {n} vs exact {e}");
             }
         }
@@ -156,9 +139,9 @@ mod tests {
     #[test]
     fn zero_noise_is_exact() {
         let t = tod();
-        let mut rng = Rng64::new(1);
-        let c = CensusOdTotals::from_groundtruth(&t, 0.0, &mut rng);
-        assert_eq!(c, CensusOdTotals::exact(&t));
+        let a = CensusOdTotals::from_groundtruth(&t, 0.0, &mut Rng64::new(1));
+        let b = CensusOdTotals::from_groundtruth(&t, 0.0, &mut Rng64::new(2));
+        assert_eq!(a, b, "without noise the seed cannot matter");
     }
 
     #[test]

@@ -87,30 +87,17 @@ impl TodPattern {
     }
 }
 
-/// Generates the mixed training corpus of §V-D: `count` TOD tensors with
-/// "every 20% of TOD tensors \[having\] a specific pattern".
-pub fn mixed_training_set(
-    count: usize,
-    n_od: usize,
-    t: usize,
-    interval_min: f64,
-    demand_scale: f64,
-    rng: &mut Rng64,
-) -> Vec<TodTensor> {
-    (0..count)
-        .map(|k| {
-            let pattern = TodPattern::ALL[k % TodPattern::ALL.len()];
-            pattern.generate(n_od, t, interval_min, demand_scale, rng)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn rates(tod: &TodTensor, interval_min: f64) -> Vec<f64> {
         tod.as_slice().iter().map(|v| v / interval_min).collect()
+    }
+
+    /// Trips in interval `t`, summed over every OD pair.
+    fn interval_total(tod: &TodTensor, t: usize) -> f64 {
+        (0..tod.rows()).map(|i| tod.get(OdPairId(i), t)).sum()
     }
 
     #[test]
@@ -126,8 +113,8 @@ mod tests {
     fn increasing_pattern_trends_up() {
         let mut rng = Rng64::new(1);
         let tod = TodPattern::Increasing.generate(50, 12, 10.0, 1.0, &mut rng);
-        let first = tod.interval_totals()[0];
-        let last = tod.interval_totals()[11];
+        let first = interval_total(&tod, 0);
+        let last = interval_total(&tod, 11);
         assert!(last > first * 2.0, "ends {first} -> {last}");
     }
 
@@ -135,8 +122,7 @@ mod tests {
     fn decreasing_pattern_trends_down() {
         let mut rng = Rng64::new(2);
         let tod = TodPattern::Decreasing.generate(50, 10, 10.0, 1.0, &mut rng);
-        let totals = tod.interval_totals();
-        assert!(totals[9] < totals[0] / 2.0);
+        assert!(interval_total(&tod, 9) < interval_total(&tod, 0) / 2.0);
     }
 
     #[test]
@@ -170,18 +156,6 @@ mod tests {
         let tod_full = TodPattern::Gaussian.generate(50, 6, 10.0, 1.0, &mut Rng64::new(6));
         let tod_half = TodPattern::Gaussian.generate(50, 6, 10.0, 0.5, &mut Rng64::new(6));
         assert!((tod_full.total() * 0.5 - tod_half.total()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mixed_set_cycles_patterns() {
-        let mut rng = Rng64::new(7);
-        let set = mixed_training_set(10, 5, 4, 10.0, 1.0, &mut rng);
-        assert_eq!(set.len(), 10);
-        // tensors 1 and 6 are both Increasing: totals rise with t for both
-        for idx in [1usize, 6] {
-            let totals = set[idx].interval_totals();
-            assert!(totals[3] > totals[0], "tensor {idx} should increase");
-        }
     }
 
     #[test]

@@ -53,6 +53,7 @@ pub fn corrupt_artifact_bytes(bytes: &mut Vec<u8>, faults: &StorageFaults, seed:
 }
 
 /// In-place file variant of [`corrupt_artifact_bytes`].
+// lint: allow(dead_api) — fault-injection hook the self-healing suite corrupts stores through
 pub fn corrupt_artifact_file(
     path: &Path,
     faults: &StorageFaults,

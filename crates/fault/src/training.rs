@@ -113,6 +113,7 @@ impl CkptInterrupter {
     /// Returns `Err` when the plan says this write must fail. Call it
     /// before the real write so the simulated interruption prevents the
     /// artifact from landing, exactly like a crash mid-write would.
+    // lint: allow(dead_api) — fault-injection hook the self-healing suite interrupts writes through
     pub fn intercept(&mut self, cp: &PipelineCheckpoint) -> roadnet::Result<()> {
         let (stage, step) = (cp.state.stage, cp.state.step);
         if !self.stage.matches(stage) || !self.steps.contains(&step) {

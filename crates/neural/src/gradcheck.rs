@@ -37,6 +37,7 @@ fn perturb(visit: &mut ParamVisitor<'_>, pi: usize, idx: usize, delta: f64) {
 
 /// Checks `d loss / d input` of a flat layer. Returns true when every
 /// component agrees within `tol`.
+// lint: allow(dead_api) — gradient checker every layer's tests run against
 pub fn check_layer_input(layer: &mut dyn Layer, x: &Matrix, eps: f64, tol: f64) -> bool {
     let y = layer.forward(x, false);
     let dx = layer.backward(&y);
@@ -60,6 +61,7 @@ pub fn check_layer_input(layer: &mut dyn Layer, x: &Matrix, eps: f64, tol: f64) 
 }
 
 /// Checks `d loss / d params` of a flat layer.
+// lint: allow(dead_api) — gradient checker every layer's tests run against
 pub fn check_layer_params(layer: &mut dyn Layer, x: &Matrix, eps: f64, tol: f64) -> bool {
     layer.zero_grad();
     let y = layer.forward(x, false);
@@ -88,6 +90,7 @@ pub fn check_layer_params(layer: &mut dyn Layer, x: &Matrix, eps: f64, tol: f64)
 }
 
 /// Checks `d loss / d input` of a sequence layer.
+// lint: allow(dead_api) — gradient checker every layer's tests run against
 pub fn check_seq_layer_input(layer: &mut dyn SeqLayer, x: &Tensor3, eps: f64, tol: f64) -> bool {
     let y = layer.forward(x, false);
     let dx = layer.backward(&y);
@@ -111,6 +114,7 @@ pub fn check_seq_layer_input(layer: &mut dyn SeqLayer, x: &Tensor3, eps: f64, to
 }
 
 /// Checks `d loss / d params` of a sequence layer.
+// lint: allow(dead_api) — gradient checker every layer's tests run against
 pub fn check_seq_layer_params(layer: &mut dyn SeqLayer, x: &Tensor3, eps: f64, tol: f64) -> bool {
     layer.zero_grad();
     let y = layer.forward(x, false);

@@ -4,10 +4,9 @@ use super::{Layer, SeqLayer};
 use crate::matrix::Matrix;
 use crate::tensor3::Tensor3;
 use crate::workspace::Workspace;
-use serde::{Deserialize, Serialize};
 
 /// Supported activation functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActKind {
     /// Logistic sigmoid — the paper's choice for the TOD generation stack
     /// (Eqs. 1-2) and the volume-speed head (Table IV).
@@ -47,10 +46,9 @@ impl ActKind {
 }
 
 /// Activation over `(batch, features)` matrices.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Activation {
     kind: ActKind,
-    #[serde(skip)]
     cache_y: Option<Matrix>,
 }
 
@@ -99,10 +97,9 @@ impl Layer for Activation {
 }
 
 /// Activation over `(batch, time, features)` tensors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SeqActivation {
     kind: ActKind,
-    #[serde(skip)]
     cache_y: Option<Tensor3>,
 }
 

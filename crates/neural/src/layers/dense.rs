@@ -4,16 +4,14 @@ use super::{xavier, Layer};
 use crate::matrix::Matrix;
 use crate::rng::Rng64;
 use crate::workspace::Workspace;
-use serde::{Deserialize, Serialize};
 
 /// `y = x @ W + b` with `W: (in, out)`, `b: (1, out)`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dense {
     w: Matrix,
     b: Matrix,
     dw: Matrix,
     db: Matrix,
-    #[serde(skip)]
     cache_x: Option<Matrix>,
 }
 
@@ -27,26 +25,6 @@ impl Dense {
             db: Matrix::zeros(1, output),
             cache_x: None,
         }
-    }
-
-    /// Input width.
-    pub fn input_size(&self) -> usize {
-        self.w.rows()
-    }
-
-    /// Output width.
-    pub fn output_size(&self) -> usize {
-        self.w.cols()
-    }
-
-    /// Immutable access to the weight (testing / inspection).
-    pub fn weight(&self) -> &Matrix {
-        &self.w
-    }
-
-    /// Immutable access to the bias.
-    pub fn bias(&self) -> &Matrix {
-        &self.b
     }
 }
 
@@ -148,15 +126,5 @@ mod tests {
         });
         d.zero_grad();
         d.visit_params(&mut |_, g| assert_eq!(g.norm(), 0.0));
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_weights() {
-        let mut rng = Rng64::new(3);
-        let d = Dense::new(3, 3, &mut rng);
-        let json = serde_json::to_string(&d).unwrap();
-        let back: Dense = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.weight(), d.weight());
-        assert_eq!(back.bias(), d.bias());
     }
 }

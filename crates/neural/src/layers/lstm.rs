@@ -9,12 +9,11 @@ use crate::matrix::Matrix;
 use crate::rng::Rng64;
 use crate::tensor3::Tensor3;
 use crate::workspace::Workspace;
-use serde::{Deserialize, Serialize};
 
 /// A standard LSTM: `(b, t, in) -> (b, t, hidden)`, zero initial state,
 /// gate order `[input, forget, cell, output]`, forget-gate bias
 /// initialised to +1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Lstm {
     input: usize,
     hidden: usize,
@@ -27,7 +26,6 @@ pub struct Lstm {
     dwx: Matrix,
     dwh: Matrix,
     db: Matrix,
-    #[serde(skip)]
     state: Option<LstmState>,
 }
 
@@ -135,11 +133,6 @@ impl Lstm {
             db: Matrix::zeros(1, 4 * hidden),
             state: None,
         }
-    }
-
-    /// Hidden width.
-    pub fn hidden_size(&self) -> usize {
-        self.hidden
     }
 
     /// Returns the cached state, rebuilding it when the shape changed.

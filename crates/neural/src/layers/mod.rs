@@ -25,14 +25,12 @@
 mod activation;
 mod conv1d;
 mod dense;
-mod gru;
 mod lstm;
 mod sequential;
 
 pub use activation::{ActKind, Activation, SeqActivation};
 pub use conv1d::Conv1d;
 pub use dense::Dense;
-pub use gru::Gru;
 pub use lstm::Lstm;
 pub use sequential::{SeqSequential, Sequential, TimeDistributed};
 

@@ -3,7 +3,7 @@
 //! The paper's main loss (Eq. 12) is the summed squared error between
 //! predicted and observed link speeds; the auxiliary losses (§IV-E) share
 //! the same squared-error form over other quantities. Both reduce to
-//! [`mse`] / [`sse`] here.
+//! [`mse`] here; a sum is the mean times the cell count.
 
 use crate::matrix::Matrix;
 use crate::tensor3::Tensor3;
@@ -31,17 +31,6 @@ pub fn mse_into(pred: &Matrix, target: &Matrix, grad: &mut Matrix) -> f64 {
     let loss = grad.as_slice().iter().map(|v| v * v).sum::<f64>() / n;
     grad.scale(2.0 / n);
     loss
-}
-
-/// Summed squared error (the paper's Eq. 12 form); returns
-/// `(loss, d loss / d pred)`.
-pub fn sse(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
-    assert_eq!(pred.shape(), target.shape(), "sse shape mismatch");
-    let mut grad = pred.clone();
-    grad.sub_assign(target);
-    let loss = grad.as_slice().iter().map(|v| v * v).sum::<f64>();
-    grad.scale(2.0);
-    (loss, grad)
 }
 
 /// Huber loss (mean over cells, squared-error scaling): quadratic inside
@@ -88,6 +77,7 @@ pub fn mse_seq(pred: &Tensor3, target: &Tensor3) -> (f64, Tensor3) {
 
 /// [`mse_seq`] writing the gradient into a caller-provided buffer — same
 /// op order, same bits, no allocation.
+// lint: allow(dead_api) — the loss of the allocation-free sequence step `zero_alloc.rs` pins
 // lint: hot — the zero-alloc training step's loss kernel
 pub fn mse_seq_into(pred: &Tensor3, target: &Tensor3, grad: &mut Tensor3) -> f64 {
     assert_eq!(pred.shape(), target.shape(), "mse_seq shape mismatch");
@@ -118,8 +108,6 @@ mod tests {
         let (l, g) = mse(&a, &a);
         assert_eq!(l, 0.0);
         assert_eq!(g.norm(), 0.0);
-        let (l, _) = sse(&a, &a);
-        assert_eq!(l, 0.0);
     }
 
     #[test]
@@ -129,15 +117,6 @@ mod tests {
         let (l, g) = mse(&p, &t);
         assert!((l - (1.0 + 4.0) / 2.0).abs() < 1e-12);
         assert_eq!(g.as_slice(), &[1.0, 2.0]); // 2/n * diff
-    }
-
-    #[test]
-    fn sse_is_n_times_mse() {
-        let p = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let t = Matrix::zeros(2, 2);
-        let (lm, _) = mse(&p, &t);
-        let (ls, _) = sse(&p, &t);
-        assert!((ls - 4.0 * lm).abs() < 1e-12);
     }
 
     #[test]

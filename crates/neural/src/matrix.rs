@@ -19,7 +19,6 @@
 //! allocation-free; `x.matmul_into(w, &mut out)` produces exactly the
 //! bits of `out = x.matmul(w)`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Cache-block depth: `p` (the shared/contraction axis) is processed in
@@ -50,7 +49,7 @@ impl fmt::Display for ShapeError {
 impl std::error::Error for ShapeError {}
 
 /// A dense row-major matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -97,15 +96,6 @@ impl Matrix {
             }
         }
         Self { rows, cols, data }
-    }
-
-    /// A single-row matrix from a slice.
-    pub fn row_vector(values: &[f64]) -> Self {
-        Self {
-            rows: 1,
-            cols: values.len(),
-            data: values.to_vec(),
-        }
     }
 
     /// Number of rows.
@@ -270,6 +260,7 @@ impl Matrix {
     }
 
     /// Transposed copy.
+    // lint: allow(dead_api) — the reference the fused transposed products are tested against
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
     }
@@ -314,14 +305,6 @@ impl Matrix {
         assert_eq!(self.shape(), rhs.shape(), "axpy shape mismatch");
         for (a, b) in self.data.iter_mut().zip(&rhs.data) {
             *a += alpha * b;
-        }
-    }
-
-    /// Element-wise (Hadamard) product, in place.
-    pub fn hadamard_assign(&mut self, rhs: &Matrix) {
-        assert_eq!(self.shape(), rhs.shape(), "hadamard shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a *= b;
         }
     }
 
@@ -943,7 +926,7 @@ mod tests {
         assert_eq!(a.get(0, 0), 5.0);
         a.sub_assign(&b);
         assert_eq!(a.get(1, 1), 3.0);
-        a.hadamard_assign(&b);
+        a.scale(2.0);
         assert_eq!(a.get(0, 1), 6.0);
         a.scale(0.5);
         assert_eq!(a.get(0, 0), 3.0);
@@ -954,7 +937,7 @@ mod tests {
     #[test]
     fn broadcast_and_sums() {
         let mut a = Matrix::zeros(3, 2);
-        let bias = Matrix::row_vector(&[1.0, -1.0]);
+        let bias = Matrix::from_vec(1, 2, vec![1.0, -1.0]).unwrap();
         a.add_row_broadcast(&bias);
         assert_eq!(a.row(2), &[1.0, -1.0]);
         let s = a.sum_rows();
@@ -984,8 +967,8 @@ mod tests {
 
     #[test]
     fn softmax_is_shift_invariant() {
-        let mut a = Matrix::row_vector(&[1.0, 2.0, 3.0]);
-        let mut b = Matrix::row_vector(&[101.0, 102.0, 103.0]);
+        let mut a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]).unwrap();
+        let mut b = Matrix::from_vec(1, 3, vec![101.0, 102.0, 103.0]).unwrap();
         softmax_rows(&mut a);
         softmax_rows(&mut b);
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
@@ -995,7 +978,7 @@ mod tests {
 
     #[test]
     fn softmax_handles_extreme_logits() {
-        let mut m = Matrix::row_vector(&[1000.0, 0.0, -1000.0]);
+        let mut m = Matrix::from_vec(1, 3, vec![1000.0, 0.0, -1000.0]).unwrap();
         softmax_rows(&mut m);
         assert!(m.is_finite());
         assert!((m.get(0, 0) - 1.0).abs() < 1e-9);
@@ -1003,7 +986,7 @@ mod tests {
 
     #[test]
     fn softmax_backward_matches_finite_difference() {
-        let logits = Matrix::row_vector(&[0.3, -0.7, 1.2, 0.1]);
+        let logits = Matrix::from_vec(1, 4, vec![0.3, -0.7, 1.2, 0.1]).unwrap();
         // Loss: sum of softmax output times fixed weights.
         let w = [0.5, -1.0, 2.0, 0.25];
         let f = |m: &Matrix| {
@@ -1013,7 +996,7 @@ mod tests {
         };
         let mut y = logits.clone();
         softmax_rows(&mut y);
-        let dy = Matrix::row_vector(&w);
+        let dy = Matrix::from_vec(1, w.len(), w.to_vec()).unwrap();
         let dx = softmax_rows_backward(&y, &dy);
         let eps = 1e-6;
         for i in 0..4 {
@@ -1038,14 +1021,6 @@ mod tests {
         softmax_rows(&mut y);
         let dx = softmax_rows_backward(&y, &Matrix::filled(3, 5, 1.75));
         assert!(dx.as_slice().iter().all(|v| v.abs() < 1e-15), "{dx:?}");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let a = Matrix::from_fn(2, 3, |r, c| (r + c) as f64 * 1.5);
-        let json = serde_json::to_string(&a).unwrap();
-        let back: Matrix = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, a);
     }
 
     #[test]

@@ -102,13 +102,6 @@ impl Adam {
         self.lr = lr;
     }
 
-    /// Number of parameter slots this optimiser holds moment state for.
-    /// Zero until the first step; afterwards it must match the slot count
-    /// of the model the optimiser is paired with.
-    pub fn slot_count(&self) -> usize {
-        self.m.len()
-    }
-
     /// Takes one optimisation step over every `(param, grad)` slot the
     /// module's `visit_params` walk yields.
     ///
@@ -303,7 +296,7 @@ mod tests {
         let mut resumed: Vec<f64> = (0..10).map(|_| step(&mut b, &mut opt_b)).collect();
         let snap = opt_b.snapshot();
         assert_eq!(snap.t, 10);
-        assert_eq!(snap.m.len(), opt_b.slot_count());
+        assert_eq!(snap.m.len(), 2, "one moment slot per Dense weight and bias");
         drop(opt_b);
         let mut opt_b = Adam::from_snapshot(snap);
         resumed.extend((0..10).map(|_| step(&mut b, &mut opt_b)));
@@ -343,7 +336,7 @@ mod tests {
         let y = big.forward(&x, true);
         big.backward(&y);
         opt.step(&mut |f| big.visit_params(f));
-        assert_eq!(opt.slot_count(), 4);
+        assert_eq!(opt.snapshot().m.len(), 4);
         let y = small.forward(&x, true);
         small.backward(&y);
         opt.step(&mut |f| small.visit_params(f)); // 2 slots < 4 bound slots
@@ -418,12 +411,12 @@ mod tests {
             Box::new(Dense::new(4, 2, &mut rng)),
         ]);
         let mut opt = Adam::new(0.1);
-        assert_eq!(opt.slot_count(), 0);
+        assert_eq!(opt.snapshot().m.len(), 0);
         opt.step(&mut |f| net.visit_params(f));
         let mut shapes = Vec::new();
         net.visit_params(&mut |p, _| shapes.push(p.shape()));
         let snap = opt.snapshot();
-        assert_eq!(opt.slot_count(), shapes.len());
+        assert_eq!(opt.snapshot().m.len(), shapes.len());
         assert_eq!(snap.m.iter().map(Matrix::shape).collect::<Vec<_>>(), shapes);
         assert_eq!(snap.v.iter().map(Matrix::shape).collect::<Vec<_>>(), shapes);
     }

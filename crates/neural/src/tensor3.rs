@@ -1,11 +1,10 @@
 //! Rank-3 tensors `(batch, time, features)` for sequence layers.
 
 use crate::matrix::{Matrix, ShapeError};
-use serde::{Deserialize, Serialize};
 
 /// A dense `(batch, time, features)` tensor, row-major with `features`
 /// fastest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor3 {
     b: usize,
     t: usize,

@@ -89,11 +89,6 @@ impl Workspace {
         self.pool.push(t.into_raw());
     }
 
-    /// Buffers currently sitting in the pool.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
-
     /// Pool reuses since construction.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -137,7 +132,6 @@ mod tests {
         // A 2x2 request must grab the 4-capacity buffer, not the 100.
         let m = ws.take(2, 2);
         assert!(m.len() == 4);
-        assert_eq!(ws.pooled(), 1);
         let remaining = ws.take(10, 10);
         assert_eq!(remaining.len(), 100);
         assert_eq!(ws.misses(), 2, "both originals were fresh");
@@ -152,9 +146,9 @@ mod tests {
         assert_eq!(ws.hits(), 1, "tensor reused the matrix buffer");
         assert_eq!(t.shape(), (2, 3, 4));
         ws.give3(t);
-        assert_eq!(ws.pooled(), 1);
         ws.clear();
-        assert_eq!(ws.pooled(), 0);
+        let _ = ws.take(4, 6);
+        assert_eq!(ws.misses(), 2, "clear emptied the pool");
     }
 
     #[test]

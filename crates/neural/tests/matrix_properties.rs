@@ -67,7 +67,7 @@ proptest! {
     /// broadcast of the row-sum of a one-row matrix yields zero.
     #[test]
     fn broadcast_roundtrip(vals in proptest::collection::vec(-5.0f64..5.0, 4)) {
-        let bias = Matrix::row_vector(&vals);
+        let bias = Matrix::from_vec(1, vals.len(), vals.clone()).unwrap();
         let mut m = Matrix::zeros(3, 4);
         m.add_row_broadcast(&bias);
         let sums = m.sum_rows();

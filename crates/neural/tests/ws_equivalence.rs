@@ -11,7 +11,7 @@
 
 use neural::gradcheck::check_seq_layer_input;
 use neural::layers::{
-    ActKind, Activation, Conv1d, Dense, Gru, Layer, Lstm, SeqActivation, SeqLayer, SeqSequential,
+    ActKind, Activation, Conv1d, Dense, Layer, Lstm, SeqActivation, SeqLayer, SeqSequential,
     Sequential, TimeDistributed,
 };
 use neural::rng::Rng64;
@@ -154,11 +154,6 @@ const CASES: &[Case] = &[
         shape: (3, 4, 2),
     },
     Case {
-        name: "gru",
-        build: |rng| seq(Gru::new(2, 5, rng)),
-        shape: (3, 4, 2),
-    },
-    Case {
         name: "conv1d_same",
         build: |rng| seq(Conv1d::new(2, 3, 3, rng)),
         shape: (2, 6, 2),
@@ -196,7 +191,6 @@ const PINNED: &[(&str, u64)] = &[
     ("seq_activation", 0xd947_fa54_2f2c_d8df),
     ("time_distributed", 0x43f7_98ba_b6bd_45d2),
     ("lstm", 0x9d53_fff0_49dc_ac4f),
-    ("gru", 0x6b85_3868_8752_c0d3),
     ("conv1d_same", 0x2bbc_b41e_2c83_5929),
     ("conv1d_strided", 0x639d_11b4_5a04_3749),
     ("seq_sequential", 0xb754_1dbd_6228_23b6),

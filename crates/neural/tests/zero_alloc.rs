@@ -1,6 +1,6 @@
 //! Steady-state training steps through the `_ws` (workspace) paths must
 //! be allocation-free: after a short warmup that sizes the buffer pool,
-//! the optimiser moment slots and the layers' caches (LSTM/GRU state,
+//! the optimiser moment slots and the layers' caches (LSTM state,
 //! im2col), a training step touches the heap zero times.
 //! Every layer type runs in at least one of the stacks below.
 //!
@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use neural::layers::{
-    ActKind, Activation, Conv1d, Dense, Gru, Layer, Lstm, SeqActivation, SeqLayer, SeqSequential,
+    ActKind, Activation, Conv1d, Dense, Layer, Lstm, SeqActivation, SeqLayer, SeqSequential,
     Sequential, TimeDistributed,
 };
 use neural::loss::{mse_into, mse_seq_into};
@@ -192,13 +192,6 @@ fn training_steps_are_allocation_free_after_warmup() {
         Box::new(SeqActivation::new(ActKind::Sigmoid)),
     ]);
     assert_seq_stack_allocation_free("recover V2S stack", &mut v2s, (1440, 6, 1, 1), &mut rng);
-
-    // GRU variant of the V2S stack.
-    let mut gru = SeqSequential::new(vec![
-        Box::new(Gru::new(1, 8, &mut rng)) as Box<dyn SeqLayer>,
-        Box::new(TimeDistributed::new(Dense::new(8, 1, &mut rng))),
-    ]);
-    assert_seq_stack_allocation_free("GRU stack", &mut gru, (16, 6, 1, 1), &mut rng);
 
     // The Route-e convolution stack as TOD2V builds it.
     let mut conv = SeqSequential::new(vec![

@@ -170,11 +170,6 @@ impl Registry {
         self.histogram_stability(name, bounds, Stability::Stable)
     }
 
-    /// Labeled variant of [`Registry::histogram`].
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)], bounds: &[f64]) -> Histogram {
-        self.histogram(&Self::key(name, labels), bounds)
-    }
-
     /// Gets or creates a wall-clock histogram (e.g. write latencies),
     /// excluded from stable snapshots.
     pub fn timing_histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
@@ -194,11 +189,6 @@ impl Registry {
     /// `name` when the returned [`Span`] drops.
     pub fn timer(&self, name: &str) -> Span {
         Span::new(self.timing_gauge(name))
-    }
-
-    /// Labeled variant of [`Registry::timer`].
-    pub fn timer_with(&self, name: &str, labels: &[(&str, &str)]) -> Span {
-        self.timer(&Self::key(name, labels))
     }
 
     /// Snapshots every metric (optionally excluding the timing class), in

@@ -53,7 +53,7 @@ pub fn structural_config_json(cfg: &OvsConfig) -> String {
         concat!(
             "{{\"tod_hidden\":{},\"route_hidden\":{},\"k_routes\":{},",
             "\"od_route_fc\":{},\"conv_channels\":{},\"attention_window\":{},",
-            "\"lstm_hidden\":{},\"rnn_kind\":\"{:?}\",\"variant\":\"{:?}\"}}"
+            "\"lstm_hidden\":{},\"variant\":\"{:?}\"}}"
         ),
         cfg.tod_hidden,
         cfg.route_hidden,
@@ -62,7 +62,6 @@ pub fn structural_config_json(cfg: &OvsConfig) -> String {
         cfg.conv_channels,
         cfg.attention_window,
         cfg.lstm_hidden,
-        cfg.rnn_kind,
         cfg.variant,
     )
 }
@@ -128,6 +127,11 @@ pub fn import_model(model: &mut OvsModel, artifact: &Artifact) -> checkpoint::Re
 /// config (seed included, so the generator's Gaussian seeds regenerate
 /// identically) plus the recorded weights. The reloaded model's
 /// `recovered_tod()` is bit-identical to the saved model's.
+///
+/// The geometry is checked before anything is built: the interval count
+/// must be a whole number no larger than the number of stored weight
+/// values (every variant's generator owns at least one weight per
+/// interval), and the interval length finite and positive.
 pub fn load_model(
     net: &RoadNetwork,
     ods: &OdSet,
@@ -135,16 +139,27 @@ pub fn load_model(
 ) -> checkpoint::Result<OvsModel> {
     artifact.expect_kind(OVS_MODEL_KIND)?;
     let cfg = config_from_artifact(artifact)?;
+    let n_values = (artifact.matrices("weights")?.iter())
+        .map(neural::Matrix::len)
+        .sum::<usize>();
     let geom = artifact.f64s("geometry")?;
     let (intervals, interval_s) = match geom.as_slice() {
-        &[n, s] if n >= 1.0 && s.is_finite() => (n, s),
+        &[n, s]
+            if n.fract() == 0.0
+                && (1.0..=n_values as f64).contains(&n)
+                && s.is_finite()
+                && s > 0.0 =>
+        {
+            (n as usize, s)
+        }
         _ => {
             return Err(CheckpointError::Malformed(format!(
-                "geometry section must be [intervals, interval_s], got {geom:?}"
+                "geometry section must be [intervals, interval_s] with a whole interval \
+                 count in 1..={n_values} and a finite interval length > 0, got {geom:?}"
             )))
         }
     };
-    let mut model = OvsModel::new(net, ods, intervals as usize, interval_s, cfg)
+    let mut model = OvsModel::new(net, ods, intervals, interval_s, cfg)
         .map_err(|e| CheckpointError::Malformed(format!("model rebuild: {e}")))?;
     import_model(&mut model, artifact)?;
     Ok(model)
@@ -192,6 +207,7 @@ pub fn model_provenance(
 
 /// Serialises a whole-pipeline training snapshot into an
 /// `"ovs-pipeline"` artifact.
+// lint: allow(dead_api) — on-disk form of `PipelineCheckpoint` the self-healing suite corrupts and heals
 pub fn save_pipeline(
     cp: &PipelineCheckpoint,
     cfg: &OvsConfig,
@@ -221,6 +237,7 @@ pub fn save_pipeline(
 /// Reconstructs a pipeline snapshot from an `"ovs-pipeline"` artifact,
 /// refusing if its recorded structural config mismatches `cfg` (the
 /// config of the run being resumed).
+// lint: allow(dead_api) — on-disk form of `PipelineCheckpoint` the self-healing suite corrupts and heals
 pub fn load_pipeline(
     artifact: &Artifact,
     cfg: &OvsConfig,
@@ -313,6 +330,109 @@ mod tests {
             import_model(&mut a, &other),
             Err(CheckpointError::WrongKind { .. })
         ));
+    }
+
+    /// A copy of an `"ovs-model"` artifact with its config, geometry and
+    /// weights replaced — the form an older or foreign writer leaves.
+    fn rewritten(
+        artifact: &Artifact,
+        config: &str,
+        geometry: &[f64],
+        weights: &[neural::Matrix],
+    ) -> Artifact {
+        let mut b = ArtifactBuilder::new(OVS_MODEL_KIND);
+        b.add_str("config", config);
+        b.add_f64s("geometry", geometry);
+        b.add_matrices("weights", weights);
+        b.add_matrix("recovered_tod", &artifact.matrix("recovered_tod").unwrap());
+        Artifact::from_bytes(&b.to_bytes()).unwrap()
+    }
+
+    /// The saved model's config JSON with the `rnn_kind` field that
+    /// `OvsConfig` carried (between `lstm_hidden` and `lr`) before the
+    /// recurrent cell became fixed.
+    fn config_with_rnn_kind(artifact: &Artifact, kind: &str) -> String {
+        let json = artifact.str_section("config").unwrap();
+        assert!(!json.contains("rnn_kind"));
+        json.replacen("\"lr\":", &format!("\"rnn_kind\":\"{kind}\",\"lr\":"), 1)
+    }
+
+    fn saved(model: &mut OvsModel) -> Artifact {
+        let tod = matrix_to_tod(&model.recovered_tod());
+        Artifact::from_bytes(&save_model(model, Some(&tod)).unwrap().to_bytes()).unwrap()
+    }
+
+    #[test]
+    fn load_model_refuses_implausible_geometry_before_building() {
+        let (net, ods, mut a) = model_with(OvsConfig::tiny().with_seed(3));
+        let artifact = saved(&mut a);
+        let config = artifact.str_section("config").unwrap();
+        let weights = artifact.matrices("weights").unwrap();
+        for geometry in [
+            [1e300, 600.0],
+            [2f64.powi(40), 600.0],
+            [2.5, 600.0],
+            [0.0, 600.0],
+            [f64::NAN, 600.0],
+            [6.0, 0.0],
+            [6.0, -600.0],
+            [6.0, f64::INFINITY],
+        ] {
+            let bad = rewritten(&artifact, &config, &geometry, &weights);
+            assert!(
+                matches!(
+                    load_model(&net, &ods, &bad),
+                    Err(CheckpointError::Malformed(_))
+                ),
+                "geometry {geometry:?} must be refused as malformed"
+            );
+        }
+        let good = rewritten(&artifact, &config, &[6.0, 600.0], &weights);
+        let mut b = load_model(&net, &ods, &good).unwrap();
+        assert_eq!(b.recovered_tod(), a.recovered_tod());
+    }
+
+    #[test]
+    fn artifacts_recording_an_lstm_rnn_kind_still_load() {
+        let (net, ods, mut a) = model_with(OvsConfig::tiny().with_seed(5));
+        let artifact = saved(&mut a);
+        let weights = artifact.matrices("weights").unwrap();
+        let config = config_with_rnn_kind(&artifact, "Lstm");
+        let old = rewritten(&artifact, &config, &[6.0, 600.0], &weights);
+        let mut b = load_model(&net, &ods, &old).unwrap();
+        assert_eq!(b.recovered_tod(), a.recovered_tod());
+        let (_, _, mut c) = model_with(OvsConfig::tiny().with_seed(5));
+        import_model(&mut c, &old).unwrap();
+        assert_eq!(c.recovered_tod(), a.recovered_tod());
+        assert_eq!(model_weights(&old, a.config()).unwrap(), weights);
+    }
+
+    #[test]
+    fn artifacts_recording_a_gru_are_refused_as_shape_mismatches() {
+        let (net, ods, mut a) = model_with(OvsConfig::tiny());
+        let artifact = saved(&mut a);
+        let h = a.config().lstm_hidden;
+        // The GRU's slots were the LSTM's with three gates instead of
+        // four: each V2S recurrent weight and bias had `3h` columns.
+        let mut weights = artifact.matrices("weights").unwrap();
+        let recurrent = weights.len() - 8..weights.len() - 2;
+        for w in &mut weights[recurrent] {
+            assert_eq!(w.cols(), 4 * h);
+            *w = neural::Matrix::from_fn(w.rows(), 3 * h, |r, c| w.get(r, c));
+        }
+        let config = config_with_rnn_kind(&artifact, "Gru");
+        let gru = rewritten(&artifact, &config, &[6.0, 600.0], &weights);
+        assert!(matches!(
+            load_model(&net, &ods, &gru),
+            Err(CheckpointError::ShapeMismatch { .. })
+        ));
+        let (_, _, mut b) = model_with(OvsConfig::tiny());
+        let before = b.export_weights();
+        assert!(matches!(
+            import_model(&mut b, &gru),
+            Err(CheckpointError::ShapeMismatch { .. })
+        ));
+        assert_eq!(b.export_weights(), before);
     }
 
     #[test]

@@ -2,15 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Recurrent cell used by the Volume-Speed mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RnnKind {
-    /// The paper's choice (Table IV).
-    Lstm,
-    /// A lighter alternative with ~25% fewer parameters.
-    Gru,
-}
-
 /// Which modules run in their full form — the ablation axis of Table IX.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OvsVariant {
@@ -68,8 +59,6 @@ pub struct OvsConfig {
     pub attention_window: usize,
     /// Hidden width of the Volume-Speed LSTMs (paper: 128).
     pub lstm_hidden: usize,
-    /// Recurrent cell of the Volume-Speed mapping (paper: LSTM).
-    pub rnn_kind: RnnKind,
     /// Learning rate (paper: 1e-3).
     pub lr: f64,
     /// Epochs for stage 1 (V2S fit).
@@ -131,7 +120,6 @@ impl Default for OvsConfig {
             conv_channels: 4,
             attention_window: 4,
             lstm_hidden: 32,
-            rnn_kind: RnnKind::Lstm,
             lr: 1e-3,
             epochs_v2s: 600,
             epochs_tod2v: 300,

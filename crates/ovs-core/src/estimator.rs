@@ -188,13 +188,6 @@ pub fn link_to_matrix(t: &LinkTensor) -> Matrix {
         .expect("tensor is internally consistent")
 }
 
-/// Copies a `(M, T)` matrix into a link tensor.
-pub fn matrix_to_link(m: &Matrix) -> LinkTensor {
-    // lint: allow(panic) — shape and data length come from one matrix, cannot mismatch
-    LinkTensor::from_data(m.rows(), m.cols(), m.as_slice().to_vec())
-        .expect("matrix is internally consistent")
-}
-
 /// Helper shared by learned estimators: validates that input shapes are
 /// mutually consistent.
 pub fn validate_input(input: &EstimatorInput<'_>) -> Result<()> {
@@ -256,6 +249,8 @@ mod tests {
     #[test]
     fn link_matrix_roundtrip() {
         let t = LinkTensor::from_data(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(matrix_to_link(&link_to_matrix(&t)), t);
+        let m = link_to_matrix(&t);
+        assert_eq!(m.shape(), (2, 2));
+        assert_eq!(m.as_slice(), t.as_slice());
     }
 }

@@ -71,13 +71,6 @@ impl OvsModel {
         (g, q, v)
     }
 
-    /// Deterministic partial pass: a given TOD through the two mappings.
-    pub fn predict_from_tod(&mut self, g: &Matrix, train: bool) -> (Matrix, Matrix) {
-        let q = self.tod2v.forward(g, train);
-        let v = self.v2s.forward(&q, train);
-        (q, v)
-    }
-
     /// The currently recovered TOD (evaluation mode forward of the
     /// generator).
     pub fn recovered_tod(&mut self) -> Matrix {
@@ -166,15 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_from_tod_consistent_with_full() {
-        let mut m = model(OvsVariant::Full);
-        let (g, q, v) = m.forward_full(false);
-        let (q2, v2) = m.predict_from_tod(&g, false);
-        assert_eq!(q, q2);
-        assert_eq!(v, v2);
-    }
-
-    #[test]
     fn all_variants_build_and_run() {
         for variant in [
             OvsVariant::Full,
@@ -204,10 +188,9 @@ mod tests {
         // compare the deterministic mappings instead.)
         b.import_weights(&weights).unwrap();
         let g = a.recovered_tod();
-        let (qa, va) = a.predict_from_tod(&g, false);
-        let (qb, vb) = b.predict_from_tod(&g, false);
+        let (qa, qb) = (a.tod2v.forward(&g, false), b.tod2v.forward(&g, false));
         assert_eq!(qa, qb);
-        assert_eq!(va, vb);
+        assert_eq!(a.v2s.forward(&qa, false), b.v2s.forward(&qb, false));
     }
 
     #[test]

@@ -109,11 +109,6 @@ impl RouteTable {
             .unwrap_or(&[])
     }
 
-    /// All routes of `od` in non-decreasing cost order.
-    pub fn routes_of(&self, od: OdPairId) -> &[Vec<LinkId>] {
-        &self.routes[od.index()]
-    }
-
     /// The `k` the table was built with (upper bound on routes per OD).
     pub fn max_routes(&self) -> usize {
         self.max_routes
@@ -122,15 +117,6 @@ impl RouteTable {
     /// Routes crossing `link`, with free-flow offsets.
     pub fn incident(&self, link: LinkId) -> &[Incidence] {
         &self.incident[link.index()]
-    }
-
-    /// Mean number of routes per link (diagnostic).
-    pub fn mean_incidence(&self) -> f64 {
-        if self.n_links == 0 {
-            return 0.0;
-        }
-        let total: usize = self.incident.iter().map(Vec::len).sum();
-        total as f64 / self.n_links as f64
     }
 }
 
@@ -218,11 +204,5 @@ mod tests {
             })
         });
         assert!(has_delay);
-    }
-
-    #[test]
-    fn mean_incidence_positive() {
-        let (_, _, table) = table();
-        assert!(table.mean_incidence() > 1.0);
     }
 }

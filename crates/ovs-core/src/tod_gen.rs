@@ -127,14 +127,6 @@ impl TodGeneration {
         self.visit_params(&mut |_, g| g.fill_zero());
     }
 
-    /// Re-randomises the Gaussian seeds (the paper feeds "random seeds" at
-    /// test time; re-seeding restarts the fit from a fresh draw).
-    pub fn reseed(&mut self, rng: &mut Rng64) {
-        if let TodGenInner::Structured { seeds, .. } = &mut self.inner {
-            rng.fill_normal(seeds.as_mut_slice());
-        }
-    }
-
     /// Prepares the generator for the test-time fit: the output starts
     /// *flat* at `fraction * g_max` (the corpus demand level) by setting
     /// the final bias to the corresponding logit and shrinking the final
@@ -245,15 +237,5 @@ mod tests {
             }
         });
         assert!(!any_zero, "every parameter must receive gradient");
-    }
-
-    #[test]
-    fn reseed_changes_structured_output() {
-        let mut rng = Rng64::new(3);
-        let mut gen = TodGeneration::new(4, 3, &cfg(), &mut rng);
-        let a = gen.forward(false);
-        gen.reseed(&mut rng);
-        let b = gen.forward(false);
-        assert_ne!(a, b);
     }
 }

@@ -212,16 +212,6 @@ pub struct TrainReport {
 }
 
 impl TrainReport {
-    /// Final stage-1 loss.
-    pub fn final_v2s(&self) -> Option<f64> {
-        self.v2s_losses.last().copied()
-    }
-
-    /// Final stage-2 loss.
-    pub fn final_tod2v(&self) -> Option<f64> {
-        self.tod2v_losses.last().copied()
-    }
-
     /// Final test-time fit loss.
     pub fn final_fit(&self) -> Option<f64> {
         self.fit_losses.last().copied()

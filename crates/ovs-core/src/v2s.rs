@@ -11,9 +11,9 @@
 //! time-distributed FC stack — each interval mapped independently, no
 //! temporal carry-over of congestion.
 
-use crate::config::{OvsConfig, OvsVariant, RnnKind};
+use crate::config::{OvsConfig, OvsVariant};
 use neural::layers::{
-    ActKind, Dense, Gru, Lstm, SeqActivation, SeqLayer, SeqSequential, TimeDistributed,
+    ActKind, Dense, Lstm, SeqActivation, SeqLayer, SeqSequential, TimeDistributed,
 };
 use neural::matrix::Matrix;
 use neural::rng::Rng64;
@@ -40,15 +40,9 @@ impl VolumeSpeedMapping {
                 Box::new(SeqActivation::new(ActKind::Sigmoid)),
             ])
         } else {
-            let rnn = |input: usize, rng: &mut neural::rng::Rng64| -> Box<dyn SeqLayer> {
-                match cfg.rnn_kind {
-                    RnnKind::Lstm => Box::new(Lstm::new(input, h, rng)),
-                    RnnKind::Gru => Box::new(Gru::new(input, h, rng)),
-                }
-            };
             SeqSequential::new(vec![
-                rnn(1, rng),
-                rnn(h, rng),
+                Box::new(Lstm::new(1, h, rng)),
+                Box::new(Lstm::new(h, h, rng)),
                 Box::new(TimeDistributed::new(Dense::new(h, 1, rng))),
                 Box::new(SeqActivation::new(ActKind::Sigmoid)),
             ])
@@ -212,20 +206,6 @@ mod tests {
                 "idx {idx}: analytic {analytic} vs numeric {numeric}"
             );
         }
-    }
-
-    #[test]
-    fn gru_backend_works_and_is_smaller() {
-        let mut rng = Rng64::new(4);
-        let mut c = cfg(OvsVariant::Full);
-        c.rnn_kind = crate::config::RnnKind::Gru;
-        let mut gru = VolumeSpeedMapping::new(&c, &mut rng);
-        let q = Matrix::filled(3, 4, 25.0);
-        let v = gru.forward(&q, false);
-        assert!(v.is_finite());
-        assert!(v.as_slice().iter().all(|&s| s >= 0.0 && s <= c.v_max));
-        let mut lstm = VolumeSpeedMapping::new(&cfg(OvsVariant::Full), &mut rng);
-        assert!(gru.param_count() < lstm.param_count());
     }
 
     #[test]

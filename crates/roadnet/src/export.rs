@@ -1,44 +1,11 @@
-//! Network export: Graphviz DOT and GeoJSON.
+//! Network export: GeoJSON.
 //!
-//! Generated networks are easiest to sanity-check visually; these exports
-//! plug into standard tooling (`dot -Tsvg`, any GeoJSON viewer). Link
-//! observations can be attached as GeoJSON properties for choropleth-style
-//! congestion maps.
+//! Generated networks are easiest to sanity-check visually; the export
+//! plugs into any GeoJSON viewer. Link observations can be attached as
+//! GeoJSON properties for choropleth-style congestion maps.
 
 use crate::network::RoadNetwork;
 use crate::tensor::LinkTensor;
-
-/// Renders the network as a Graphviz DOT digraph. Node positions are
-/// embedded as `pos` attributes (in points, `neato -n` compatible).
-pub fn to_dot(net: &RoadNetwork) -> String {
-    let mut out = String::from("digraph roadnet {\n  node [shape=point];\n");
-    for n in net.nodes() {
-        out.push_str(&format!(
-            "  n{} [pos=\"{:.1},{:.1}!\"];\n",
-            n.id.index(),
-            n.point.x / 10.0,
-            n.point.y / 10.0
-        ));
-    }
-    for l in net.links() {
-        out.push_str(&format!(
-            "  n{} -> n{} [label=\"l{}\"];\n",
-            l.from.index(),
-            l.to.index(),
-            l.id.index()
-        ));
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Renders the network as a GeoJSON `FeatureCollection` of `LineString`
-/// links (local metric coordinates). When `speeds` is provided, each
-/// feature carries `speed_t<k>` properties with that link's series —
-/// ready for congestion colouring.
-pub fn to_geojson(net: &RoadNetwork, speeds: Option<&LinkTensor>) -> String {
-    to_geojson_fields(net, speeds, None)
-}
 
 /// Congestion bucket of one link given its mean volume and the maximum
 /// mean volume over all links: the choropleth classes the map view
@@ -58,10 +25,13 @@ fn congestion_class(mean_volume: f64, max_mean: f64) -> &'static str {
     }
 }
 
-/// Full-field GeoJSON export: like [`to_geojson`], plus `volume_t<k>`
-/// series, `mean_volume` and a `congestion` class (`low` / `medium` /
-/// `high`, relative to the most loaded link) when `volumes` is given —
-/// the payload behind the serving layer's `/map/geojson` endpoint.
+/// Renders the network as a GeoJSON `FeatureCollection` of `LineString`
+/// links (local metric coordinates). When `speeds` is given, each feature
+/// carries `speed_t<k>` properties with that link's series; when
+/// `volumes` is given, `volume_t<k>` series, `mean_volume` and a
+/// `congestion` class (`low` / `medium` / `high`, relative to the most
+/// loaded link) — the payload behind the serving layer's `/map/geojson`
+/// endpoint.
 pub fn to_geojson_fields(
     net: &RoadNetwork,
     speeds: Option<&LinkTensor>,
@@ -132,21 +102,10 @@ mod tests {
     use crate::generators::GridSpec;
 
     #[test]
-    fn dot_lists_every_node_and_link() {
-        let net = GridSpec::new(2, 2).build(0);
-        let dot = to_dot(&net);
-        assert!(dot.starts_with("digraph roadnet {"));
-        for n in net.nodes() {
-            assert!(dot.contains(&format!("n{} [pos=", n.id.index())));
-        }
-        assert_eq!(dot.matches(" -> ").count(), net.num_links());
-    }
-
-    #[test]
     fn geojson_is_valid_json_with_all_links() {
         let net = GridSpec::new(2, 3).build(0);
         let speeds = LinkTensor::filled(net.num_links(), 2, 9.5);
-        let gj = to_geojson(&net, Some(&speeds));
+        let gj = to_geojson_fields(&net, Some(&speeds), None);
         let parsed: serde_json::Value = serde_json::from_str(&gj).expect("valid JSON");
         let feats = parsed["features"].as_array().expect("feature array");
         assert_eq!(feats.len(), net.num_links());
@@ -157,7 +116,7 @@ mod tests {
     #[test]
     fn geojson_without_speeds_omits_series() {
         let net = GridSpec::new(2, 2).build(0);
-        let gj = to_geojson(&net, None);
+        let gj = to_geojson_fields(&net, None, None);
         assert!(!gj.contains("speed_t0"));
         let _: serde_json::Value = serde_json::from_str(&gj).expect("valid JSON");
     }

@@ -35,12 +35,6 @@ impl Point {
         let dy = self.y - other.y;
         dx * dx + dy * dy
     }
-
-    /// Midpoint between `self` and `other`.
-    #[inline]
-    pub fn midpoint(&self, other: &Point) -> Point {
-        Point::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-    }
 }
 
 /// Centroid of a non-empty set of points. Returns `None` for an empty slice.
@@ -72,14 +66,6 @@ mod tests {
         let a = Point::new(-2.0, 7.5);
         let b = Point::new(10.0, -1.0);
         assert_eq!(a.distance(&b), b.distance(&a));
-    }
-
-    #[test]
-    fn midpoint_bisects() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(2.0, 6.0);
-        let m = a.midpoint(&b);
-        assert_eq!(m, Point::new(1.0, 3.0));
     }
 
     #[test]

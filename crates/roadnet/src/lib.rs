@@ -8,7 +8,7 @@
 //! * a directed road-network graph with per-link attributes ([`network`]),
 //! * parameterised network generators and the four city presets of the
 //!   paper's Table III ([`generators`], [`presets`]),
-//! * shortest / fastest / k-shortest / time-dependent routing ([`routing`]),
+//! * fastest / k-shortest / time-dependent routing ([`routing`]),
 //! * the traffic tensors the paper manipulates: the temporal
 //!   origin-destination tensor `G` (N_od x T) and per-link observation
 //!   tensors (M x T) ([`tensor`]).
@@ -18,11 +18,11 @@
 //!
 //! ```
 //! use roadnet::generators::GridSpec;
-//! use roadnet::routing::shortest_path;
+//! use roadnet::routing::fastest_path;
 //!
 //! let net = GridSpec::new(3, 3).build(7);
 //! assert_eq!(net.num_nodes(), 9);
-//! let path = shortest_path(&net, net.nodes()[0].id, net.nodes()[8].id).unwrap();
+//! let path = fastest_path(&net, net.nodes()[0].id, net.nodes()[8].id).unwrap();
 //! assert!(!path.links.is_empty());
 //! ```
 
@@ -39,7 +39,6 @@ pub mod parallel;
 pub mod presets;
 pub mod routing;
 pub mod sample;
-pub mod stats;
 pub mod tensor;
 
 pub use error::{Result, RoadnetError};

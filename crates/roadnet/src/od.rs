@@ -57,15 +57,6 @@ impl OdSet {
         Self::default()
     }
 
-    /// Builds a set from pairs, rejecting duplicates.
-    pub fn from_pairs(pairs: Vec<OdPair>) -> Result<Self> {
-        let mut set = Self::new();
-        for p in pairs {
-            set.push(p)?;
-        }
-        Ok(set)
-    }
-
     /// The full bipartite product of all distinct region pairs of `net`.
     pub fn all_pairs(net: &RoadNetwork) -> Self {
         let k = net.num_regions();
@@ -209,7 +200,9 @@ mod tests {
     #[test]
     fn validate_rejects_unknown_regions() {
         let net = three_region_net();
-        let set = OdSet::from_pairs(vec![OdPair::new(RegionId(0), RegionId(9)).unwrap()]).unwrap();
+        let mut set = OdSet::new();
+        set.push(OdPair::new(RegionId(0), RegionId(9)).unwrap())
+            .unwrap();
         assert!(set.validate(&net).is_err());
     }
 }

@@ -92,11 +92,6 @@ impl Parallelism {
     }
 }
 
-/// Worker count parallel sections will use on the current thread.
-pub fn current_threads() -> usize {
-    rayon::current_num_threads()
-}
-
 static GLOBAL_INIT: AtomicUsize = AtomicUsize::new(0);
 
 /// Configures the process-global worker count: an explicit `requested`
@@ -145,11 +140,11 @@ mod tests {
 
     #[test]
     fn run_scopes_the_worker_count() {
-        assert_eq!(Parallelism::Threads(3).run(current_threads), 3);
-        assert_eq!(Parallelism::Serial.run(current_threads), 1);
+        assert_eq!(Parallelism::Threads(3).run(rayon::current_num_threads), 3);
+        assert_eq!(Parallelism::Serial.run(rayon::current_num_threads), 1);
         // Auto leaves the ambient configuration untouched.
-        let ambient = current_threads();
-        assert_eq!(Parallelism::Auto.run(current_threads), ambient);
+        let ambient = rayon::current_num_threads();
+        assert_eq!(Parallelism::Auto.run(rayon::current_num_threads), ambient);
     }
 
     #[test]
@@ -160,8 +155,8 @@ mod tests {
     #[test]
     fn scopes_nest_and_restore() {
         let outer = Parallelism::Threads(4).run(|| {
-            let inner = Parallelism::Serial.run(current_threads);
-            (current_threads(), inner)
+            let inner = Parallelism::Serial.run(rayon::current_num_threads);
+            (rayon::current_num_threads(), inner)
         });
         assert_eq!(outer, (4, 1));
     }

@@ -209,11 +209,6 @@ pub fn dijkstra(net: &RoadNetwork, from: NodeId, to: NodeId, cost: CostFn<'_>) -
     dijkstra_with_bans(net, from, to, cost, &|_| false, &|_| false)
 }
 
-/// Shortest path by physical length (metres).
-pub fn shortest_path(net: &RoadNetwork, from: NodeId, to: NodeId) -> Result<Route> {
-    dijkstra(net, from, to, &|l| l.length_m)
-}
-
 /// Fastest path by free-flow travel time (seconds).
 pub fn fastest_path(net: &RoadNetwork, from: NodeId, to: NodeId) -> Result<Route> {
     dijkstra(net, from, to, &|l| l.free_flow_time_s())
@@ -244,7 +239,7 @@ mod tests {
     #[test]
     fn shortest_prefers_direct_edge() {
         let (net, a, _b, c) = triangle();
-        let r = shortest_path(&net, a, c).unwrap();
+        let r = dijkstra(&net, a, c, &|l| l.length_m).unwrap();
         assert_eq!(r.links.len(), 1);
         assert!(r.is_connected(&net));
         assert!(r.is_simple(&net));
@@ -263,7 +258,7 @@ mod tests {
     #[test]
     fn trivial_path_to_self_is_empty() {
         let (net, a, ..) = triangle();
-        let r = shortest_path(&net, a, a).unwrap();
+        let r = dijkstra(&net, a, a, &|l| l.length_m).unwrap();
         assert!(r.links.is_empty());
         assert_eq!(r.cost, 0.0);
     }
@@ -276,7 +271,7 @@ mod tests {
         b.add_link(c, a, 1, 10.0).unwrap(); // only c->a
         let net = b.build().unwrap();
         assert!(matches!(
-            shortest_path(&net, a, c),
+            dijkstra(&net, a, c, &|l| l.length_m),
             Err(RoadnetError::NoPath { .. })
         ));
     }
@@ -284,19 +279,19 @@ mod tests {
     #[test]
     fn banned_link_forces_detour() {
         let (net, a, _b, c) = triangle();
-        let direct = shortest_path(&net, a, c).unwrap().links[0];
+        let direct = dijkstra(&net, a, c, &|l| l.length_m).unwrap().links[0];
         let r = dijkstra_with_bans(&net, a, c, &|l| l.length_m, &|lid| lid == direct, &|_| {
             false
         })
         .unwrap();
         assert_eq!(r.links.len(), 2);
-        assert!(!r.contains_link(direct));
+        assert!(!r.links.contains(&direct));
     }
 
     #[test]
     fn masked_routes_detour_and_restore() {
         let (net, a, _b, c) = triangle();
-        let direct = shortest_path(&net, a, c).unwrap().links[0];
+        let direct = dijkstra(&net, a, c, &|l| l.length_m).unwrap().links[0];
         let route = |cost: &dyn Fn(&Link) -> f64, masked: &dyn Fn(LinkId) -> bool| {
             shortest_path_tree(&net, a, cost, masked)
                 .unwrap()
@@ -308,8 +303,8 @@ mod tests {
         // Mask in force: the closed direct edge is avoided under either cost.
         let r = route(&length, &|l| l == direct);
         assert_eq!(r.links.len(), 2);
-        assert!(!r.contains_link(direct));
-        assert!(!route(&free_flow, &|l| l == direct).contains_link(direct));
+        assert!(!r.links.contains(&direct));
+        assert!(!route(&free_flow, &|l| l == direct).links.contains(&direct));
         // Mask cleared: routing restores the original choice.
         assert_eq!(route(&length, &|_| false).links, vec![direct]);
     }
@@ -338,7 +333,7 @@ mod tests {
     fn non_finite_cost_blocks_link() {
         let (net, a, _b, c) = triangle();
         // Block the direct edge by pricing it at infinity.
-        let direct = shortest_path(&net, a, c).unwrap().links[0];
+        let direct = dijkstra(&net, a, c, &|l| l.length_m).unwrap().links[0];
         let r = dijkstra(&net, a, c, &|l| {
             if l.id == direct {
                 f64::INFINITY
@@ -353,8 +348,8 @@ mod tests {
     #[test]
     fn unknown_endpoints_are_errors() {
         let (net, a, ..) = triangle();
-        assert!(shortest_path(&net, a, NodeId(99)).is_err());
-        assert!(shortest_path(&net, NodeId(99), a).is_err());
+        assert!(dijkstra(&net, a, NodeId(99), &|l| l.length_m).is_err());
+        assert!(dijkstra(&net, NodeId(99), a, &|l| l.length_m).is_err());
     }
 
     #[test]
@@ -380,7 +375,7 @@ mod tests {
             }
         }
         let net = b.build().unwrap();
-        let r = shortest_path(&net, ids[0], ids[15]).unwrap();
+        let r = dijkstra(&net, ids[0], ids[15], &|l| l.length_m).unwrap();
         assert!((r.cost - 600.0).abs() < 1e-9);
         assert_eq!(r.links.len(), 6);
     }

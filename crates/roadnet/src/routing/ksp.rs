@@ -137,7 +137,7 @@ pub fn k_shortest_paths_masked(
 mod tests {
     use super::*;
     use crate::network::NetworkBuilder;
-    use crate::routing::shortest_path;
+    use crate::routing::dijkstra;
     use crate::Point;
 
     /// 3x3 grid with uniform attributes; many equal-length alternatives.
@@ -167,7 +167,7 @@ mod tests {
     fn k1_matches_dijkstra() {
         let (net, a, z) = grid3();
         let ks = k_shortest_paths(&net, a, z, 1, &|l| l.length_m).unwrap();
-        let d = shortest_path(&net, a, z).unwrap();
+        let d = dijkstra(&net, a, z, &|l| l.length_m).unwrap();
         assert_eq!(ks.len(), 1);
         assert!((ks[0].cost - d.cost).abs() < 1e-9);
     }

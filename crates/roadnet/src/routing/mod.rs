@@ -5,8 +5,8 @@
 //! shortest or fastest route based on real-time traffic conditions". This
 //! module provides:
 //!
-//! * [`shortest_path`] / [`fastest_path`] — static Dijkstra by length or
-//!   free-flow travel time;
+//! * [`dijkstra`] / [`fastest_path`] — static Dijkstra under any
+//!   [`CostFn`] or by free-flow travel time;
 //! * [`shortest_path_tree`] — the same search run to completion under any
 //!   [`CostFn`] and a closure mask, one [`ShortestPathTree`] answering a
 //!   route to every destination of its source (the simulator's route
@@ -22,8 +22,7 @@ mod ksp;
 mod path;
 
 pub use dijkstra::{
-    dijkstra, dijkstra_with_bans, fastest_path, shortest_path, shortest_path_tree, CostFn,
-    ShortestPathTree,
+    dijkstra, dijkstra_with_bans, fastest_path, shortest_path_tree, CostFn, ShortestPathTree,
 };
 pub use ksp::{k_shortest_paths, k_shortest_paths_masked};
 pub use path::Route;

@@ -41,6 +41,7 @@ impl Route {
     }
 
     /// True when consecutive links share endpoints (the route is connected).
+    // lint: allow(dead_api) — invariant checker the routing tests assert on every route
     pub fn is_connected(&self, net: &RoadNetwork) -> bool {
         self.links.windows(2).all(|w| {
             let (Some(&a), Some(&b)) = (w.first(), w.last()) else {
@@ -60,11 +61,5 @@ impl Route {
         // future iteration deterministic (lint rule D).
         let mut seen = std::collections::BTreeSet::new();
         nodes.iter().all(|n| seen.insert(*n))
-    }
-
-    /// True when the route passes through `link`. This is the paper's
-    /// "OD `i` contains link `l_j`" relation (§III).
-    pub fn contains_link(&self, link: LinkId) -> bool {
-        self.links.contains(&link)
     }
 }

@@ -116,13 +116,6 @@ macro_rules! series_tensor {
                 &mut self.data
             }
 
-            /// Iterates `(row_id, time, value)` over every cell.
-            pub fn iter_cells(&self) -> impl Iterator<Item = ($row_id, usize, f64)> + '_ {
-                self.data.iter().enumerate().map(move |(k, &v)| {
-                    ($row_id(k / self.t), k % self.t, v)
-                })
-            }
-
             /// Sum over the whole tensor.
             pub fn total(&self) -> f64 {
                 self.data.iter().sum()
@@ -133,17 +126,6 @@ macro_rules! series_tensor {
             /// auxiliary loss of §IV-E).
             pub fn row_total(&self, row: $row_id) -> f64 {
                 self.row(row).iter().sum()
-            }
-
-            /// Per-interval sums across all rows (column sums).
-            pub fn interval_totals(&self) -> Vec<f64> {
-                let mut out = vec![0.0; self.t];
-                for chunk in self.data.chunks_exact(self.t) {
-                    for (o, &v) in out.iter_mut().zip(chunk) {
-                        *o += v;
-                    }
-                }
-                out
             }
 
             /// Applies `f` to every value in place.
@@ -204,6 +186,7 @@ macro_rules! series_tensor {
             }
 
             /// True when every value is >= 0.
+            // lint: allow(dead_api) — invariant checker the tensor-producing tests assert
             pub fn is_non_negative(&self) -> bool {
                 self.data.iter().all(|&v| v >= 0.0)
             }
@@ -271,12 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn interval_totals_are_column_sums() {
-        let t = TodTensor::from_data(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        assert_eq!(t.interval_totals(), vec![5.0, 7.0, 9.0]);
-    }
-
-    #[test]
     fn scale_and_clamp() {
         let mut t = LinkTensor::from_data(1, 4, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         t.scale(2.0);
@@ -318,15 +295,6 @@ mod tests {
         let a = TodTensor::zeros(2, 2);
         let b = TodTensor::zeros(2, 3);
         assert!(a.rmse(&b).is_err());
-    }
-
-    #[test]
-    fn iter_cells_covers_everything() {
-        let t = LinkTensor::from_data(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let cells: Vec<_> = t.iter_cells().collect();
-        assert_eq!(cells.len(), 4);
-        assert_eq!(cells[0], (LinkId(0), 0, 1.0));
-        assert_eq!(cells[3], (LinkId(1), 1, 4.0));
     }
 
     #[test]

@@ -5,9 +5,7 @@
 
 use proptest::prelude::*;
 use roadnet::generators::{GridSpec, IrregularSpec};
-use roadnet::routing::{
-    dijkstra, dijkstra_with_bans, k_shortest_paths, shortest_path, shortest_path_tree,
-};
+use roadnet::routing::{dijkstra, dijkstra_with_bans, k_shortest_paths, shortest_path_tree};
 use roadnet::{Link, LinkId, NodeId, RoadNetwork};
 
 /// All simple paths from `from` to `to` by DFS (small graphs only).
@@ -143,7 +141,7 @@ proptest! {
         let net = IrregularSpec::new(nodes, roads).build(seed).unwrap();
         let from = NodeId(0);
         let to = NodeId(nodes - 1);
-        let d = shortest_path(&net, from, to).unwrap();
+        let d = dijkstra(&net, from, to, &|l| l.length_m).unwrap();
         let brute = brute_force_shortest(&net, from, to).unwrap();
         prop_assert!((d.cost - brute).abs() < 1e-9, "dijkstra {} vs brute {}", d.cost, brute);
         prop_assert!(d.is_connected(&net));

@@ -104,18 +104,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the routing policy.
-    pub fn with_routing(mut self, routing: RoutingPolicy) -> Self {
-        self.routing = routing;
-        self
-    }
-
-    /// Enables per-trip records in the output.
-    pub fn with_trip_records(mut self) -> Self {
-        self.record_trips = true;
-        self
-    }
-
     /// Ticks per observation interval.
     pub fn ticks_per_interval(&self) -> u64 {
         (self.interval_s / self.tick_s).round().max(1.0) as u64
@@ -150,12 +138,10 @@ mod tests {
         let c = SimConfig::default()
             .with_intervals(4)
             .with_interval_s(300.0)
-            .with_seed(9)
-            .with_routing(RoutingPolicy::TimeDependent);
+            .with_seed(9);
         assert_eq!(c.intervals, 4);
         assert_eq!(c.ticks_per_interval(), 300);
         assert_eq!(c.seed, 9);
-        assert_eq!(c.routing, RoutingPolicy::TimeDependent);
     }
 
     #[test]

@@ -226,15 +226,6 @@ impl IncidentSchedule {
         ticks
     }
 
-    /// Incidents whose active range intersects `[start, end)` ticks.
-    pub fn overlapping(&self, start: u64, end: u64) -> Vec<ScheduledIncident> {
-        self.incidents
-            .iter()
-            .filter(|i| i.overlaps(start, end))
-            .copied()
-            .collect()
-    }
-
     /// The schedule as seen by a sub-run covering global ticks
     /// `[offset, offset + horizon)`, re-based to local tick 0. Incidents
     /// are intersected with the range and dropped when the intersection

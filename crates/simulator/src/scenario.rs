@@ -73,11 +73,6 @@ impl Scenario {
         &self.disruptions
     }
 
-    /// True when no link is disrupted.
-    pub fn is_regular(&self) -> bool {
-        self.disruptions.is_empty()
-    }
-
     /// Effective factors for `link`: `(speed, flow, capacity)`.
     pub fn factors(&self, link: LinkId) -> (f64, f64, f64) {
         self.disruptions
@@ -119,7 +114,7 @@ mod tests {
     #[test]
     fn regular_scenario_is_identity() {
         let s = Scenario::regular();
-        assert!(s.is_regular());
+        assert!(s.disruptions().is_empty());
         assert_eq!(s.factors(LinkId(0)), (1.0, 1.0, 1.0));
     }
 
@@ -166,6 +161,6 @@ mod tests {
     #[test]
     fn sample_zero_is_regular() {
         let net = GridSpec::new(2, 2).build(0);
-        assert!(Scenario::sample_road_work(&net, 0).is_regular());
+        assert!(Scenario::sample_road_work(&net, 0).disruptions().is_empty());
     }
 }

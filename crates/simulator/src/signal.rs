@@ -53,18 +53,6 @@ impl SignalPlan {
             }
         }
     }
-
-    /// Fraction of the cycle during which `link` is green (1.0 when never
-    /// gated).
-    pub fn green_ratio(&self, link: LinkId) -> f64 {
-        match self.link_axis.get(link.index()).copied().flatten() {
-            None => 1.0,
-            Some(Axis::Horizontal) => (self.cycle_ticks / 2) as f64 / self.cycle_ticks as f64,
-            Some(Axis::Vertical) => {
-                (self.cycle_ticks - self.cycle_ticks / 2) as f64 / self.cycle_ticks as f64
-            }
-        }
-    }
 }
 
 /// Vehicle-actuated two-phase controller state for one intersection.
@@ -260,7 +248,8 @@ mod tests {
         let net = GridSpec::new(2, 2).build(0);
         let plan = SignalPlan::new(&net, 30);
         for l in net.links() {
-            assert!((plan.green_ratio(l.id) - 0.5).abs() < 1e-9);
+            let green = (0..30).filter(|&t| plan.is_green(l.id, t)).count();
+            assert_eq!(green, 15, "link {:?}", l.id);
         }
     }
 
@@ -275,7 +264,6 @@ mod tests {
         let plan = SignalPlan::new(&net, 30);
         let into_c = net.in_links(NodeId(1))[0];
         assert!((0..100).all(|t| plan.is_green(into_c, t)));
-        assert_eq!(plan.green_ratio(into_c), 1.0);
     }
 
     #[test]
@@ -367,6 +355,5 @@ mod tests {
         // must not panic / divide by zero
         let l = net.links()[0].id;
         let _ = plan.is_green(l, 0);
-        let _ = plan.green_ratio(l);
     }
 }

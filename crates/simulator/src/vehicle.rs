@@ -72,16 +72,6 @@ pub struct Vehicle {
 }
 
 impl Vehicle {
-    /// The link the vehicle currently occupies.
-    #[inline]
-    pub fn current_link(&self) -> LinkId {
-        // `leg < route.len()` is a construction invariant (vehicles spawn on
-        // a non-empty route and `advance` never walks past the last leg); a
-        // wrong index here must crash, not return a fake link.
-        // lint: allow(panic) — construction invariant; crash on violation.
-        self.route[self.leg]
-    }
-
     /// True when the current link is the route's last.
     #[inline]
     pub fn on_last_leg(&self) -> bool {
@@ -188,7 +178,7 @@ mod tests {
             spawn_tick: 0,
             class: VehicleClass::Car,
         };
-        assert_eq!(v.current_link(), LinkId(3));
+        assert_eq!(v.route[v.leg], LinkId(3));
         assert_eq!(v.next_link(), Some(LinkId(5)));
         assert!(!v.on_last_leg());
     }

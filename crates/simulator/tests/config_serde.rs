@@ -9,11 +9,11 @@ fn sim_config_round_trips() {
         truck_fraction: 0.2,
         signal_control: SignalControl::Actuated,
         record_trips: true,
+        routing: RoutingPolicy::TimeDependent,
         ..SimConfig::default()
             .with_intervals(7)
             .with_interval_s(450.0)
             .with_seed(99)
-            .with_routing(RoutingPolicy::TimeDependent)
     };
     let json = serde_json::to_string(&cfg).unwrap();
     let back: SimConfig = serde_json::from_str(&json).unwrap();

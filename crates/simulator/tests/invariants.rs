@@ -59,10 +59,12 @@ fn conservation_law_holds_at_every_step() {
 
 #[test]
 fn conservation_holds_under_dynamic_routing() {
-    let cfg = SimConfig::default()
-        .with_intervals(2)
-        .with_interval_s(120.0)
-        .with_routing(RoutingPolicy::TimeDependent);
+    let cfg = SimConfig {
+        routing: RoutingPolicy::TimeDependent,
+        ..SimConfig::default()
+            .with_intervals(2)
+            .with_interval_s(120.0)
+    };
     let (reg, _) = run_with_registry(cfg, 4.0, 2);
     assert_eq!(counter(&reg, m::CONSERVATION_VIOLATIONS), 0);
     assert_eq!(counter(&reg, m::LINK_CONSERVATION_VIOLATIONS), 0);

@@ -31,11 +31,13 @@ fn setup() -> (RoadNetwork, OdSet, TodTensor) {
 }
 
 fn cfg(routing: RoutingPolicy) -> SimConfig {
-    SimConfig::default()
-        .with_intervals(T)
-        .with_interval_s(300.0)
-        .with_seed(17)
-        .with_routing(routing)
+    SimConfig {
+        routing,
+        ..SimConfig::default()
+            .with_intervals(T)
+            .with_interval_s(300.0)
+            .with_seed(17)
+    }
 }
 
 /// Closures that open and clear mid-interval plus a signal outage, so the

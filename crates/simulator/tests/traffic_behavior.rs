@@ -20,13 +20,16 @@ fn corridor(n: usize) -> (roadnet::RoadNetwork, OdSet) {
         b.set_signalized(nd, false).unwrap();
     }
     let net = b.assign_regions_grid(1, n + 1).build().unwrap();
-    let ods = OdSet::from_pairs(vec![OdPair::new(
-        RegionId(0),
-        RegionId(net.num_regions() - 1),
-    )
-    .unwrap()])
-    .unwrap();
+    let ods = one_od(0, net.num_regions() - 1);
     (net, ods)
+}
+
+/// The one-pair OD set `RegionId(o) -> RegionId(d)`.
+fn one_od(o: usize, d: usize) -> OdSet {
+    let mut ods = OdSet::new();
+    ods.push(OdPair::new(RegionId(o), RegionId(d)).unwrap())
+        .unwrap();
+    ods
 }
 
 fn cfg(t: usize) -> SimConfig {
@@ -110,12 +113,7 @@ fn signals_reduce_throughput() {
             }
         }
         let net = b.assign_regions_grid(1, 6).build().unwrap();
-        let ods = OdSet::from_pairs(vec![OdPair::new(
-            RegionId(0),
-            RegionId(net.num_regions() - 1),
-        )
-        .unwrap()])
-        .unwrap();
+        let ods = one_od(0, net.num_regions() - 1);
         let tod = TodTensor::filled(1, 2, 20.0);
         let out = Simulation::new(&net, &ods, cfg(2))
             .unwrap()
@@ -140,7 +138,7 @@ fn storage_capacity_limits_entries() {
     let c = b.add_node(Point::new(150.0, 0.0));
     b.add_link(a, c, 1, 10.0).unwrap();
     let net = b.assign_regions_grid(1, 2).build().unwrap();
-    let ods = OdSet::from_pairs(vec![OdPair::new(RegionId(0), RegionId(1)).unwrap()]).unwrap();
+    let ods = one_od(0, 1);
     let tod = TodTensor::filled(1, 1, 500.0);
     let cfg = SimConfig {
         cooldown_s: 0.0,
@@ -204,10 +202,12 @@ fn time_dependent_routing_avoids_disruption() {
     let north_out = net.out_links(na)[0];
 
     let scenario = Scenario::with_disruptions(vec![LinkDisruption::incident(north_out)]);
-    let cfg_td = SimConfig::default()
-        .with_intervals(3)
-        .with_interval_s(300.0)
-        .with_routing(simulator::RoutingPolicy::TimeDependent);
+    let cfg_td = SimConfig {
+        routing: simulator::RoutingPolicy::TimeDependent,
+        ..SimConfig::default()
+            .with_intervals(3)
+            .with_interval_s(300.0)
+    };
     let out = Simulation::with_scenario(&net, &ods, cfg_td, scenario.clone())
         .unwrap()
         .run(&tod)
@@ -281,12 +281,7 @@ fn actuated_signals_beat_fixed_time_on_asymmetric_demand() {
         b.add_link(w[0], w[1], 1, 10.0).unwrap();
     }
     let net = b.assign_regions_grid(1, 6).build().unwrap();
-    let ods = OdSet::from_pairs(vec![OdPair::new(
-        RegionId(0),
-        RegionId(net.num_regions() - 1),
-    )
-    .unwrap()])
-    .unwrap();
+    let ods = one_od(0, net.num_regions() - 1);
     let tod = TodTensor::filled(1, 2, 25.0);
     let run = |control: SignalControl| {
         let cfg = SimConfig {

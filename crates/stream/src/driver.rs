@@ -148,6 +148,7 @@ impl<'a> StreamDriver<'a> {
 
     /// Installs a fault-injection tap forwarded into every window's fit
     /// (the deterministic poisoning hook the divergence tests drive).
+    // lint: allow(dead_api) — fault-injection hook the stream divergence tests drive
     pub fn with_tamper(mut self, tamper: WindowTamper<'a>) -> Self {
         self.tamper = Some(tamper);
         self

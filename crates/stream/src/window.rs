@@ -168,11 +168,6 @@ impl WindowSlicer {
         self.invalid_drops
     }
 
-    /// Index of the next window that will close.
-    pub fn next_window(&self) -> usize {
-        self.next_close
-    }
-
     /// Inclusive window-index range containing interval `g`.
     fn containing(&self, g: u64) -> (usize, usize) {
         let stride = self.spec.stride as u64;
@@ -343,7 +338,7 @@ mod tests {
         assert!(w0.mask[4..].iter().all(|&m| !m));
         // Imputation filled link 1's row from the observed mean.
         assert!((w0.observed.get(LinkId(1), 0) - 10.0).abs() < 1e-12);
-        assert_eq!(s.next_window(), 1);
+        assert_eq!(s.next_close, 1);
     }
 
     #[test]

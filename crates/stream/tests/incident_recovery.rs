@@ -111,8 +111,7 @@ fn closure_degrades_then_recovers_within_ten_percent() {
 
 #[test]
 fn sweep_replays_bit_identically_from_plan_seed() {
-    roadnet::parallel::init_global(None);
-    let threads = roadnet::parallel::current_threads();
+    let threads = roadnet::parallel::init_global(None);
     let one = run_sweep("replay-a");
     let two = run_sweep("replay-b");
     let (a, b) = (
