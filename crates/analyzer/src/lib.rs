@@ -4,7 +4,8 @@
 //! stakes its credibility on (see DESIGN.md §9):
 //!
 //! * **D — determinism**: no `HashMap`/`HashSet`, wall-clock, environment
-//!   or thread-identity reads in stable-output crates;
+//!   or thread-identity reads in stable-output crates, and no libm
+//!   `.exp()`/`.tanh()` calls in the model crates (`neural`, `ovs-core`);
 //! * **P — panic-safety**: `unwrap`/`expect`/panicking macros/bare slice
 //!   indexing in hot-crate library code are budgeted by a committed
 //!   ratchet baseline and can only decrease;

@@ -105,7 +105,8 @@ FLAGS:
 
 RULES:
     D  determinism     no HashMap/HashSet, wall-clock, env or thread-id reads
-                       on the stable-output path
+                       on the stable-output path; no libm .exp()/.tanh()
+                       in neural or ovs-core
     P  panic-safety    unwrap/expect/panic!/indexing debt, ratcheted by baseline
     S  shape soundness layer-stack in/out dims must chain
     U  unsafe audit    every `unsafe` needs a SAFETY comment

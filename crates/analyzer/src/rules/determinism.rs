@@ -10,6 +10,10 @@
 //! * `SystemTime` / `Instant` — wall-clock reads.
 //! * `std::env::var` / `env::vars` — environment reads.
 //! * `thread::current` and `ThreadId` — thread-identity reads.
+//! * `.exp()` / `.tanh()` method calls in `neural` and `ovs-core` — the
+//!   host libm's bits differ between platforms, so model activations go
+//!   through the repo-owned `neural::activation`, which makes no such
+//!   call itself.
 //!
 //! Legitimate uses (timing-tagged metrics, provenance timestamps, thread
 //! pool sizing) carry `// lint: allow(determinism) — reason`.
@@ -60,6 +64,12 @@ pub fn determinism_pass(file: &SourceFile) -> Vec<Finding> {
             )
         } else if is_path_call(file, i, "thread", &["current"]) {
             ("thread-id", "thread::current", "explicit worker indices")
+        } else if let Some(f) = libm_method_call(file, i) {
+            (
+                "libm",
+                f,
+                "the repo-owned `neural::activation` functions (host libm bits vary)",
+            )
         } else {
             continue;
         };
@@ -76,6 +86,28 @@ pub fn determinism_pass(file: &SourceFile) -> Vec<Finding> {
         ));
     }
     out
+}
+
+/// Crates whose model arithmetic must not call the host libm.
+const MODEL_CRATES: [&str; 2] = ["neural", "ovs-core"];
+
+/// `Some(".exp()")` / `Some(".tanh()")` when token `i` is the `.` of such
+/// a method call in a model crate.
+fn libm_method_call(file: &SourceFile, i: usize) -> Option<&'static str> {
+    if !MODEL_CRATES.contains(&file.crate_name.as_str()) {
+        return None;
+    }
+    let t = |k| crate::lexer::tok(&file.tokens, i + k);
+    if !t(0).is_punct('.') || !t(2).is_punct('(') {
+        return None;
+    }
+    if t(1).is_ident("exp") {
+        Some(".exp()")
+    } else if t(1).is_ident("tanh") {
+        Some(".tanh()")
+    } else {
+        None
+    }
 }
 
 /// True when token `i` is `base` followed by `:: member` with `member`
@@ -119,6 +151,17 @@ mod tests {
     fn test_code_is_exempt() {
         let f = run("#[cfg(test)]\nmod tests {\n use std::collections::HashMap;\n}");
         assert!(f.is_empty());
+    }
+
+    #[test]
+    fn flags_libm_activations_only_in_model_crates() {
+        let src = "let y = (-x).exp() + x.tanh();\nlet z = x.ln() + exp(x) + m.exp;";
+        for krate in ["neural", "ovs-core"] {
+            let f = determinism_pass(&SourceFile::new("f.rs", krate, FileKind::Lib, src));
+            assert_eq!(f.len(), 2, "{krate}");
+            assert!(f.iter().all(|f| f.kind == "libm" && f.line == 1));
+        }
+        assert!(run(src).is_empty());
     }
 
     #[test]

@@ -15,10 +15,15 @@ fn fixture_dir() -> PathBuf {
 /// Loads a fixture as non-test library code of the protected `simulator`
 /// crate, so every rule pass applies.
 fn load(rel: &str) -> SourceFile {
+    load_in(rel, "simulator")
+}
+
+/// Loads a fixture as non-test library code of `crate_name`.
+fn load_in(rel: &str, crate_name: &str) -> SourceFile {
     let path = fixture_dir().join(rel);
     let src = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("reading fixture {}: {e}", path.display()));
-    SourceFile::new(rel, "simulator", FileKind::Lib, &src)
+    SourceFile::new(rel, crate_name, FileKind::Lib, &src)
 }
 
 fn kinds(findings: &[analyzer::rules::Finding]) -> Vec<&str> {
@@ -68,6 +73,36 @@ fn bad_determinism_is_caught_and_reasonless_allow_does_not_suppress() {
     // Findings carry real line numbers pointing at the violation.
     let hm = findings.iter().find(|f| f.kind == "hashmap").unwrap();
     assert!(f.snippet(hm.line).contains("HashMap"));
+}
+
+#[test]
+fn bad_libm_is_caught_in_model_crates_and_reasonless_allow_does_not_suppress() {
+    for krate in ["neural", "ovs-core"] {
+        let f = load_in("bad/libm.rs", krate);
+        let findings = check_files(std::slice::from_ref(&f), Some(Rule::Determinism));
+        let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(kinds(&findings), vec!["libm"], "{krate}");
+        assert_eq!(lines.len(), 2, "{krate}: both the sigmoid and the tanh");
+        assert!(f.snippet(lines[0]).contains(".exp()"));
+        assert!(f.snippet(lines[1]).contains(".tanh()"));
+    }
+    // Outside the model crates the same calls are not rule D's business.
+    let f = load("bad/libm.rs");
+    assert!(check_files(std::slice::from_ref(&f), Some(Rule::Determinism)).is_empty());
+}
+
+#[test]
+fn ok_libm_with_a_reasoned_allow_is_silent_in_model_crates() {
+    let f = load_in("ok/libm_allowed.rs", "neural");
+    let findings = check_files(std::slice::from_ref(&f), None);
+    assert!(
+        findings.is_empty(),
+        "{:?}",
+        findings
+            .iter()
+            .map(|f| (f.line, f.kind))
+            .collect::<Vec<_>>()
+    );
 }
 
 #[test]

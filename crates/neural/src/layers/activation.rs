@@ -1,6 +1,7 @@
 //! Element-wise activation layers.
 
 use super::{Layer, SeqLayer};
+use crate::activation;
 use crate::matrix::Matrix;
 use crate::tensor3::Tensor3;
 use crate::workspace::Workspace;
@@ -18,13 +19,16 @@ pub enum ActKind {
 }
 
 impl ActKind {
-    /// Applies the function to a scalar.
-    #[inline]
-    pub fn apply(self, x: f64) -> f64 {
+    /// `dst[i] = f(src[i])`, one flat pass per call.
+    pub(crate) fn apply_into(self, src: &[f64], dst: &mut [f64]) {
         match self {
-            ActKind::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            ActKind::Relu => x.max(0.0),
-            ActKind::Tanh => x.tanh(),
+            ActKind::Sigmoid => activation::sigmoid_into(src, dst),
+            ActKind::Relu => {
+                for (o, &v) in dst.iter_mut().zip(src) {
+                    *o = v.max(0.0);
+                }
+            }
+            ActKind::Tanh => activation::tanh_into(src, dst),
         }
     }
 
@@ -65,9 +69,7 @@ impl Activation {
 impl Layer for Activation {
     fn forward_ws(&mut self, x: &Matrix, _train: bool, ws: &mut Workspace) -> Matrix {
         let mut y = ws.take(x.rows(), x.cols());
-        for (o, &v) in y.as_mut_slice().iter_mut().zip(x.as_slice()) {
-            *o = self.kind.apply(v);
-        }
+        self.kind.apply_into(x.as_slice(), y.as_mut_slice());
         match &mut self.cache_y {
             Some(c) if c.shape() == y.shape() => c.copy_from(&y),
             // lint: allow(alloc) — cache warm-up only: first step or shape change; steady-state steps hit the copy branch above.
@@ -117,9 +119,7 @@ impl SeqLayer for SeqActivation {
     fn forward_ws(&mut self, x: &Tensor3, _train: bool, ws: &mut Workspace) -> Tensor3 {
         let (b, t, f) = x.shape();
         let mut y = ws.take3(b, t, f);
-        for (o, &v) in y.as_mut_slice().iter_mut().zip(x.as_slice()) {
-            *o = self.kind.apply(v);
-        }
+        self.kind.apply_into(x.as_slice(), y.as_mut_slice());
         match &mut self.cache_y {
             Some(c) if c.shape() == y.shape() => c.as_mut_slice().copy_from_slice(y.as_slice()),
             // lint: allow(alloc) — cache warm-up only: first step or shape change; steady-state steps hit the copy branch above.
@@ -155,18 +155,24 @@ mod tests {
     use crate::gradcheck::check_layer_input;
     use crate::rng::Rng64;
 
+    fn apply(kind: ActKind, x: f64) -> f64 {
+        let mut y = [0.0];
+        kind.apply_into(&[x], &mut y);
+        y[0]
+    }
+
     #[test]
     fn known_values() {
-        assert!((ActKind::Sigmoid.apply(0.0) - 0.5).abs() < 1e-12);
-        assert_eq!(ActKind::Relu.apply(-3.0), 0.0);
-        assert_eq!(ActKind::Relu.apply(2.0), 2.0);
-        assert!((ActKind::Tanh.apply(0.0)).abs() < 1e-12);
+        assert!((apply(ActKind::Sigmoid, 0.0) - 0.5).abs() < 1e-12);
+        assert_eq!(apply(ActKind::Relu, -3.0), 0.0);
+        assert_eq!(apply(ActKind::Relu, 2.0), 2.0);
+        assert!((apply(ActKind::Tanh, 0.0)).abs() < 1e-12);
     }
 
     #[test]
     fn sigmoid_range() {
         for x in [-50.0, -1.0, 0.0, 1.0, 50.0] {
-            let y = ActKind::Sigmoid.apply(x);
+            let y = apply(ActKind::Sigmoid, x);
             assert!((0.0..=1.0).contains(&y));
         }
     }
@@ -194,7 +200,7 @@ mod tests {
         let mut seq = SeqActivation::new(ActKind::Sigmoid);
         let y = seq.forward(&t, true);
         for (o, i) in y.as_slice().iter().zip(t.as_slice()) {
-            assert!((o - ActKind::Sigmoid.apply(*i)).abs() < 1e-12);
+            assert!((o - apply(ActKind::Sigmoid, *i)).abs() < 1e-12);
         }
         // backward against flat version
         let dy = Tensor3::from_vec(2, 3, 2, vec![1.0; 12]).unwrap();

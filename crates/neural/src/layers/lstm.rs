@@ -5,6 +5,7 @@
 //! §V-F reuses this layer as well.
 
 use super::{xavier, SeqLayer};
+use crate::activation::{sigmoid_into, tanh_into};
 use crate::matrix::Matrix;
 use crate::rng::Rng64;
 use crate::tensor3::Tensor3;
@@ -49,7 +50,8 @@ struct LstmState {
     tanh_cs: Vec<Matrix>,
     /// Pre-activation scratch `(batch, 4H)`.
     a: Matrix,
-    /// Scratch for `h_{t-1} @ wh`.
+    /// Scratch for `h_{t-1} @ wh`, then for the step's pre-activations
+    /// regrouped gate-major.
     ah: Matrix,
     /// Running hidden state.
     h_cur: Matrix,
@@ -153,10 +155,6 @@ impl Lstm {
     }
 }
 
-fn sigmoid(x: f64) -> f64 {
-    1.0 / (1.0 + (-x).exp())
-}
-
 impl SeqLayer for Lstm {
     fn forward_ws(&mut self, x: &Tensor3, _train: bool, ws: &mut Workspace) -> Tensor3 {
         let (batch, time, feat) = x.shape();
@@ -201,33 +199,39 @@ impl SeqLayer for Lstm {
             a.add_assign(ah);
             a.add_row_broadcast(b);
 
-            let (i_g, f_g, g_g, o_g) = gates_t;
+            // Regroup the pre-activation rows, laid out [i | f | g | o]
+            // with each block `h` wide, gate-major into `ah` (free once
+            // added): each gate is then one flat, vectorisable pass. The
+            // copy is an element loop: `copy_from_slice` would call
+            // `memcpy` once per `h`-wide block.
+            let (pre_i, rest) = ah.as_mut_slice().split_at_mut(batch * h);
+            let (pre_f, rest) = rest.split_at_mut(batch * h);
+            let (pre_g, pre_o) = rest.split_at_mut(batch * h);
             let rows = a
                 .as_slice()
                 .chunks_exact(4 * h)
-                .zip(i_g.as_mut_slice().chunks_exact_mut(h))
-                .zip(f_g.as_mut_slice().chunks_exact_mut(h))
-                .zip(g_g.as_mut_slice().chunks_exact_mut(h))
-                .zip(o_g.as_mut_slice().chunks_exact_mut(h));
+                .zip(pre_i.chunks_exact_mut(h))
+                .zip(pre_f.chunks_exact_mut(h))
+                .zip(pre_g.chunks_exact_mut(h))
+                .zip(pre_o.chunks_exact_mut(h));
             for ((((a_row, ir), fr), gr), or) in rows {
-                // The pre-activation row is laid out [i | f | g | o], each
-                // block `h` wide; split it so each gate reads its own slice.
                 let (a_i, rest) = a_row.split_at(h);
                 let (a_f, rest) = rest.split_at(h);
                 let (a_g, a_o) = rest.split_at(h);
-                let cells = a_i
-                    .iter()
-                    .zip(ir.iter_mut())
-                    .zip(a_f.iter().zip(fr.iter_mut()))
-                    .zip(a_g.iter().zip(gr.iter_mut()))
-                    .zip(a_o.iter().zip(or.iter_mut()));
-                for ((((&vi, ig), (&vf, fg)), (&vg, gg)), (&vo, og)) in cells {
-                    *ig = sigmoid(vi);
-                    *fg = sigmoid(vf);
-                    *gg = vg.tanh();
-                    *og = sigmoid(vo);
+                let cells = ir
+                    .iter_mut()
+                    .zip(fr.iter_mut())
+                    .zip(gr.iter_mut().zip(or.iter_mut()))
+                    .zip(a_i.iter().zip(a_f).zip(a_g.iter().zip(a_o)));
+                for (((pi, pf), (pg, po)), ((&vi, &vf), (&vg, &vo))) in cells {
+                    (*pi, *pf, *pg, *po) = (vi, vf, vg, vo);
                 }
             }
+            let (i_g, f_g, g_g, o_g) = gates_t;
+            sigmoid_into(pre_i, i_g.as_mut_slice());
+            sigmoid_into(pre_f, f_g.as_mut_slice());
+            tanh_into(pre_g, g_g.as_mut_slice());
+            sigmoid_into(pre_o, o_g.as_mut_slice());
 
             h_prev.copy_from(h_cur);
             c_prev.copy_from(c_cur);
@@ -243,9 +247,7 @@ impl SeqLayer for Lstm {
             {
                 *cv = fv * *cv + iv * gv;
             }
-            for (tc, &cv) in tanh_c.as_mut_slice().iter_mut().zip(c_cur.as_slice()) {
-                *tc = cv.tanh();
-            }
+            tanh_into(c_cur.as_slice(), tanh_c.as_mut_slice());
             // h_t = o * tanh(c_t)
             for ((hv, &ov), &tc) in h_cur
                 .as_mut_slice()

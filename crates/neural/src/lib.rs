@@ -47,6 +47,7 @@
 
 #![warn(missing_docs)]
 
+pub mod activation;
 pub mod gradcheck;
 pub mod layers;
 pub mod loss;

@@ -716,7 +716,7 @@ fn softmax_row_inplace(row: &mut [f64]) {
     let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let mut sum = 0.0;
     for v in row.iter_mut() {
-        *v = (*v - max).exp();
+        *v = crate::activation::exp(*v - max);
         sum += *v;
     }
     if sum > 0.0 {

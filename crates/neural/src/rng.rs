@@ -105,6 +105,7 @@ impl Rng64 {
             let s = self.normal_with(lambda, lambda.sqrt());
             return s.round().max(0.0) as u64;
         }
+        // lint: allow(determinism) — datagen's Poisson draws stay on libm; no model activation
         let l = (-lambda).exp();
         let mut k = 0u64;
         let mut p = 1.0;

@@ -186,14 +186,14 @@ fn fnv(values: &[f64]) -> u64 {
 /// gradients accumulate across the steps).
 const PINNED: &[(&str, u64)] = &[
     ("dense", 0x89f6_d070_c772_50ba),
-    ("activation", 0x5941_61fe_e4fd_7b8a),
-    ("sequential", 0xdf48_f4ba_0167_9348),
+    ("activation", 0xdd85_0b54_6ee3_f716),
+    ("sequential", 0x6f2f_3b9e_79ae_262c),
     ("seq_activation", 0xd947_fa54_2f2c_d8df),
     ("time_distributed", 0x43f7_98ba_b6bd_45d2),
-    ("lstm", 0x9d53_fff0_49dc_ac4f),
+    ("lstm", 0x415d_80cd_fd5b_0b7f),
     ("conv1d_same", 0x2bbc_b41e_2c83_5929),
     ("conv1d_strided", 0x639d_11b4_5a04_3749),
-    ("seq_sequential", 0xb754_1dbd_6228_23b6),
+    ("seq_sequential", 0x41c6_576f_7145_b21d),
 ];
 
 #[test]

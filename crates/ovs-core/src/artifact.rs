@@ -107,22 +107,6 @@ pub fn save_model(
     Ok(b)
 }
 
-/// Imports an `"ovs-model"` artifact's weights into an existing model of
-/// matching structure. The structural config is checked first; on any
-/// mismatch the model is left untouched.
-pub fn import_model(model: &mut OvsModel, artifact: &Artifact) -> checkpoint::Result<()> {
-    artifact.expect_kind(OVS_MODEL_KIND)?;
-    let recorded = config_from_artifact(artifact)?;
-    check_structure(&recorded, model.config())?;
-    let weights = artifact.matrices("weights")?;
-    model
-        .import_weights(&weights)
-        .map_err(|e| CheckpointError::ShapeMismatch {
-            expected: "weights matching the model's parameter slots".into(),
-            actual: e.to_string(),
-        })
-}
-
 /// Rebuilds a full model from an `"ovs-model"` artifact: the recorded
 /// config (seed included, so the generator's Gaussian seeds regenerate
 /// identically) plus the recorded weights. The reloaded model's
@@ -139,9 +123,8 @@ pub fn load_model(
 ) -> checkpoint::Result<OvsModel> {
     artifact.expect_kind(OVS_MODEL_KIND)?;
     let cfg = config_from_artifact(artifact)?;
-    let n_values = (artifact.matrices("weights")?.iter())
-        .map(neural::Matrix::len)
-        .sum::<usize>();
+    let weights = artifact.matrices("weights")?;
+    let n_values = weights.iter().map(neural::Matrix::len).sum::<usize>();
     let geom = artifact.f64s("geometry")?;
     let (intervals, interval_s) = match geom.as_slice() {
         &[n, s]
@@ -161,7 +144,12 @@ pub fn load_model(
     };
     let mut model = OvsModel::new(net, ods, intervals, interval_s, cfg)
         .map_err(|e| CheckpointError::Malformed(format!("model rebuild: {e}")))?;
-    import_model(&mut model, artifact)?;
+    model
+        .import_weights(&weights)
+        .map_err(|e| CheckpointError::ShapeMismatch {
+            expected: "weights matching the model's parameter slots".into(),
+            actual: e.to_string(),
+        })?;
     Ok(model)
 }
 
@@ -305,29 +293,30 @@ mod tests {
 
     #[test]
     fn mismatched_structure_is_refused_before_weights() {
-        let (_, _, mut a) = model_with(OvsConfig::tiny());
+        let (net, ods, mut a) = model_with(OvsConfig::tiny());
         let bytes = save_model(&mut a, None).unwrap().to_bytes();
         let artifact = Artifact::from_bytes(&bytes).unwrap();
         // Different hidden width.
         let mut wide = OvsConfig::tiny();
         wide.lstm_hidden *= 2;
-        let (_, _, mut b) = model_with(wide);
-        let before = b.export_weights();
         assert!(matches!(
-            import_model(&mut b, &artifact),
+            model_weights(&artifact, &wide),
             Err(CheckpointError::ShapeMismatch { .. })
         ));
-        assert_eq!(b.export_weights(), before);
         // Different variant.
-        let (_, _, mut c) = model_with(OvsConfig::tiny().with_variant(OvsVariant::NoV2S));
+        let no_v2s = OvsConfig::tiny().with_variant(OvsVariant::NoV2S);
         assert!(matches!(
-            import_model(&mut c, &artifact),
+            model_weights(&artifact, &no_v2s),
             Err(CheckpointError::ShapeMismatch { .. })
         ));
         // Wrong kind.
         let other = Artifact::from_bytes(&ArtifactBuilder::new("baseline-nn").to_bytes()).unwrap();
         assert!(matches!(
-            import_model(&mut a, &other),
+            model_weights(&other, a.config()),
+            Err(CheckpointError::WrongKind { .. })
+        ));
+        assert!(matches!(
+            load_model(&net, &ods, &other),
             Err(CheckpointError::WrongKind { .. })
         ));
     }
@@ -401,9 +390,6 @@ mod tests {
         let old = rewritten(&artifact, &config, &[6.0, 600.0], &weights);
         let mut b = load_model(&net, &ods, &old).unwrap();
         assert_eq!(b.recovered_tod(), a.recovered_tod());
-        let (_, _, mut c) = model_with(OvsConfig::tiny().with_seed(5));
-        import_model(&mut c, &old).unwrap();
-        assert_eq!(c.recovered_tod(), a.recovered_tod());
         assert_eq!(model_weights(&old, a.config()).unwrap(), weights);
     }
 
@@ -426,11 +412,15 @@ mod tests {
             load_model(&net, &ods, &gru),
             Err(CheckpointError::ShapeMismatch { .. })
         ));
+        // The recorded config parses (the stale `rnn_kind` is ignored), so
+        // the warm-start path hands the weights over and the model's own
+        // slot check refuses them, leaving it untouched.
+        let stale = model_weights(&gru, a.config()).unwrap();
         let (_, _, mut b) = model_with(OvsConfig::tiny());
         let before = b.export_weights();
         assert!(matches!(
-            import_model(&mut b, &gru),
-            Err(CheckpointError::ShapeMismatch { .. })
+            b.import_weights(&stale),
+            Err(roadnet::RoadnetError::ShapeMismatch { .. })
         ));
         assert_eq!(b.export_weights(), before);
     }

@@ -407,7 +407,10 @@ impl TodVolumeMapping {
 /// Numerically stable softmax of a small vector.
 fn softmax_vec(logits: &[f64]) -> Vec<f64> {
     let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let mut out: Vec<f64> = logits.iter().map(|&l| (l - max).exp()).collect();
+    let mut out: Vec<f64> = logits
+        .iter()
+        .map(|&l| neural::activation::exp(l - max))
+        .collect();
     let sum: f64 = out.iter().sum();
     if sum > 0.0 {
         for v in &mut out {

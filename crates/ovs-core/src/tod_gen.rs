@@ -83,7 +83,7 @@ impl TodGeneration {
             TodGenInner::Free {
                 logits, cache_y, ..
             } => {
-                let y = logits.map(|v| 1.0 / (1.0 + (-v).exp()));
+                let y = logits.map(neural::activation::sigmoid);
                 *cache_y = Some(y.clone());
                 let mut g = y;
                 g.scale(self.g_max);

@@ -1104,6 +1104,38 @@ mod tests {
         assert!(tail < head, "stage 1: {head} -> {tail}");
     }
 
+    /// A NaN weight inside the V2S LSTM must reach the loss through the
+    /// gate activations and trip the stage's rollback guard; an
+    /// activation that clamped its input would turn the NaN into a
+    /// saturated gate and let the stage finish with finite losses.
+    #[test]
+    fn nan_v2s_lstm_weight_trips_the_rollback_guard() {
+        let ds = tiny_dataset();
+        let cfg = OvsConfig::tiny();
+        let mut model = OvsModel::new(&ds.net, &ds.ods, 4, 120.0, cfg.clone()).unwrap();
+        // The first V2S parameter is the first LSTM's input weights.
+        let mut poisoned = false;
+        model.v2s.visit_params(&mut |w, _| {
+            if !poisoned {
+                w.as_mut_slice()[0] = f64::NAN;
+                poisoned = true;
+            }
+        });
+        assert!(poisoned);
+        let reg = obs::Registry::new();
+        let trainer = OvsTrainer::new(cfg).with_registry(reg.clone());
+        let err = trainer.train_v2s(&mut model, &ds.train).unwrap_err();
+        let budget = RecoveryPolicy::default().max_retries;
+        assert!(
+            matches!(err, TrainError::Diverged { stage: Stage::V2s, retries, .. } if retries == budget),
+            "{err}"
+        );
+        assert_eq!(
+            reg.counter("trainer_v2s_nonfinite_total").get(),
+            u64::from(budget) + 1
+        );
+    }
+
     #[test]
     fn full_pipeline_runs_and_fit_loss_drops() {
         let ds = tiny_dataset();
