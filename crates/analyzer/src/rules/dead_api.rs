@@ -6,7 +6,9 @@
 //! the [`WorkspaceIndex`]: every identifier named in non-test code of
 //! every crate, the root package, the examples and the benchmark harness
 //! (`citybench/src`, read only for its uses). Names in comments and doc
-//! links do not count. Trait-impl methods and `pub(crate)` items are not
+//! links do not count, and neither do fields and `let` bindings that share
+//! a function's name: `self.stride` and `stride: 2` are not calls of a
+//! `stride()` method. Trait-impl methods and `pub(crate)` items are not
 //! plain `pub` and are skipped.
 //!
 //! Items public on purpose (gradient checkers, invariant checkers,
@@ -93,5 +95,41 @@ mod tests {
             ("src/lib.rs", FileKind::Lib, "pub fn root_only() {}\n"),
         ]);
         assert_eq!(found, ["raw"]);
+    }
+
+    /// `crates/a`'s `pub fn len` and the caller `src`, linted together.
+    fn len_flagged(src: &str) -> bool {
+        let lib = "pub struct S { len: usize }\nimpl S { pub fn len(&self) -> usize { 0 } }\n";
+        run(&[
+            ("crates/a/src/lib.rs", FileKind::Lib, lib),
+            ("src/main.rs", FileKind::Lib, src),
+        ]) == ["S::len"]
+    }
+
+    #[test]
+    fn a_field_read_or_key_named_like_a_fn_is_not_a_use() {
+        assert!(len_flagged(
+            "fn main() { let s = S { len: 1 }; f(s.len) }\n"
+        ));
+        assert!(len_flagged("struct T { len: u8 }\nfn main() {}\n"));
+        // The end of a range is no field read.
+        assert!(!len_flagged("fn main() { for _ in 0..len {} }\n"));
+    }
+
+    #[test]
+    fn a_parameter_or_let_binding_named_like_a_fn_is_not_a_use() {
+        assert!(len_flagged("fn f(len: usize) -> usize { len * 2 }\n"));
+        assert!(len_flagged(
+            "fn f() { let mut len = 0; len += 1; g(len) }\n"
+        ));
+        // The binding is local to its fn: a bare read elsewhere counts.
+        assert!(!len_flagged("fn f(len: usize) {}\nfn g() { h(len) }\n"));
+    }
+
+    #[test]
+    fn a_method_call_or_path_still_counts_as_a_use() {
+        assert!(!len_flagged("fn main() { s.len(); }\n"));
+        assert!(!len_flagged("fn main() { let f = S::len; }\n"));
+        assert!(!len_flagged("fn f(len: usize) { s.len() + len }\n"));
     }
 }

@@ -26,15 +26,16 @@
 //!   carries a `// lint: hot` annotation, or is called (same crate) by a
 //!   hot function. A `// lint: cold` annotation is the inverse barrier:
 //!   the closure never marks such a function nor propagates through it —
-//!   used for legacy allocating APIs (`Matrix::map`) and for warmup-only
-//!   constructors (per-shape layer state). Rule A flags heap-
+//!   used for warmup-only constructors (per-shape layer state, optimiser
+//!   slots). Rule A flags heap-
 //!   allocating constructs inside hot functions, making the zero-alloc
 //!   invariant reviewable statically.
 //! * **Use set** — every identifier named in non-test code of any crate,
 //!   the examples or the benchmark harness, outside `use` declarations
-//!   and `fn` definitions. Comments never reach the token stream, so a
-//!   name mentioned only in a doc link is not a use. Rule X flags a
-//!   `pub fn` whose name is missing from it.
+//!   and `fn` definitions, and other than a field read (`.name` without a
+//!   call), a field or key (`name:`) or a `let` binding. Comments never
+//!   reach the token stream, so a name mentioned only in a doc link is
+//!   not a use. Rule X flags a `pub fn` whose name is missing from it.
 //!
 //! [`Workspace`]: https://docs.rs/ (neural::workspace::Workspace)
 
@@ -287,11 +288,19 @@ fn is_example(path: &str) -> bool {
 
 /// Adds the identifiers `file`'s non-test code names to `uses`. A `use`
 /// declaration names an item without using it, so only the alias side of
-/// `x as y` counts there; the name after `fn` is a definition.
+/// `x as y` counts there; the name after `fn` is a definition. Fields and
+/// local bindings are not items, so [`names_a_field_or_local`] keeps them
+/// out: a field or local named like a function is not a use of it.
 fn collect_uses(file: &SourceFile, uses: &mut BTreeSet<String>) {
     let toks = &file.tokens;
     let mut in_use = false;
+    // The fn bodies around the token, innermost last: each body's closing
+    // token and the names its parameters and `let`s bind.
+    let mut scopes: Vec<(usize, BTreeSet<String>)> = Vec::new();
     for (i, t) in toks.iter().enumerate() {
+        while scopes.last().is_some_and(|&(close, _)| i > close) {
+            scopes.pop();
+        }
         if file.masked(i) {
             continue;
         }
@@ -299,6 +308,10 @@ fn collect_uses(file: &SourceFile, uses: &mut BTreeSet<String>) {
             in_use = true;
         } else if in_use && t.is_punct(';') {
             in_use = false;
+        } else if t.is_ident("fn") {
+            if let Some(f) = scan_fn(file, toks, i) {
+                scopes.push((f.body.1, bound_names(toks, f.sig, f.body)));
+            }
         }
         if t.kind != TokKind::Ident || is_keyword(&t.text) {
             continue;
@@ -307,10 +320,53 @@ fn collect_uses(file: &SourceFile, uses: &mut BTreeSet<String>) {
             .checked_sub(1)
             .is_some_and(|p| tok(toks, p).is_ident("fn"));
         let aliased = toks.get(i + 1).is_some_and(|n| n.is_ident("as"));
-        if !definition && (!in_use || aliased) {
+        let locals = scopes.last().map(|(_, names)| names);
+        if !definition && (!in_use || aliased) && !names_a_field_or_local(toks, i, locals) {
             uses.insert(t.text.clone());
         }
     }
+}
+
+/// The names a fn binds: every `name:` of its signature (parameters, and
+/// generic parameters, which name no function either) and every
+/// `let [mut] name` of its body.
+fn bound_names(toks: &[Token], sig: (usize, usize), body: (usize, usize)) -> BTreeSet<String> {
+    let typed = (sig.0..sig.1)
+        .filter(|&j| tok(toks, j + 1).is_punct(':') && !tok(toks, j + 2).is_punct(':'));
+    let lets = (body.0..body.1)
+        .filter(|&j| tok(toks, j).is_ident("let"))
+        .map(|j| j + 1 + usize::from(tok(toks, j + 1).is_ident("mut")));
+    typed
+        .chain(lets)
+        .map(|j| tok(toks, j))
+        .filter(|t| t.kind == TokKind::Ident && !is_keyword(&t.text))
+        .map(|t| t.text.clone())
+        .collect()
+}
+
+/// True when the identifier at `i` names a field or a local binding, so
+/// it cannot be a use of a function that shares its name:
+///
+/// * a field read `.name` (not a method call `.name(` or `.name::<T>(`,
+///   not the end of a range `..name`);
+/// * a field declaration, struct-literal key or typed binding `name:`
+///   (not a path `name::`);
+/// * one of `locals`, the enclosing fn's parameters and `let` bindings,
+///   which shadow any function of the same name (but not in a call
+///   `name(`, a macro `name!` or a path).
+fn names_a_field_or_local(toks: &[Token], i: usize, locals: Option<&BTreeSet<String>>) -> bool {
+    // Before the start, like past the end, is the EOF sentinel.
+    let before = |k: usize| tok(toks, i.checked_sub(k).unwrap_or(usize::MAX));
+    let after = |k: usize| tok(toks, i + k);
+    let path_follows = after(1).is_punct(':') && after(2).is_punct(':');
+    let path_precedes = before(1).is_punct(':') && before(2).is_punct(':');
+    let call_follows = after(1).is_punct('(') || after(1).is_punct('!');
+    let field_read = before(1).is_punct('.') && !before(2).is_punct('.');
+    let key = after(1).is_punct(':') && !path_follows;
+    let local = !field_read
+        && !path_precedes
+        && locals.is_some_and(|names| names.contains(&tok(toks, i).text));
+    ((field_read || local) && !call_follows && !path_follows) || key
 }
 
 /// True when the `fn` at token `i` is declared plain `pub`, past any

@@ -30,6 +30,30 @@ pub fn only_in_docs() -> u32 {
     6
 }
 
+/// Live code reads and writes its `stride` field; only this file's tests
+/// call its `stride()` method.
+pub struct Strided {
+    stride: usize,
+}
+
+impl Strided {
+    /// Called from the `beta` crate; `stride:` is a struct-literal key.
+    pub fn with_stride(n: usize) -> Self {
+        let step = n.max(1);
+        Self { stride: step }
+    }
+
+    /// Called from the `beta` crate; `.stride` is a field read.
+    pub fn steps(&self, len: usize) -> usize {
+        len / self.stride
+    }
+
+    /// Shares its name with the field; nothing but a test calls it.
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+}
+
 pub(crate) fn crate_visible() -> u32 {
     7
 }
@@ -51,5 +75,10 @@ mod tests {
     #[test]
     fn calls_the_tested_fn() {
         assert_eq!(super::only_tested(), 1);
+    }
+
+    #[test]
+    fn calls_the_method_named_like_a_field() {
+        assert_eq!(super::Strided::with_stride(2).stride(), 2);
     }
 }

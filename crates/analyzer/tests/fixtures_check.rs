@@ -218,19 +218,14 @@ fn analyzer_crate_self_lints_at_zero_debt() {
     assert!(ours.is_empty(), "analyzer self-lint findings: {ours:#?}");
 }
 
-/// Rule A's hot set provably covers the functions the counting-allocator
-/// test (`neural/tests/zero_alloc.rs`) exercises: everything its step
-/// helpers call must be reachable from the Workspace step path, or the
-/// lint would go blind exactly where the invariant is enforced. The layer
-/// entry points are checked by qualified name, one per impl: name
-/// matching alone would pass as long as any single layer was hot.
-#[test]
-fn hot_set_covers_the_neural_step_path() {
-    let src_root = repo_root().join("crates/neural/src");
+/// The qualified names rule A marks hot in `crates/<krate>/src`, indexed
+/// as that crate alone (the hot closure stays within a crate).
+fn hot_set_of(krate: &str) -> Vec<String> {
+    let src_root = repo_root().join("crates").join(krate).join("src");
     let mut files = Vec::new();
     let mut stack = vec![src_root.clone()];
     while let Some(dir) = stack.pop() {
-        for entry in std::fs::read_dir(&dir).expect("neural sources readable") {
+        for entry in std::fs::read_dir(&dir).expect("sources readable") {
             let path = entry.expect("dir entry").path();
             if path.is_dir() {
                 stack.push(path);
@@ -240,17 +235,29 @@ fn hot_set_covers_the_neural_step_path() {
                     .expect("under src root")
                     .display()
                     .to_string();
-                let src = std::fs::read_to_string(&path).expect("neural source reads");
-                files.push(SourceFile::new(&rel, "neural", FileKind::Lib, &src));
+                let src = std::fs::read_to_string(&path).expect("source reads");
+                files.push(SourceFile::new(&rel, krate, FileKind::Lib, &src));
             }
         }
     }
-    assert!(!files.is_empty(), "no neural sources found");
+    assert!(!files.is_empty(), "no {krate} sources found");
     let idx = analyzer::symbols::WorkspaceIndex::build(&files);
-    let hot: Vec<&str> = (idx.fns.iter().enumerate())
-        .filter(|(id, f)| f.crate_name == "neural" && idx.is_hot(*id))
-        .map(|(_, f)| f.qual.as_str())
-        .collect();
+    (idx.fns.iter().enumerate())
+        .filter(|(id, f)| f.crate_name == krate && idx.is_hot(*id))
+        .map(|(_, f)| f.qual.clone())
+        .collect()
+}
+
+/// Rule A's hot set provably covers the functions the counting-allocator
+/// test (`neural/tests/zero_alloc.rs`) exercises: everything its step
+/// helpers call must be reachable from the Workspace step path, or the
+/// lint would go blind exactly where the invariant is enforced. The layer
+/// entry points are checked by qualified name, one per impl: name
+/// matching alone would pass as long as any single layer was hot.
+#[test]
+fn hot_set_covers_the_neural_step_path() {
+    let hot = hot_set_of("neural");
+    let hot: Vec<&str> = hot.iter().map(String::as_str).collect();
     for layer in [
         "Dense",
         "Activation",
@@ -285,6 +292,34 @@ fn hot_set_covers_the_neural_step_path() {
             .iter()
             .any(|q| *q == needed || q.ends_with(&format!("::{needed}")));
         assert!(covered, "`{needed}` missing from hot set: {hot:#?}");
+    }
+}
+
+/// The same for the OVS stage steps `ovs-core/tests/zero_alloc.rs`
+/// counts: each module's one forward/backward pair, the full generative
+/// pass, and the two losses the fit writes in place.
+#[test]
+fn hot_set_covers_the_ovs_stage_step_path() {
+    let hot = hot_set_of("ovs-core");
+    for module in ["TodGeneration", "TodVolumeMapping", "VolumeSpeedMapping"] {
+        for method in ["forward_ws", "backward_ws"] {
+            let qual = format!("{module}::{method}");
+            assert!(
+                hot.contains(&qual),
+                "`{qual}` missing from hot set: {hot:#?}"
+            );
+        }
+    }
+    assert!(
+        hot.iter().any(|q| q == "OvsModel::forward_full"),
+        "{hot:#?}"
+    );
+    let neural = hot_set_of("neural");
+    for loss in ["huber_into", "mse_into"] {
+        assert!(
+            neural.iter().any(|q| q == loss),
+            "`{loss}` missing: {neural:#?}"
+        );
     }
 }
 
@@ -385,10 +420,19 @@ fn dead_api_does_not_count_a_name_in_a_doc_comment_as_a_use() {
         dead_api_findings(),
         [
             "crates/alpha/src/lib.rs: only_tested",
-            "crates/alpha/src/lib.rs: only_in_docs"
+            "crates/alpha/src/lib.rs: only_in_docs",
+            "crates/alpha/src/lib.rs: Strided::stride"
         ],
-        "exactly the two unused items are flagged"
+        "exactly the three unused items are flagged"
     );
+}
+
+#[test]
+fn dead_api_does_not_count_a_field_or_binding_of_the_same_name_as_a_use() {
+    assert!(flagged("Strided::stride"), "{:#?}", dead_api_findings());
+    for name in ["Strided::with_stride", "Strided::steps"] {
+        assert!(!flagged(name), "{name}: {:#?}", dead_api_findings());
+    }
 }
 
 // ---- CLI end-to-end: exit codes and file:line output ---------------------

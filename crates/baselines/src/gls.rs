@@ -180,7 +180,7 @@ mod tests {
         // q = 10 - 2 v exactly.
         let rows = 8;
         let v = Matrix::from_fn(rows, 1, |r, _| r as f64 * 0.5);
-        let q = v.map(|x| 10.0 - 2.0 * x);
+        let q = Matrix::from_fn(rows, 1, |r, _| 10.0 - 2.0 * v.get(r, 0));
         let fit = fit_speed_inverse(&q, &v);
         assert!((fit[0].0 - 10.0).abs() < 1e-9);
         assert!((fit[0].1 + 2.0).abs() < 1e-9);

@@ -43,7 +43,7 @@ impl TrainedNn {
                 x_obs.set(ti, j, v_obs.get(j, ti) * self.v_scale);
             }
         }
-        let pred = self.net.forward(&x_obs, false); // (t, n), normalised
+        let pred = self.net.forward(&x_obs); // (t, n), normalised
         let mut tod = TodTensor::zeros(self.n, t);
         for ti in 0..t {
             for i in 0..self.n {
@@ -123,7 +123,7 @@ impl NnEstimator {
         ]);
         let mut opt = Adam::new(self.lr);
         for _ in 0..self.steps {
-            let pred = net.forward(&x, true);
+            let pred = net.forward(&x);
             let (_, grad) = mse(&pred, &y);
             net.backward(&grad);
             opt.step(&mut |f| net.visit_params(f));

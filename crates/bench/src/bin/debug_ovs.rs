@@ -49,9 +49,10 @@ fn main() {
         let g = tod_to_matrix(&sample.tod);
         let q_target = link_to_matrix(&sample.volume);
         let v_target = link_to_matrix(&sample.speed);
-        let q_pred = model.tod2v.forward(&g, false);
-        let v_pred_model = model.v2s.forward(&q_pred, false);
-        let v_pred_truevol = model.v2s.forward(&q_target, false);
+        let mut ws = neural::Workspace::new();
+        let q_pred = model.tod2v.forward_ws(&g, &mut ws);
+        let v_pred_model = model.v2s.forward_ws(&q_pred, &mut ws);
+        let v_pred_truevol = model.v2s.forward_ws(&q_target, &mut ws);
         let rmse = |a: &neural::Matrix, b: &neural::Matrix| {
             let mut s = 0.0;
             for (x, y) in a.as_slice().iter().zip(b.as_slice()) {

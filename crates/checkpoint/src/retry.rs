@@ -51,6 +51,7 @@ impl RecordingClock {
     }
 
     /// The sleep durations requested so far, in order.
+    // lint: allow(dead_api) — the probe of a test fake: tests read it to check the backoff schedule
     pub fn sleeps(&self) -> Vec<u64> {
         // A poisoned lock still holds valid data (u64 pushes can't leave
         // it half-written); recover the guard instead of panicking.

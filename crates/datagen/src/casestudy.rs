@@ -202,7 +202,7 @@ mod tests {
         // reverse pair relation holds
         let ab = ods.pair(case.a_to_b).unwrap();
         let ba = ods.pair(case.b_to_a).unwrap();
-        assert_eq!(ab.reversed(), ba);
+        assert_eq!((ab.origin, ab.destination), (ba.destination, ba.origin));
         // A->B rows show the 10am peak: interval 10 > interval 3
         let row = case.tod.row(case.a_to_b);
         assert!(row[10] > row[3]);

@@ -106,6 +106,7 @@ impl CkptInterrupter {
     }
 
     /// How many writes were interrupted so far.
+    // lint: allow(dead_api) — the probe of a fault injector: tests read it to check the injected write fault fired
     pub fn interrupted(&self) -> usize {
         self.interrupted
     }

@@ -39,15 +39,15 @@ fn perturb(visit: &mut ParamVisitor<'_>, pi: usize, idx: usize, delta: f64) {
 /// component agrees within `tol`.
 // lint: allow(dead_api) — gradient checker every layer's tests run against
 pub fn check_layer_input(layer: &mut dyn Layer, x: &Matrix, eps: f64, tol: f64) -> bool {
-    let y = layer.forward(x, false);
+    let y = layer.forward(x);
     let dx = layer.backward(&y);
     for idx in 0..x.len() {
         let mut xp = x.clone();
         xp.as_mut_slice()[idx] += eps;
         let mut xm = x.clone();
         xm.as_mut_slice()[idx] -= eps;
-        let lp = half_sq_matrix(&layer.forward(&xp, false));
-        let lm = half_sq_matrix(&layer.forward(&xm, false));
+        let lp = half_sq_matrix(&layer.forward(&xp));
+        let lm = half_sq_matrix(&layer.forward(&xm));
         let numeric = (lp - lm) / (2.0 * eps);
         if !close(dx.as_slice()[idx], numeric, tol) {
             eprintln!(
@@ -64,7 +64,7 @@ pub fn check_layer_input(layer: &mut dyn Layer, x: &Matrix, eps: f64, tol: f64) 
 // lint: allow(dead_api) — gradient checker every layer's tests run against
 pub fn check_layer_params(layer: &mut dyn Layer, x: &Matrix, eps: f64, tol: f64) -> bool {
     layer.zero_grad();
-    let y = layer.forward(x, false);
+    let y = layer.forward(x);
     layer.backward(&y);
     // Snapshot analytic gradients.
     let mut grads: Vec<Matrix> = Vec::new();
@@ -74,9 +74,9 @@ pub fn check_layer_params(layer: &mut dyn Layer, x: &Matrix, eps: f64, tol: f64)
     for (pi, grad) in grads.iter().enumerate() {
         for idx in 0..grad.len() {
             perturb(&mut |f| layer.visit_params(f), pi, idx, eps);
-            let lp = half_sq_matrix(&layer.forward(x, false));
+            let lp = half_sq_matrix(&layer.forward(x));
             perturb(&mut |f| layer.visit_params(f), pi, idx, -2.0 * eps);
-            let lm = half_sq_matrix(&layer.forward(x, false));
+            let lm = half_sq_matrix(&layer.forward(x));
             perturb(&mut |f| layer.visit_params(f), pi, idx, eps); // restore
             let numeric = (lp - lm) / (2.0 * eps);
             let analytic = grad.as_slice()[idx];
@@ -154,8 +154,8 @@ mod tests {
     struct Broken(Dense);
 
     impl Layer for Broken {
-        fn forward_ws(&mut self, x: &Matrix, train: bool, ws: &mut Workspace) -> Matrix {
-            self.0.forward_ws(x, train, ws)
+        fn forward_ws(&mut self, x: &Matrix, ws: &mut Workspace) -> Matrix {
+            self.0.forward_ws(x, ws)
         }
         fn backward_ws(&mut self, dy: &Matrix, ws: &mut Workspace) -> Matrix {
             let mut dx = self.0.backward_ws(dy, ws);
@@ -190,8 +190,8 @@ mod tests {
     struct BrokenParams(Dense);
 
     impl Layer for BrokenParams {
-        fn forward_ws(&mut self, x: &Matrix, train: bool, ws: &mut Workspace) -> Matrix {
-            self.0.forward_ws(x, train, ws)
+        fn forward_ws(&mut self, x: &Matrix, ws: &mut Workspace) -> Matrix {
+            self.0.forward_ws(x, ws)
         }
         fn backward_ws(&mut self, dy: &Matrix, ws: &mut Workspace) -> Matrix {
             let dx = self.0.backward_ws(dy, ws);
@@ -207,8 +207,8 @@ mod tests {
     struct BrokenSeqParams(Lstm);
 
     impl SeqLayer for BrokenSeqParams {
-        fn forward_ws(&mut self, x: &Tensor3, train: bool, ws: &mut Workspace) -> Tensor3 {
-            self.0.forward_ws(x, train, ws)
+        fn forward_ws(&mut self, x: &Tensor3, ws: &mut Workspace) -> Tensor3 {
+            self.0.forward_ws(x, ws)
         }
         fn backward_ws(&mut self, dy: &Tensor3, ws: &mut Workspace) -> Tensor3 {
             let dx = self.0.backward_ws(dy, ws);

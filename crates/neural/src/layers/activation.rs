@@ -67,7 +67,7 @@ impl Activation {
 }
 
 impl Layer for Activation {
-    fn forward_ws(&mut self, x: &Matrix, _train: bool, ws: &mut Workspace) -> Matrix {
+    fn forward_ws(&mut self, x: &Matrix, ws: &mut Workspace) -> Matrix {
         let mut y = ws.take(x.rows(), x.cols());
         self.kind.apply_into(x.as_slice(), y.as_mut_slice());
         match &mut self.cache_y {
@@ -116,7 +116,7 @@ impl SeqActivation {
 }
 
 impl SeqLayer for SeqActivation {
-    fn forward_ws(&mut self, x: &Tensor3, _train: bool, ws: &mut Workspace) -> Tensor3 {
+    fn forward_ws(&mut self, x: &Tensor3, ws: &mut Workspace) -> Tensor3 {
         let (b, t, f) = x.shape();
         let mut y = ws.take3(b, t, f);
         self.kind.apply_into(x.as_slice(), y.as_mut_slice());
@@ -183,7 +183,8 @@ mod tests {
         let mut x = Matrix::zeros(3, 4);
         rng.fill_normal(x.as_mut_slice());
         // shift relu inputs away from the kink
-        let x_relu = x.map(|v| if v.abs() < 0.1 { v + 0.5 } else { v });
+        let mut x_relu = x.clone();
+        x_relu.map_inplace(|v| if v.abs() < 0.1 { v + 0.5 } else { v });
         for kind in [ActKind::Sigmoid, ActKind::Tanh] {
             let mut layer = Activation::new(kind);
             assert!(check_layer_input(&mut layer, &x, 1e-6, 1e-7), "{kind:?}");
@@ -207,7 +208,7 @@ mod tests {
         let dx = seq.backward(&dy);
         let mut flat = Activation::new(ActKind::Sigmoid);
         let xm = Matrix::from_vec(6, 2, t.as_slice().to_vec()).unwrap();
-        flat.forward(&xm, true);
+        flat.forward(&xm);
         let dxm = flat.backward(&Matrix::filled(6, 2, 1.0));
         for (a, b) in dx.as_slice().iter().zip(dxm.as_slice()) {
             assert!((a - b).abs() < 1e-12);

@@ -87,11 +87,6 @@ impl Conv1d {
         }
     }
 
-    /// Stride (always 1 for same-padded convolutions).
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// Output sequence length for an input of `t` steps.
     ///
     /// Same padding preserves `t`; valid padding yields
@@ -141,7 +136,7 @@ impl Conv1d {
 }
 
 impl SeqLayer for Conv1d {
-    fn forward_ws(&mut self, x: &Tensor3, _train: bool, ws: &mut Workspace) -> Tensor3 {
+    fn forward_ws(&mut self, x: &Tensor3, ws: &mut Workspace) -> Tensor3 {
         let (b, t, _) = x.shape();
         let out_t = self.out_time(t);
         let mut cache = match self.cache.take() {
@@ -297,8 +292,10 @@ mod tests {
         let x = Tensor3::zeros(4, 9, 2);
         let y = c.forward(&x, true);
         assert_eq!(y.shape(), (4, 4, 3));
-        assert_eq!(c.out_time(9), 4);
-        assert_eq!(c.stride(), 2);
+        // A stride of 2 drops every other window start.
+        for (t, out) in [(9, 4), (10, 4), (11, 5), (3, 1)] {
+            assert_eq!(c.out_time(t), out, "t = {t}");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward_ws(&mut self, x: &Matrix, _train: bool, ws: &mut Workspace) -> Matrix {
+    fn forward_ws(&mut self, x: &Matrix, ws: &mut Workspace) -> Matrix {
         let mut y = ws.take(x.rows(), self.w.cols());
         x.matmul_into(&self.w, &mut y);
         y.add_row_broadcast(&self.b);
@@ -85,7 +85,7 @@ mod tests {
         let mut rng = Rng64::new(0);
         let mut d = Dense::new(3, 2, &mut rng);
         let x = Matrix::zeros(4, 3);
-        let y = d.forward(&x, true);
+        let y = d.forward(&x);
         assert_eq!(y.shape(), (4, 2));
         // zero input -> output equals bias (zero at init)
         assert_eq!(y, Matrix::zeros(4, 2));
@@ -107,7 +107,7 @@ mod tests {
         let mut d = Dense::new(2, 2, &mut rng);
         let x = Matrix::filled(1, 2, 1.0);
         let dy = Matrix::filled(1, 2, 1.0);
-        d.forward(&x, true);
+        d.forward(&x);
         d.backward(&dy);
         let mut first = Matrix::zeros(0, 0);
         d.visit_params(&mut |p, g| {
@@ -115,7 +115,7 @@ mod tests {
                 first = g.clone();
             }
         });
-        d.forward(&x, true);
+        d.forward(&x);
         d.backward(&dy);
         d.visit_params(&mut |p, g| {
             if p.rows() == 2 {
@@ -125,6 +125,6 @@ mod tests {
             }
         });
         d.zero_grad();
-        d.visit_params(&mut |_, g| assert_eq!(g.norm(), 0.0));
+        d.visit_params(&mut |_, g| assert!(g.as_slice().iter().all(|&v| v == 0.0)));
     }
 }

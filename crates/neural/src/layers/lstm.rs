@@ -156,7 +156,7 @@ impl Lstm {
 }
 
 impl SeqLayer for Lstm {
-    fn forward_ws(&mut self, x: &Tensor3, _train: bool, ws: &mut Workspace) -> Tensor3 {
+    fn forward_ws(&mut self, x: &Tensor3, ws: &mut Workspace) -> Tensor3 {
         let (batch, time, feat) = x.shape();
         assert_eq!(feat, self.input, "LSTM input width mismatch");
         let h = self.hidden;

@@ -29,7 +29,7 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward_ws(&mut self, x: &Matrix, train: bool, ws: &mut Workspace) -> Matrix {
+    fn forward_ws(&mut self, x: &Matrix, ws: &mut Workspace) -> Matrix {
         match self.layers.split_first_mut() {
             None => {
                 let mut out = ws.take(x.rows(), x.cols());
@@ -37,9 +37,9 @@ impl Layer for Sequential {
                 out
             }
             Some((first, rest)) => {
-                let mut cur = first.forward_ws(x, train, ws);
+                let mut cur = first.forward_ws(x, ws);
                 for l in rest {
-                    let next = l.forward_ws(&cur, train, ws);
+                    let next = l.forward_ws(&cur, ws);
                     ws.give(cur);
                     cur = next;
                 }
@@ -97,7 +97,7 @@ impl SeqSequential {
 }
 
 impl SeqLayer for SeqSequential {
-    fn forward_ws(&mut self, x: &Tensor3, train: bool, ws: &mut Workspace) -> Tensor3 {
+    fn forward_ws(&mut self, x: &Tensor3, ws: &mut Workspace) -> Tensor3 {
         match self.layers.split_first_mut() {
             None => {
                 let (b, t, f) = x.shape();
@@ -106,9 +106,9 @@ impl SeqLayer for SeqSequential {
                 out
             }
             Some((first, rest)) => {
-                let mut cur = first.forward_ws(x, train, ws);
+                let mut cur = first.forward_ws(x, ws);
                 for l in rest {
-                    let next = l.forward_ws(&cur, train, ws);
+                    let next = l.forward_ws(&cur, ws);
                     ws.give3(cur);
                     cur = next;
                 }
@@ -165,14 +165,14 @@ impl<L: Layer> TimeDistributed<L> {
 }
 
 impl<L: Layer> SeqLayer for TimeDistributed<L> {
-    fn forward_ws(&mut self, x: &Tensor3, train: bool, ws: &mut Workspace) -> Tensor3 {
+    fn forward_ws(&mut self, x: &Tensor3, ws: &mut Workspace) -> Tensor3 {
         let (b, t, f) = x.shape();
         self.shape = Some((b, t));
         // The inner layer sees `x` as a `(b*t, f)` matrix: one copy in,
         // and its output moves back out as the `(b, t, _)` tensor.
         let mut flat = ws.take(b * t, f);
         flat.as_mut_slice().copy_from_slice(x.as_slice());
-        let y = self.inner.forward_ws(&flat, train, ws);
+        let y = self.inner.forward_ws(&flat, ws);
         ws.give(flat);
         Tensor3::from_flat(b, t, y)
     }
@@ -208,7 +208,7 @@ mod tests {
             Box::new(Dense::new(4, 2, &mut rng)),
         ]);
         let x = Matrix::filled(5, 3, 0.3);
-        let y = net.forward(&x, true);
+        let y = net.forward(&x);
         assert_eq!(y.shape(), (5, 2));
         assert_eq!(net.len(), 3);
         assert_eq!(Layer::param_count(&mut net), 3 * 4 + 4 + 4 * 2 + 2);
@@ -237,7 +237,7 @@ mod tests {
         rng.fill_normal(x.as_mut_slice());
         let y = td.forward(&x, true);
         let x_flat = Matrix::from_vec(8, 2, x.as_slice().to_vec()).unwrap();
-        let y_flat = flat.forward(&x_flat, true);
+        let y_flat = flat.forward(&x_flat);
         assert_eq!(y.as_slice(), y_flat.as_slice());
     }
 

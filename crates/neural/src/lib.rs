@@ -34,13 +34,13 @@
 //! let y = Matrix::from_vec(4, 1, vec![0., 1., 1., 0.]).unwrap();
 //! let mut opt = Adam::new(0.05);
 //! for _ in 0..300 {
-//!     let pred = net.forward(&x, true);
+//!     let pred = net.forward(&x);
 //!     let (_, grad) = mse(&pred, &y);
 //!     net.backward(&grad);
 //!     opt.step(&mut |f| net.visit_params(f));
 //!     net.zero_grad();
 //! }
-//! let pred = net.forward(&x, false);
+//! let pred = net.forward(&x);
 //! let (loss, _) = mse(&pred, &y);
 //! assert!(loss < 0.05, "XOR should be learnable, loss = {loss}");
 //! ```

@@ -3,24 +3,25 @@
 //! The paper's main loss (Eq. 12) is the summed squared error between
 //! predicted and observed link speeds; the auxiliary losses (§IV-E) share
 //! the same squared-error form over other quantities. Both reduce to
-//! [`mse`] here; a sum is the mean times the cell count.
+//! [`mse_into`] here; a sum is the mean times the cell count.
+//!
+//! Each loss has one body, an `_into` function that writes the gradient
+//! into a caller-provided buffer and returns the loss, so a training step
+//! computes it without allocating. [`mse`] and [`mse_seq`] are one-line
+//! allocating wrappers for callers that train outside a pooled step.
 
 use crate::matrix::Matrix;
 use crate::tensor3::Tensor3;
 
 /// Mean squared error; returns `(loss, d loss / d pred)`.
 pub fn mse(pred: &Matrix, target: &Matrix) -> (f64, Matrix) {
-    assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
-    let n = pred.len().max(1) as f64;
-    let mut grad = pred.clone();
-    grad.sub_assign(target);
-    let loss = grad.as_slice().iter().map(|v| v * v).sum::<f64>() / n;
-    grad.scale(2.0 / n);
-    (loss, grad)
+    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
+    (mse_into(pred, target, &mut grad), grad)
 }
 
-/// [`mse`] writing the gradient into a caller-provided buffer — same op
-/// order, same bits, no allocation. `grad` must match `pred`'s shape.
+/// Mean squared error, writing `d loss / d pred` into `grad` (any prior
+/// contents are overwritten); returns the loss. `grad` must match
+/// `pred`'s shape.
 // lint: hot — the zero-alloc training step's loss kernel
 pub fn mse_into(pred: &Matrix, target: &Matrix, grad: &mut Matrix) -> f64 {
     assert_eq!(pred.shape(), target.shape(), "mse shape mismatch");
@@ -35,12 +36,14 @@ pub fn mse_into(pred: &Matrix, target: &Matrix, grad: &mut Matrix) -> f64 {
 
 /// Huber loss (mean over cells, squared-error scaling): quadratic inside
 /// `delta`, linear outside — robust to residuals the model cannot
-/// represent. Returns `(loss, d loss / d pred)`.
-pub fn huber(pred: &Matrix, target: &Matrix, delta: f64) -> (f64, Matrix) {
+/// represent. Writes `d loss / d pred` into `grad` (overwritten) and
+/// returns the loss.
+// lint: hot — the zero-alloc test-time fit's loss kernel
+pub fn huber_into(pred: &Matrix, target: &Matrix, delta: f64, grad: &mut Matrix) -> f64 {
     assert_eq!(pred.shape(), target.shape(), "huber shape mismatch");
+    assert_eq!(grad.shape(), pred.shape(), "huber gradient shape mismatch");
     assert!(delta > 0.0, "huber delta must be positive");
     let n = pred.len().max(1) as f64;
-    let mut grad = Matrix::zeros(pred.rows(), pred.cols());
     let mut loss = 0.0;
     for ((g, &p), &t) in grad
         .as_mut_slice()
@@ -57,27 +60,18 @@ pub fn huber(pred: &Matrix, target: &Matrix, delta: f64) -> (f64, Matrix) {
             *g = 2.0 * delta * r.signum() / n;
         }
     }
-    (loss / n, grad)
+    loss / n
 }
 
 /// MSE over sequence tensors; returns `(loss, d loss / d pred)`.
 pub fn mse_seq(pred: &Tensor3, target: &Tensor3) -> (f64, Tensor3) {
-    assert_eq!(pred.shape(), target.shape(), "mse_seq shape mismatch");
-    let n = pred.as_slice().len().max(1) as f64;
-    let mut grad = pred.clone();
-    for (g, &t) in grad.as_mut_slice().iter_mut().zip(target.as_slice()) {
-        *g -= t;
-    }
-    let loss = grad.as_slice().iter().map(|v| v * v).sum::<f64>() / n;
-    for g in grad.as_mut_slice() {
-        *g *= 2.0 / n;
-    }
-    (loss, grad)
+    let (b, t, f) = pred.shape();
+    let mut grad = Tensor3::zeros(b, t, f);
+    (mse_seq_into(pred, target, &mut grad), grad)
 }
 
-/// [`mse_seq`] writing the gradient into a caller-provided buffer — same
-/// op order, same bits, no allocation.
-// lint: allow(dead_api) — the loss of the allocation-free sequence step `zero_alloc.rs` pins
+/// MSE over sequence tensors, writing `d loss / d pred` into `grad`
+/// (overwritten); returns the loss.
 // lint: hot — the zero-alloc training step's loss kernel
 pub fn mse_seq_into(pred: &Tensor3, target: &Tensor3, grad: &mut Tensor3) -> f64 {
     assert_eq!(pred.shape(), target.shape(), "mse_seq shape mismatch");
@@ -107,7 +101,7 @@ mod tests {
         let a = Matrix::filled(2, 3, 1.5);
         let (l, g) = mse(&a, &a);
         assert_eq!(l, 0.0);
-        assert_eq!(g.norm(), 0.0);
+        assert_eq!(g, Matrix::zeros(2, 3));
     }
 
     #[test]
@@ -139,7 +133,8 @@ mod tests {
     fn huber_matches_mse_inside_delta() {
         let p = Matrix::from_vec(1, 3, vec![0.5, -0.2, 0.9]).unwrap();
         let t = Matrix::zeros(1, 3);
-        let (lh, gh) = huber(&p, &t, 10.0);
+        let mut gh = Matrix::zeros(1, 3);
+        let lh = huber_into(&p, &t, 10.0, &mut gh);
         let (lm, gm) = mse(&p, &t);
         assert!((lh - lm).abs() < 1e-12);
         for (a, b) in gh.as_slice().iter().zip(gm.as_slice()) {
@@ -150,8 +145,9 @@ mod tests {
     #[test]
     fn huber_saturates_outside_delta() {
         let t = Matrix::zeros(1, 1);
-        let (_, g_small) = huber(&Matrix::filled(1, 1, 5.0), &t, 1.0);
-        let (_, g_large) = huber(&Matrix::filled(1, 1, 500.0), &t, 1.0);
+        let (mut g_small, mut g_large) = (Matrix::zeros(1, 1), Matrix::zeros(1, 1));
+        huber_into(&Matrix::filled(1, 1, 5.0), &t, 1.0, &mut g_small);
+        huber_into(&Matrix::filled(1, 1, 500.0), &t, 1.0, &mut g_large);
         assert!(
             (g_small.get(0, 0) - g_large.get(0, 0)).abs() < 1e-12,
             "gradient magnitude is capped at 2*delta/n"
@@ -163,14 +159,17 @@ mod tests {
         let p = Matrix::from_vec(1, 4, vec![0.3, -3.0, 1.2, 7.5]).unwrap();
         let t = Matrix::from_vec(1, 4, vec![0.1, 0.1, 0.1, 0.1]).unwrap();
         let delta = 1.5;
-        let (_, g) = huber(&p, &t, delta);
+        let mut g = Matrix::zeros(1, 4);
+        huber_into(&p, &t, delta, &mut g);
+        let mut scratch = Matrix::zeros(1, 4);
+        let mut loss = |pred: &Matrix| huber_into(pred, &t, delta, &mut scratch);
         let eps = 1e-7;
         for i in 0..4 {
             let mut pp = p.clone();
             pp.as_mut_slice()[i] += eps;
             let mut pm = p.clone();
             pm.as_mut_slice()[i] -= eps;
-            let num = (huber(&pp, &t, delta).0 - huber(&pm, &t, delta).0) / (2.0 * eps);
+            let num = (loss(&pp) - loss(&pm)) / (2.0 * eps);
             assert!((num - g.as_slice()[i]).abs() < 1e-6);
         }
     }
@@ -184,6 +183,13 @@ mod tests {
         let l2 = mse_into(&p, &t, &mut g2);
         assert_eq!(l, l2);
         assert_eq!(g.as_slice(), g2.as_slice());
+
+        // Huber overwrites every gradient cell, inside and outside delta.
+        let mut h_clean = Matrix::zeros(2, 2);
+        let lh = huber_into(&p, &t, 1.0, &mut h_clean);
+        g2.as_mut_slice().fill(f64::NAN);
+        assert_eq!(lh, huber_into(&p, &t, 1.0, &mut g2));
+        assert_eq!(h_clean.as_slice(), g2.as_slice());
 
         let ps = Tensor3::from_vec(1, 2, 2, p.as_slice().to_vec()).unwrap();
         let ts = Tensor3::from_vec(1, 2, 2, t.as_slice().to_vec()).unwrap();

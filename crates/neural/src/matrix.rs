@@ -300,28 +300,10 @@ impl Matrix {
         }
     }
 
-    /// In-place `self += alpha * rhs`.
-    pub fn axpy(&mut self, alpha: f64, rhs: &Matrix) {
-        assert_eq!(self.shape(), rhs.shape(), "axpy shape mismatch");
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += alpha * b;
-        }
-    }
-
     /// Scales all elements in place.
     pub fn scale(&mut self, alpha: f64) {
         for a in &mut self.data {
             *a *= alpha;
-        }
-    }
-
-    /// Applies `f` element-wise, allocating.
-    // lint: cold — legacy allocating API; `_ws` kernels use `map_inplace`. Reaches the hot set only via `.map` conflation with slice iterator adapters.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| f(v)).collect(),
         }
     }
 
@@ -344,15 +326,8 @@ impl Matrix {
         }
     }
 
-    /// Sums rows into a `(1, cols)` vector (bias gradients).
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        self.sum_rows_into(&mut out);
-        out
-    }
-
-    /// [`Self::sum_rows`] into a caller-owned `(1, cols)` output
-    /// (overwritten); same bits as the allocating variant.
+    /// Sums rows into a caller-owned `(1, cols)` output (overwritten):
+    /// bias gradients.
     pub fn sum_rows_into(&self, out: &mut Matrix) {
         assert_eq!(
             (out.rows, out.cols),
@@ -386,11 +361,6 @@ impl Matrix {
         } else {
             self.sum() / self.data.len() as f64
         }
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Sets every element to zero, retaining the allocation.
@@ -707,12 +677,14 @@ fn matmul_a_bt_block_tiled(a: &Matrix, rhs: &Matrix, out: &mut [f64], tj: usize)
 /// Row-wise softmax in place; numerically stabilised by row-max shifting.
 pub fn softmax_rows(m: &mut Matrix) {
     for r in 0..m.rows() {
-        softmax_row_inplace(m.row_mut(r));
+        softmax_in_place(m.row_mut(r));
     }
 }
 
+/// Softmax of one vector of logits, in place; numerically stabilised by
+/// max shifting.
 #[inline]
-fn softmax_row_inplace(row: &mut [f64]) {
+pub fn softmax_in_place(row: &mut [f64]) {
     let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let mut sum = 0.0;
     for v in row.iter_mut() {
@@ -727,11 +699,15 @@ fn softmax_row_inplace(row: &mut [f64]) {
 }
 
 /// Backward pass of row-wise softmax: given the softmax output `y` and the
-/// upstream gradient `dy`, returns `dx` where
-/// `dx = y * (dy - sum(dy * y, per row))`.
-pub fn softmax_rows_backward(y: &Matrix, dy: &Matrix) -> Matrix {
+/// upstream gradient `dy`, overwrites `dx` with
+/// `y * (dy - sum(dy * y, per row))`.
+pub fn softmax_rows_backward(y: &Matrix, dy: &Matrix, dx: &mut Matrix) {
     assert_eq!(y.shape(), dy.shape(), "softmax backward shape mismatch");
-    let mut dx = Matrix::zeros(y.rows(), y.cols());
+    assert_eq!(
+        dx.shape(),
+        y.shape(),
+        "softmax backward output shape mismatch"
+    );
     for r in 0..y.rows() {
         let yr = y.row(r);
         let dyr = dy.row(r);
@@ -740,7 +716,6 @@ pub fn softmax_rows_backward(y: &Matrix, dy: &Matrix) -> Matrix {
             *o = yv * (dyv - s);
         }
     }
-    dx
 }
 
 #[cfg(test)]
@@ -853,7 +828,9 @@ mod tests {
         assert_eq!(out, a.matmul_a_bt(&bt));
         let mut out = Matrix::filled(1, 29, f64::NAN);
         a.sum_rows_into(&mut out);
-        assert_eq!(out, a.sum_rows());
+        let mut clean = Matrix::zeros(1, 29);
+        a.sum_rows_into(&mut clean);
+        assert_eq!(out, clean);
     }
 
     #[test]
@@ -930,8 +907,6 @@ mod tests {
         assert_eq!(a.get(0, 1), 6.0);
         a.scale(0.5);
         assert_eq!(a.get(0, 0), 3.0);
-        a.axpy(2.0, &b);
-        assert_eq!(a.get(0, 0), 7.0);
     }
 
     #[test]
@@ -940,16 +915,11 @@ mod tests {
         let bias = Matrix::from_vec(1, 2, vec![1.0, -1.0]).unwrap();
         a.add_row_broadcast(&bias);
         assert_eq!(a.row(2), &[1.0, -1.0]);
-        let s = a.sum_rows();
+        let mut s = Matrix::zeros(1, 2);
+        a.sum_rows_into(&mut s);
         assert_eq!(s.as_slice(), &[3.0, -3.0]);
         assert_eq!(a.sum(), 0.0);
         assert_eq!(a.mean(), 0.0);
-    }
-
-    #[test]
-    fn norm_is_frobenius() {
-        let a = Matrix::from_vec(1, 2, vec![3.0, 4.0]).unwrap();
-        assert!((a.norm() - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -997,7 +967,8 @@ mod tests {
         let mut y = logits.clone();
         softmax_rows(&mut y);
         let dy = Matrix::from_vec(1, w.len(), w.to_vec()).unwrap();
-        let dx = softmax_rows_backward(&y, &dy);
+        let mut dx = Matrix::filled(y.rows(), y.cols(), f64::NAN);
+        softmax_rows_backward(&y, &dy, &mut dx);
         let eps = 1e-6;
         for i in 0..4 {
             let mut plus = logits.clone();
@@ -1019,7 +990,8 @@ mod tests {
         // output equally cannot change with the logits.
         let mut y = Matrix::from_fn(3, 5, |r, c| (r * 5 + c) as f64 * 0.37 - 2.0);
         softmax_rows(&mut y);
-        let dx = softmax_rows_backward(&y, &Matrix::filled(3, 5, 1.75));
+        let mut dx = Matrix::filled(3, 5, f64::NAN);
+        softmax_rows_backward(&y, &Matrix::filled(3, 5, 1.75), &mut dx);
         assert!(dx.as_slice().iter().all(|v| v.abs() < 1e-15), "{dx:?}");
     }
 

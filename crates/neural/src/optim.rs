@@ -209,10 +209,11 @@ mod tests {
         let mut rng = Rng64::new(0);
         let mut net = Dense::new(1, 1, &mut rng);
         let x = Matrix::from_vec(8, 1, (0..8).map(|i| i as f64 / 4.0).collect()).unwrap();
-        let y = x.map(|v| 2.0 * v - 1.0);
+        let mut y = x.clone();
+        y.map_inplace(|v| 2.0 * v - 1.0);
         let mut last = f64::INFINITY;
         for _ in 0..steps {
-            let pred = net.forward(&x, true);
+            let pred = net.forward(&x);
             let (loss, grad) = mse(&pred, &y);
             net.backward(&grad);
             opt.step(&mut |f| net.visit_params(f));
@@ -263,7 +264,7 @@ mod tests {
             Box::new(Activation::new(ActKind::Tanh)),
         ]);
         let x = Matrix::filled(4, 2, 1.0);
-        let y = net.forward(&x, true);
+        let y = net.forward(&x);
         net.backward(&y);
         let pre = clip_grad_norm(&mut |f| net.visit_params(f), 1e-3);
         assert!(pre > 1e-3);
@@ -283,7 +284,7 @@ mod tests {
         let x = Matrix::from_fn(4, 2, |r, c| (r + c) as f64 * 0.25);
         let y = Matrix::from_fn(4, 3, |r, c| ((r * 3 + c) % 5) as f64 * 0.2);
         let step = |net: &mut Dense, opt: &mut Adam| -> f64 {
-            let pred = net.forward(&x, true);
+            let pred = net.forward(&x);
             let (loss, grad) = mse(&pred, &y);
             net.backward(&grad);
             opt.step(&mut |f| net.visit_params(f));
@@ -333,11 +334,11 @@ mod tests {
         let mut small = Dense::new(2, 2, &mut rng);
         let x = Matrix::filled(1, 2, 1.0);
         let mut opt = Adam::new(0.1);
-        let y = big.forward(&x, true);
+        let y = big.forward(&x);
         big.backward(&y);
         opt.step(&mut |f| big.visit_params(f));
         assert_eq!(opt.snapshot().m.len(), 4);
-        let y = small.forward(&x, true);
+        let y = small.forward(&x);
         small.backward(&y);
         opt.step(&mut |f| small.visit_params(f)); // 2 slots < 4 bound slots
     }

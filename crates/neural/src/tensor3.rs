@@ -35,28 +35,6 @@ impl Tensor3 {
         Ok(Self { b, t, f, data })
     }
 
-    /// Lifts a `(batch, time)` matrix into a single-feature sequence
-    /// tensor — how per-link volume series enter the LSTM stack.
-    pub fn from_matrix_single_feature(m: &Matrix) -> Self {
-        Self {
-            b: m.rows(),
-            t: m.cols(),
-            f: 1,
-            data: m.as_slice().to_vec(),
-        }
-    }
-
-    /// Collapses a single-feature tensor back into a `(batch, time)` matrix.
-    pub fn to_matrix_single_feature(&self) -> Result<Matrix, ShapeError> {
-        if self.f != 1 {
-            return Err(ShapeError(format!(
-                "expected 1 feature, tensor has {}",
-                self.f
-            )));
-        }
-        Matrix::from_vec(self.b, self.t, self.data.clone())
-    }
-
     /// Batch size.
     #[inline]
     pub fn batch(&self) -> usize {
@@ -194,21 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_roundtrip_single_feature() {
-        let m = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f64);
-        let t = Tensor3::from_matrix_single_feature(&m);
-        assert_eq!(t.shape(), (3, 4, 1));
-        assert_eq!(t.get(2, 1, 0), 9.0);
-        assert_eq!(t.to_matrix_single_feature().unwrap(), m);
-    }
-
-    #[test]
-    fn to_matrix_rejects_multi_feature() {
-        let t = Tensor3::zeros(1, 2, 3);
-        assert!(t.to_matrix_single_feature().is_err());
-    }
-
-    #[test]
     fn time_slice_roundtrip() {
         let mut t = Tensor3::zeros(2, 3, 2);
         let m = Matrix::from_fn(2, 2, |r, c| (10 * r + c) as f64 + 1.0);
@@ -219,6 +182,25 @@ mod tests {
         t.read_time_slice(0, &mut back);
         assert_eq!(back, Matrix::zeros(2, 2));
         assert_eq!(t.get(1, 1, 0), 11.0);
+    }
+
+    /// TOD2V feeds a `(N, T)` matrix to the conv stack as an `(N, T, 1)`
+    /// tensor by copying the flat buffer, and reads the gradient back the
+    /// same way: both shapes must share one row-major layout.
+    #[test]
+    fn matrix_roundtrip_single_feature() {
+        let m = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f64);
+        let t = Tensor3::from_vec(3, 4, 1, m.as_slice().to_vec()).unwrap();
+        assert_eq!(t.shape(), (3, 4, 1));
+        assert_eq!(t.get(2, 1, 0), 9.0);
+        let back = Matrix::from_vec(3, 4, t.as_slice().to_vec()).unwrap();
+        assert_eq!(back, m);
+    }
+
+    #[test]
+    fn to_matrix_rejects_multi_feature() {
+        let t = Tensor3::zeros(1, 2, 3);
+        assert!(Matrix::from_vec(1, 2, t.as_slice().to_vec()).is_err());
     }
 
     #[test]

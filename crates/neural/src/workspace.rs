@@ -10,7 +10,10 @@
 //! That pair is every layer's only implementation. The provided
 //! `forward`/`backward` wrappers call it with a fresh `Workspace::new()`:
 //! one-off callers pay the allocations a recycled pool would save, but
-//! run the same code and get the same bits.
+//! run the same code and get the same bits. The OVS modules built from
+//! these layers follow the same rule with no wrappers at all: the stage
+//! driver owns one workspace per stage, and every module, layer and loss
+//! under a training step draws its temporaries from that one pool.
 //!
 //! ## Lifetime rules (DESIGN.md §13)
 //!
@@ -35,8 +38,6 @@ use crate::tensor3::Tensor3;
 #[derive(Debug, Default)]
 pub struct Workspace {
     pool: Vec<Vec<f64>>,
-    hits: u64,
-    misses: u64,
 }
 
 impl Workspace {
@@ -55,15 +56,9 @@ impl Workspace {
             }
         }
         match best {
-            Some((ix, _)) => {
-                self.hits += 1;
-                self.pool.swap_remove(ix)
-            }
-            None => {
-                self.misses += 1;
-                // lint: allow(alloc) — pool miss: only until the pool has seen every live shape; steady state recycles via swap_remove above.
-                Vec::with_capacity(n)
-            }
+            Some((ix, _)) => self.pool.swap_remove(ix),
+            // lint: allow(alloc) — pool miss: only until the pool has seen every live shape; steady state recycles via swap_remove above.
+            None => Vec::with_capacity(n),
         }
     }
 
@@ -89,16 +84,6 @@ impl Workspace {
         self.pool.push(t.into_raw());
     }
 
-    /// Pool reuses since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Fresh allocations since construction.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Drops every pooled buffer.
     pub fn clear(&mut self) {
         self.pool.clear();
@@ -109,17 +94,24 @@ impl Workspace {
 mod tests {
     use super::*;
 
+    /// Address of a matrix's buffer: equal addresses mean the pool handed
+    /// the same allocation back.
+    fn addr(m: &Matrix) -> *const f64 {
+        m.as_slice().as_ptr()
+    }
+
     #[test]
     fn take_returns_zeroed_shapes() {
         let mut ws = Workspace::new();
         let mut m = ws.take(3, 4);
         assert_eq!(m, Matrix::zeros(3, 4));
         m.as_mut_slice().fill(7.0);
+        let first = addr(&m);
         ws.give(m);
         // Recycled buffer must come back zeroed despite the writes.
         let m2 = ws.take(2, 5);
         assert_eq!(m2, Matrix::zeros(2, 5));
-        assert_eq!(ws.hits(), 1);
+        assert_eq!(addr(&m2), first, "the 12-cell buffer was reused");
     }
 
     #[test]
@@ -127,39 +119,46 @@ mod tests {
         let mut ws = Workspace::new();
         let big = ws.take(10, 10);
         let small = ws.take(2, 2);
+        let (big_at, small_at) = (addr(&big), addr(&small));
         ws.give(big);
         ws.give(small);
         // A 2x2 request must grab the 4-capacity buffer, not the 100.
         let m = ws.take(2, 2);
-        assert!(m.len() == 4);
+        assert_eq!(m.len(), 4);
+        assert_eq!(addr(&m), small_at);
         let remaining = ws.take(10, 10);
         assert_eq!(remaining.len(), 100);
-        assert_eq!(ws.misses(), 2, "both originals were fresh");
+        assert_eq!(addr(&remaining), big_at);
     }
 
     #[test]
     fn tensors_share_the_pool_with_matrices() {
         let mut ws = Workspace::new();
         let m = ws.take(4, 6);
+        let at = addr(&m);
         ws.give(m);
         let t = ws.take3(2, 3, 4);
-        assert_eq!(ws.hits(), 1, "tensor reused the matrix buffer");
+        assert_eq!(t.as_slice().as_ptr(), at, "tensor reused the matrix buffer");
         assert_eq!(t.shape(), (2, 3, 4));
         ws.give3(t);
         ws.clear();
-        let _ = ws.take(4, 6);
-        assert_eq!(ws.misses(), 2, "clear emptied the pool");
+        assert_eq!(ws.take(4, 6), Matrix::zeros(4, 6));
     }
 
     #[test]
     fn steady_state_stops_allocating() {
         let mut ws = Workspace::new();
+        let a = ws.take(8, 8);
+        let b = ws.take3(2, 4, 8);
+        let (a_at, b_at) = (addr(&a), b.as_slice().as_ptr());
+        ws.give(a);
+        ws.give3(b);
         for _ in 0..10 {
             let a = ws.take(8, 8);
             let b = ws.take3(2, 4, 8);
+            assert_eq!((addr(&a), b.as_slice().as_ptr()), (a_at, b_at));
             ws.give(a);
             ws.give3(b);
         }
-        assert_eq!(ws.misses(), 2, "only the first round allocates");
     }
 }

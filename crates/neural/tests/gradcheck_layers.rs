@@ -38,7 +38,8 @@ fn softmax(x: &Matrix) -> Matrix {
 /// the same relative/absolute comparison as `neural::gradcheck`.
 fn softmax_backward_matches_finite_differences(x: &Matrix, tol: f64) {
     let y = softmax(x);
-    let dx = softmax_rows_backward(&y, &y);
+    let mut dx = Matrix::zeros(y.rows(), y.cols());
+    softmax_rows_backward(&y, &y, &mut dx);
     let half_sq = |m: &Matrix| 0.5 * softmax(m).as_slice().iter().map(|v| v * v).sum::<f64>();
     for idx in 0..x.len() {
         let mut xp = x.clone();
@@ -63,7 +64,8 @@ fn softmax_input_gradient_matches_finite_differences() {
 #[test]
 fn softmax_input_gradient_survives_large_logits() {
     // Shifted logits exercise the max-subtraction stabilisation path.
-    let x = random_matrix(3, 5, 12).map(|v| v * 4.0 + 50.0);
+    let mut x = random_matrix(3, 5, 12);
+    x.map_inplace(|v| v * 4.0 + 50.0);
     softmax_backward_matches_finite_differences(&x, 1e-5);
 }
 

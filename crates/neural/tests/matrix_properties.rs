@@ -70,7 +70,8 @@ proptest! {
         let bias = Matrix::from_vec(1, vals.len(), vals.clone()).unwrap();
         let mut m = Matrix::zeros(3, 4);
         m.add_row_broadcast(&bias);
-        let sums = m.sum_rows();
+        let mut sums = Matrix::zeros(1, vals.len());
+        m.sum_rows_into(&mut sums);
         for (s, &v) in sums.as_slice().iter().zip(&vals) {
             prop_assert!((s - 3.0 * v).abs() < 1e-12);
         }
@@ -85,7 +86,8 @@ proptest! {
         let a = mat(2, 4, &vals);
         let mut sa = a.clone();
         softmax_rows(&mut sa);
-        let mut sb = a.map(|v| v + shift);
+        let mut sb = a.clone();
+        sb.map_inplace(|v| v + shift);
         softmax_rows(&mut sb);
         for (x, y) in sa.as_slice().iter().zip(sb.as_slice()) {
             prop_assert!((x - y).abs() < 1e-9);

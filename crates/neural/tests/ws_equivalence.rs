@@ -42,8 +42,8 @@ impl Net {
                 rng.fill_normal(x.as_mut_slice());
                 let mut ws = ws;
                 let y = match ws.as_deref_mut() {
-                    Some(ws) => l.forward_ws(&x, true, ws),
-                    None => l.forward(&x, true),
+                    Some(ws) => l.forward_ws(&x, ws),
+                    None => l.forward(&x),
                 };
                 let mut dy = Matrix::zeros(y.rows(), y.cols());
                 rng.fill_normal(dy.as_mut_slice());
@@ -64,7 +64,7 @@ impl Net {
                 rng.fill_normal(x.as_mut_slice());
                 let mut ws = ws;
                 let y = match ws.as_deref_mut() {
-                    Some(ws) => l.forward_ws(&x, true, ws),
+                    Some(ws) => l.forward_ws(&x, ws),
                     None => l.forward(&x, true),
                 };
                 let (yb, yt, yf) = y.shape();
@@ -251,9 +251,9 @@ fn interleaving_wrapper_and_workspace_calls_on_one_model_is_consistent() {
     let mut x = Tensor3::zeros(3, 4, 2);
     rng.fill_normal(x.as_mut_slice());
 
-    let y0 = net.forward_ws(&x, true, &mut ws);
+    let y0 = net.forward_ws(&x, &mut ws);
     let y1 = net.forward(&x, false);
-    let y2 = net.forward_ws(&x, false, &mut ws);
+    let y2 = net.forward_ws(&x, &mut ws);
     let want = reference.forward(&x, true);
     assert_eq!(y0.as_slice(), want.as_slice());
     assert_eq!(y1.as_slice(), want.as_slice());

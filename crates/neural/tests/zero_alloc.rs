@@ -67,7 +67,7 @@ fn flat_step(
     grad: &mut Matrix,
     ws: &mut Workspace,
 ) -> f64 {
-    let y = model.forward_ws(x, true, ws);
+    let y = model.forward_ws(x, ws);
     let loss = mse_into(&y, target, grad);
     ws.give(y);
     let dx = model.backward_ws(grad, ws);
@@ -85,7 +85,7 @@ fn seq_step(
     grad: &mut Tensor3,
     ws: &mut Workspace,
 ) -> f64 {
-    let y = model.forward_ws(x, true, ws);
+    let y = model.forward_ws(x, ws);
     let loss = mse_seq_into(&y, target, grad);
     ws.give3(y);
     let dx = model.backward_ws(grad, ws);

@@ -7,7 +7,7 @@ use crate::tod_gen::TodGeneration;
 use crate::v2s::VolumeSpeedMapping;
 use checkpoint::{module, CheckpointError};
 use neural::rng::Rng64;
-use neural::Matrix;
+use neural::{Matrix, Workspace};
 use roadnet::{OdSet, Result, RoadNetwork, RoadnetError};
 
 /// The three-module OVS model. Modules are exposed individually because
@@ -62,19 +62,19 @@ impl OvsModel {
         self.interval_s
     }
 
-    /// Full generative pass: seeds -> TOD -> volume -> speed. Returns
-    /// `(tod, volume, speed)` matrices.
-    pub fn forward_full(&mut self, train: bool) -> (Matrix, Matrix, Matrix) {
-        let g = self.tod_gen.forward(train);
-        let q = self.tod2v.forward(&g, train);
-        let v = self.v2s.forward(&q, train);
+    /// Full generative pass: seeds -> TOD -> volume -> speed, through
+    /// pooled buffers. Returns `(tod, volume, speed)` matrices; return
+    /// them to `ws` when done.
+    pub fn forward_full(&mut self, ws: &mut Workspace) -> (Matrix, Matrix, Matrix) {
+        let g = self.tod_gen.forward_ws(ws);
+        let q = self.tod2v.forward_ws(&g, ws);
+        let v = self.v2s.forward_ws(&q, ws);
         (g, q, v)
     }
 
-    /// The currently recovered TOD (evaluation mode forward of the
-    /// generator).
+    /// The currently recovered TOD: the generator's output.
     pub fn recovered_tod(&mut self) -> Matrix {
-        self.tod_gen.forward(false)
+        self.tod_gen.forward_ws(&mut Workspace::new())
     }
 
     /// Replaces the TOD generator with a freshly initialised one (new
@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn full_forward_shapes() {
         let mut m = model(OvsVariant::Full);
-        let (g, q, v) = m.forward_full(false);
+        let (g, q, v) = m.forward_full(&mut Workspace::new());
         assert_eq!(g.shape(), (72, 6));
         assert_eq!(q.shape(), (24, 6));
         assert_eq!(v.shape(), (24, 6));
@@ -167,30 +167,37 @@ mod tests {
             OvsVariant::NoV2S,
         ] {
             let mut m = model(variant);
-            let (_, _, v) = m.forward_full(false);
+            let (_, _, v) = m.forward_full(&mut Workspace::new());
             assert!(v.is_finite(), "{variant:?}");
         }
     }
 
     #[test]
     fn checkpoint_round_trip_preserves_outputs() {
+        let mut ws = Workspace::new();
         let mut a = model(OvsVariant::Full);
-        let (_, _, v_a) = a.forward_full(false);
+        let (_, _, v_a) = a.forward_full(&mut ws);
         let weights = a.export_weights();
         // A differently-seeded model produces different outputs...
         let net = synthetic_grid();
         let ods = OdSet::all_pairs(&net);
         let mut b = OvsModel::new(&net, &ods, 6, 600.0, OvsConfig::tiny().with_seed(99)).unwrap();
-        let (_, _, v_b) = b.forward_full(false);
+        let (_, _, v_b) = b.forward_full(&mut ws);
         assert_ne!(v_a, v_b);
         // ...until the checkpoint is restored. (The generator's Gaussian
         // seeds are parameters of the data flow, not weights, so we
         // compare the deterministic mappings instead.)
         b.import_weights(&weights).unwrap();
         let g = a.recovered_tod();
-        let (qa, qb) = (a.tod2v.forward(&g, false), b.tod2v.forward(&g, false));
+        let (qa, qb) = (
+            a.tod2v.forward_ws(&g, &mut ws),
+            b.tod2v.forward_ws(&g, &mut ws),
+        );
         assert_eq!(qa, qb);
-        assert_eq!(a.v2s.forward(&qa, false), b.v2s.forward(&qb, false));
+        assert_eq!(
+            a.v2s.forward_ws(&qa, &mut ws),
+            b.v2s.forward_ws(&qb, &mut ws)
+        );
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub struct RouteTable {
     /// Routes crossing each link, indexed by `LinkId`.
     incident: Vec<Vec<Incidence>>,
     n_links: usize,
-    max_routes: usize,
 }
 
 impl RouteTable {
@@ -86,7 +85,6 @@ impl RouteTable {
             routes,
             incident,
             n_links: m,
-            max_routes: k,
         })
     }
 
@@ -107,11 +105,6 @@ impl RouteTable {
             .first()
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// The `k` the table was built with (upper bound on routes per OD).
-    pub fn max_routes(&self) -> usize {
-        self.max_routes
     }
 
     /// Routes crossing `link`, with free-flow offsets.

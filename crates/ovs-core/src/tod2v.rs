@@ -35,9 +35,9 @@ use crate::routes::RouteTable;
 use neural::layers::{
     ActKind, Activation, Conv1d, Dense, Layer, SeqActivation, SeqLayer, SeqSequential, Sequential,
 };
-use neural::matrix::Matrix;
+use neural::matrix::{softmax_in_place, softmax_rows, softmax_rows_backward, Matrix};
 use neural::rng::Rng64;
-use neural::tensor3::Tensor3;
+use neural::workspace::Workspace;
 
 /// The TOD -> volume module.
 pub struct TodVolumeMapping {
@@ -76,18 +76,21 @@ pub struct TodVolumeMapping {
     dsink: Matrix,
 
     cache: Option<Tod2vCache>,
+    /// Attention weights of the last forward, flattened in iteration order
+    /// (link-major, then t, then incidence, then slot). Module-owned, so
+    /// its capacity carries over from step to step.
+    alphas: Vec<f64>,
 }
 
+/// What backward needs from the last forward, in pooled buffers that
+/// backward returns to the workspace.
 struct Tod2vCache {
     /// Route trip counts `p` (N, T), trip scale.
     p: Matrix,
-    /// Route shares (N, K), rows softmax-normalised (empty when K == 1).
-    shares: Matrix,
+    /// Route shares (N, K), rows softmax-normalised (multi-route only).
+    shares: Option<Matrix>,
     /// Embedding windows per t (T, W); zeros for the static variant.
     e_windows: Matrix,
-    /// Attention weights, flattened in iteration order
-    /// (link-major, then t, then incidence, then lag).
-    alphas: Vec<f64>,
 }
 
 impl TodVolumeMapping {
@@ -138,6 +141,7 @@ impl TodVolumeMapping {
             sink: Matrix::from_vec(1, 2, vec![-2.0, 0.8]).expect("static shape"),
             dsink: Matrix::zeros(1, 2),
             cache: None,
+            alphas: Vec::new(),
         }
     }
 
@@ -150,90 +154,95 @@ impl TodVolumeMapping {
         self.variant != OvsVariant::NoTod2V
     }
 
-    /// Index into `beta` for lag `tau` relative to free-flow offset
-    /// `delta`.
-    #[inline]
-    fn beta_index(&self, tau: usize, delta: usize) -> usize {
-        (tau as isize - delta as isize + self.w as isize).clamp(0, 2 * self.w as isize) as usize
-    }
-
-    /// Maps a TOD matrix `(N, T)` to link volumes `(M, T)`.
-    pub fn forward(&mut self, g: &Matrix, train: bool) -> Matrix {
+    /// Maps a TOD matrix `(N, T)` to link volumes `(M, T)` through pooled
+    /// buffers: no steady-state allocation. Return the result to `ws`.
+    pub fn forward_ws(&mut self, g: &Matrix, ws: &mut Workspace) -> Matrix {
         assert_eq!(g.shape(), (self.n_od, self.t), "TOD shape mismatch");
-        let w = self.w;
+        let (w, n, t) = (self.w, self.n_od, self.t);
 
         // --- OD-Route (Eq. 3, or identity under the single-route
         // simplification) --------------------------------------------------
         let p = if self.use_od_route_fc {
-            let mut g_norm = g.clone();
+            let mut g_norm = ws.take(n, t);
+            g_norm.copy_from(g);
             g_norm.scale(1.0 / self.g_max);
-            let mut p = self.od_route.forward(&g_norm, train);
+            let mut p = self.od_route.forward_ws(&g_norm, ws);
+            ws.give(g_norm);
             p.scale(self.g_max);
             p
         } else {
-            g.clone()
+            let mut p = ws.take(n, t);
+            p.copy_from(g);
+            p
         };
 
         // --- Route-e (Eqs. 5-7) ----------------------------------------
-        let (s, e_windows) = if self.dynamic() {
-            let mut p_norm = p.clone();
-            p_norm.scale(1.0 / self.g_max);
-            let x = Tensor3::from_matrix_single_feature(&p_norm);
-            let e3 = self.conv.forward(&x, train);
+        // Dynamic scores s_t = e_window_t @ U + b_u; zeros for the static
+        // variant.
+        let mut s = ws.take(t, w);
+        let mut e_windows = ws.take(t, w);
+        if self.dynamic() {
+            // (N, T) and (N, T, 1) share one row-major layout.
+            let inv_g = 1.0 / self.g_max;
+            let mut x = ws.take3(n, t, 1);
+            for (o, &v) in x.as_mut_slice().iter_mut().zip(p.as_slice()) {
+                *o = v * inv_g;
+            }
+            let e3 = self.conv.forward_ws(&x, ws);
+            ws.give3(x);
             // e_t = mean over routes (sum in the paper; mean keeps the
             // scale independent of N).
-            let mut e = vec![0.0; self.t];
-            for (ti, ev) in e.iter_mut().enumerate() {
-                for k in 0..self.n_od {
+            let mut e = ws.take(1, t);
+            for (ti, ev) in e.as_mut_slice().iter_mut().enumerate() {
+                for k in 0..n {
                     *ev += e3.get(k, ti, 0);
                 }
-                *ev /= self.n_od.max(1) as f64;
+                *ev /= n.max(1) as f64;
             }
-            // Windows and dynamic scores s_t = e_window_t @ U + b_u.
-            let mut e_windows = Matrix::zeros(self.t, w);
-            for ti in 0..self.t {
+            ws.give3(e3);
+            for ti in 0..t {
                 for lag in 0..w {
                     if ti >= lag {
-                        e_windows.set(ti, lag, e[ti - lag]);
+                        e_windows.set(ti, lag, e.get(0, ti - lag));
                     }
                 }
             }
-            let mut s = e_windows.matmul(&self.u);
+            ws.give(e);
+            e_windows.matmul_into(&self.u, &mut s);
             s.add_row_broadcast(&self.b_u);
-            (s, e_windows)
-        } else {
-            (Matrix::zeros(self.t, w), Matrix::zeros(self.t, w))
-        };
+        }
 
         // Route shares: softmax over each OD's candidate routes.
-        let shares = if self.k_routes > 1 {
-            let mut sh = self.share_logits.clone();
-            neural::matrix::softmax_rows(&mut sh);
+        let shares = (self.k_routes > 1).then(|| {
+            let mut sh = ws.take(n, self.k_routes);
+            sh.copy_from(&self.share_logits);
+            softmax_rows(&mut sh);
             sh
-        } else {
-            Matrix::zeros(0, 0)
-        };
+        });
 
         // --- Attention assembly (Eqs. 4, 8) -----------------------------
         // Slots 0..w are lookback lags; slot w is the not-yet-arrived sink.
-        let mut q = Matrix::zeros(self.n_links, self.t);
-        let mut alphas = Vec::new();
-        let mut logits = vec![0.0; w + 1];
+        // Each incidence's logits are written into its own slots of
+        // `alphas` and turned into attention weights there.
+        let mut q = ws.take(self.n_links, t);
+        let alphas = &mut self.alphas;
+        alphas.clear();
         for j in 0..self.n_links {
             let incident = self.routes.incident(roadnet::LinkId(j));
-            for ti in 0..self.t {
+            for ti in 0..t {
                 for inc in incident {
                     let delta = inc.delay_intervals;
-                    for (tau, l) in logits.iter_mut().enumerate().take(w) {
-                        *l = s.get(ti, tau) + self.beta.get(0, self.beta_index(tau, delta));
+                    let at = alphas.len();
+                    alphas.resize(at + w + 1, 0.0);
+                    let alpha = &mut alphas[at..];
+                    for (tau, l) in alpha.iter_mut().enumerate().take(w) {
+                        *l = s.get(ti, tau) + self.beta.get(0, beta_index(w, tau, delta));
                     }
-                    logits[w] = self.sink.get(0, 0) + self.sink.get(0, 1) * delta as f64;
-                    let alpha = softmax_vec(&logits);
-                    let share = if self.k_routes > 1 {
-                        shares.get(inc.od.index(), inc.route_idx)
-                    } else {
-                        1.0
-                    };
+                    alpha[w] = self.sink.get(0, 0) + self.sink.get(0, 1) * delta as f64;
+                    softmax_in_place(alpha);
+                    let share = shares
+                        .as_ref()
+                        .map_or(1.0, |sh| sh.get(inc.od.index(), inc.route_idx));
                     let mut acc = 0.0;
                     for (tau, &a) in alpha.iter().enumerate().take(w) {
                         if ti >= tau {
@@ -241,65 +250,61 @@ impl TodVolumeMapping {
                         }
                     }
                     q.set(j, ti, q.get(j, ti) + share * acc);
-                    alphas.extend_from_slice(&alpha);
                 }
             }
         }
+        ws.give(s);
 
         self.cache = Some(Tod2vCache {
             p,
             shares,
             e_windows,
-            alphas,
         });
         q
     }
 
-    /// Backpropagates `d loss / d q` and returns `d loss / d g`.
-    pub fn backward(&mut self, dq: &Matrix) -> Matrix {
+    /// Backpropagates `d loss / d q` and returns `d loss / d g`, drawing
+    /// buffers from `ws` and returning the forward's cache to it. Return
+    /// the result to `ws`.
+    pub fn backward_ws(&mut self, dq: &Matrix, ws: &mut Workspace) -> Matrix {
+        // lint: allow(panic) — precondition: backward requires a prior forward
         let cache = self.cache.take().expect("backward called before forward");
         assert_eq!(dq.shape(), (self.n_links, self.t), "dq shape mismatch");
-        let w = self.w;
+        let (w, n, t) = (self.w, self.n_od, self.t);
 
-        let mut dp = Matrix::zeros(self.n_od, self.t);
-        let mut ds = Matrix::zeros(self.t, w);
-        let mut dbeta_local = Matrix::zeros(1, 2 * w + 1);
-        let mut dsink_local = Matrix::zeros(1, 2);
-        let mut dshare_pre = Matrix::zeros(
-            if self.k_routes > 1 { self.n_od } else { 0 },
-            if self.k_routes > 1 { self.k_routes } else { 0 },
-        );
+        let mut dp = ws.take(n, t);
+        let mut ds = ws.take(t, w);
+        let mut dbeta_local = ws.take(1, 2 * w + 1);
+        let mut dsink_local = ws.take(1, 2);
+        let mut dshare_pre = cache.shares.as_ref().map(|_| ws.take(n, self.k_routes));
         let dynamic = self.dynamic();
-        let beta_index = |tau: usize, delta: usize| -> usize {
-            (tau as isize - delta as isize + w as isize).clamp(0, 2 * w as isize) as usize
-        };
         let slots = w + 1;
         let mut alpha_idx = 0usize;
-        let mut dalpha = vec![0.0; slots];
+        let mut dalpha_buf = ws.take(1, slots);
+        let dalpha = dalpha_buf.as_mut_slice();
         for j in 0..self.n_links {
             let incident = self.routes.incident(roadnet::LinkId(j));
-            for ti in 0..self.t {
+            for ti in 0..t {
                 let dqv = dq.get(j, ti);
                 for inc in incident {
-                    let alpha = &cache.alphas[alpha_idx..alpha_idx + slots];
+                    let alpha = &self.alphas[alpha_idx..alpha_idx + slots];
                     alpha_idx += slots;
                     if dqv == 0.0 {
                         continue;
                     }
-                    let share = if self.k_routes > 1 {
-                        cache.shares.get(inc.od.index(), inc.route_idx)
-                    } else {
-                        1.0
-                    };
+                    let share = cache
+                        .shares
+                        .as_ref()
+                        .map_or(1.0, |sh| sh.get(inc.od.index(), inc.route_idx));
                     // Multi-route: d q / d share = sum_tau alpha * p.
-                    if self.k_routes > 1 {
+                    if let Some(dsh) = dshare_pre.as_mut() {
                         let mut acc = 0.0;
                         for (tau, &a) in alpha.iter().enumerate().take(w) {
                             if ti >= tau {
                                 acc += a * cache.p.get(inc.od.index(), ti - tau);
                             }
                         }
-                        dshare_pre.add_at_rc(inc.od.index(), inc.route_idx, dqv * acc);
+                        dsh.add_at_rc(inc.od.index(), inc.route_idx, dqv * acc);
                     }
                     // dq/dalpha_tau = share * p_{i, t - tau} for lag slots;
                     // the sink slot contributes no volume, so dalpha is 0.
@@ -314,15 +319,14 @@ impl TodVolumeMapping {
                     }
                     dalpha[w] = 0.0;
                     // Softmax backward: dlogit = a * (da - sum(a*da)).
-                    let dot: f64 = alpha.iter().zip(&dalpha).map(|(a, d)| a * d).sum();
+                    let dot: f64 = alpha.iter().zip(&*dalpha).map(|(a, d)| a * d).sum();
                     let delta = inc.delay_intervals;
                     for tau in 0..w {
                         let dlogit = alpha[tau] * (dalpha[tau] - dot);
                         if dynamic {
                             ds.add_at_rc(ti, tau, dlogit);
                         }
-                        let bi = beta_index(tau, delta);
-                        dbeta_local.add_at_rc(0, bi, dlogit);
+                        dbeta_local.add_at_rc(0, beta_index(w, tau, delta), dlogit);
                     }
                     let dlogit_sink = alpha[w] * (dalpha[w] - dot);
                     dsink_local.add_at_rc(0, 0, dlogit_sink);
@@ -330,50 +334,72 @@ impl TodVolumeMapping {
                 }
             }
         }
+        ws.give(dalpha_buf);
         self.dbeta.add_assign(&dbeta_local);
         self.dsink.add_assign(&dsink_local);
+        ws.give(dbeta_local);
+        ws.give(dsink_local);
         // Route-share softmax backward per OD row.
-        if self.k_routes > 1 {
-            let dlogits = neural::matrix::softmax_rows_backward(&cache.shares, &dshare_pre);
+        if let (Some(shares), Some(dsh)) = (cache.shares, dshare_pre) {
+            let mut dlogits = ws.take(n, self.k_routes);
+            softmax_rows_backward(&shares, &dsh, &mut dlogits);
             self.dshare.add_assign(&dlogits);
+            ws.give(dlogits);
+            ws.give(dsh);
+            ws.give(shares);
         }
 
         // --- through the dynamic score path ------------------------------
-        if self.dynamic() {
+        if dynamic {
             // s = e_windows @ U + b_u
-            self.du.add_assign(&cache.e_windows.matmul_at_b(&ds));
-            self.db_u.add_assign(&ds.sum_rows());
-            let de_windows = ds.matmul_a_bt(&self.u);
+            let mut du = ws.take(w, w);
+            cache.e_windows.matmul_at_b_into(&ds, &mut du);
+            self.du.add_assign(&du);
+            ws.give(du);
+            let mut db_u = ws.take(1, w);
+            ds.sum_rows_into(&mut db_u);
+            self.db_u.add_assign(&db_u);
+            ws.give(db_u);
+            let mut de_windows = ws.take(t, w);
+            ds.matmul_a_bt_into(&self.u, &mut de_windows);
             // e_windows[t, lag] = e[t - lag] -> scatter back to de.
-            let mut de = vec![0.0; self.t];
-            for ti in 0..self.t {
+            let mut de = ws.take(1, t);
+            for ti in 0..t {
                 for lag in 0..w {
                     if ti >= lag {
-                        de[ti - lag] += de_windows.get(ti, lag);
+                        de.add_at_rc(0, ti - lag, de_windows.get(ti, lag));
                     }
                 }
             }
+            ws.give(de_windows);
             // e_t = mean_k e3[k, t, 0]
-            let mut de3 = Tensor3::zeros(self.n_od, self.t, 1);
-            let inv_n = 1.0 / self.n_od.max(1) as f64;
-            for k in 0..self.n_od {
-                for (ti, &dev) in de.iter().enumerate() {
+            let mut de3 = ws.take3(n, t, 1);
+            let inv_n = 1.0 / n.max(1) as f64;
+            for k in 0..n {
+                for (ti, &dev) in de.as_slice().iter().enumerate() {
                     de3.set(k, ti, 0, dev * inv_n);
                 }
             }
-            let dp_norm3 = self.conv.backward(&de3);
-            let dp_norm = dp_norm3
-                .to_matrix_single_feature()
-                .expect("conv stack outputs one feature");
-            dp.axpy(1.0 / self.g_max, &dp_norm);
+            ws.give(de);
+            let dp_norm = self.conv.backward_ws(&de3, ws);
+            ws.give3(de3);
+            // dp += dp_norm / g_max; (N, T, 1) and (N, T) share one layout.
+            let inv_g = 1.0 / self.g_max;
+            for (d, &v) in dp.as_mut_slice().iter_mut().zip(dp_norm.as_slice()) {
+                *d += inv_g * v;
+            }
+            ws.give3(dp_norm);
         }
+        ws.give(ds);
+        ws.give(cache.p);
+        ws.give(cache.e_windows);
 
         // --- through OD-Route --------------------------------------------
         if self.use_od_route_fc {
             // p = g_max * net(g / g_max)
-            let mut d_net_out = dp;
-            d_net_out.scale(self.g_max);
-            let mut dg = self.od_route.backward(&d_net_out);
+            dp.scale(self.g_max);
+            let mut dg = self.od_route.backward_ws(&dp, ws);
+            ws.give(dp);
             dg.scale(1.0 / self.g_max);
             dg
         } else {
@@ -404,20 +430,11 @@ impl TodVolumeMapping {
     }
 }
 
-/// Numerically stable softmax of a small vector.
-fn softmax_vec(logits: &[f64]) -> Vec<f64> {
-    let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let mut out: Vec<f64> = logits
-        .iter()
-        .map(|&l| neural::activation::exp(l - max))
-        .collect();
-    let sum: f64 = out.iter().sum();
-    if sum > 0.0 {
-        for v in &mut out {
-            *v /= sum;
-        }
-    }
-    out
+/// Index into `beta` for lag `tau` relative to free-flow offset `delta`
+/// in a window of `w` lags.
+#[inline]
+fn beta_index(w: usize, tau: usize, delta: usize) -> usize {
+    (tau as isize - delta as isize + w as isize).clamp(0, 2 * w as isize) as usize
 }
 
 /// Small extension: add at `(row, col)` without constructing ids.
@@ -457,11 +474,42 @@ mod tests {
         (TodVolumeMapping::new(routes, 6, &cfg, &mut rng), n_od, m)
     }
 
+    /// `0.5 * ||q||^2` of the module's volumes for `g`: the test loss
+    /// whose gradient with respect to `q` is `q` itself.
+    fn loss(m: &mut TodVolumeMapping, g: &Matrix, ws: &mut Workspace) -> f64 {
+        let q = m.forward_ws(g, ws);
+        let l = 0.5 * q.as_slice().iter().map(|v| v * v).sum::<f64>();
+        ws.give(q);
+        l
+    }
+
+    /// Central difference of [`loss`] in `g[idx]` against `analytic`.
+    fn assert_input_gradient(
+        m: &mut TodVolumeMapping,
+        g: &Matrix,
+        idx: usize,
+        analytic: f64,
+        what: &str,
+    ) {
+        let mut ws = Workspace::new();
+        let eps = 1e-5;
+        let mut gp = g.clone();
+        gp.as_mut_slice()[idx] += eps;
+        let mut gm = g.clone();
+        gm.as_mut_slice()[idx] -= eps;
+        let numeric = (loss(m, &gp, &mut ws) - loss(m, &gm, &mut ws)) / (2.0 * eps);
+        let denom = analytic.abs().max(numeric.abs()).max(1.0);
+        assert!(
+            ((analytic - numeric) / denom).abs() < 1e-4,
+            "{what} idx {idx}: analytic {analytic} vs numeric {numeric}"
+        );
+    }
+
     #[test]
     fn forward_shape_and_nonnegativity() {
         let (mut m, n_od, n_links) = module(OvsVariant::Full);
         let g = Matrix::filled(n_od, 6, 5.0);
-        let q = m.forward(&g, false);
+        let q = m.forward_ws(&g, &mut Workspace::new());
         assert_eq!(q.shape(), (n_links, 6));
         assert!(q.as_slice().iter().all(|&v| v >= 0.0));
         assert!(q.is_finite());
@@ -473,10 +521,9 @@ mod tests {
         // lags sum to at most its trip counts; links crossed by more
         // routes accumulate more volume.
         let (mut m, n_od, _) = module(OvsVariant::Full);
-        let g_small = Matrix::filled(n_od, 6, 1.0);
-        let g_big = Matrix::filled(n_od, 6, 30.0);
-        let q_small = m.forward(&g_small, false);
-        let q_big = m.forward(&g_big, false);
+        let mut ws = Workspace::new();
+        let q_small = m.forward_ws(&Matrix::filled(n_od, 6, 1.0), &mut ws);
+        let q_big = m.forward_ws(&Matrix::filled(n_od, 6, 30.0), &mut ws);
         assert!(
             q_big.sum() > q_small.sum(),
             "more demand must map to more volume"
@@ -485,11 +532,29 @@ mod tests {
 
     #[test]
     fn softmax_vec_properties() {
-        let a = softmax_vec(&[1.0, 2.0, 3.0]);
+        // Each incidence's logits are softmaxed in place in `alphas`.
+        let mut a = vec![1.0, 2.0, 3.0];
+        softmax_in_place(&mut a);
         assert!((a.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(a[2] > a[1] && a[1] > a[0]);
-        let b = softmax_vec(&[1000.0, -1000.0]);
+        let mut b = vec![1000.0, -1000.0];
+        softmax_in_place(&mut b);
         assert!(b[0] > 0.999);
+    }
+
+    #[test]
+    fn attention_weights_are_one_softmax_per_incidence() {
+        let (mut m, n_od, _) = module(OvsVariant::Full);
+        let q = m.forward_ws(&Matrix::filled(n_od, 6, 5.0), &mut Workspace::new());
+        let incidences: usize = (0..m.n_links)
+            .map(|j| m.routes.incident(LinkId(j)).len() * m.t)
+            .sum();
+        assert_eq!(m.alphas.len(), incidences * (m.w + 1));
+        for alpha in m.alphas.chunks_exact(m.w + 1) {
+            assert!((alpha.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+            assert!(alpha.iter().all(|&a| a >= 0.0));
+        }
+        assert!(q.is_finite());
     }
 
     /// End-to-end gradient check of the whole module (input gradient).
@@ -500,34 +565,12 @@ mod tests {
         for v in g.as_mut_slice() {
             *v += rng.uniform_in(-2.0, 2.0);
         }
-        let q = m.forward(&g, false);
-        let dg = m.backward(&q); // loss = 0.5||q||^2
-        let eps = 1e-5;
-        // check a sample of coordinates (full check is slow)
+        let mut ws = Workspace::new();
+        let q = m.forward_ws(&g, &mut ws);
+        let dg = m.backward_ws(&q, &mut ws); // loss = 0.5||q||^2
+                                             // check a sample of coordinates (full check is slow)
         for &idx in &[0usize, 7, 13, 29, n_od * 6 - 1] {
-            let mut gp = g.clone();
-            gp.as_mut_slice()[idx] += eps;
-            let mut gm = g.clone();
-            gm.as_mut_slice()[idx] -= eps;
-            let lp = 0.5
-                * m.forward(&gp, false)
-                    .as_slice()
-                    .iter()
-                    .map(|v| v * v)
-                    .sum::<f64>();
-            let lm = 0.5
-                * m.forward(&gm, false)
-                    .as_slice()
-                    .iter()
-                    .map(|v| v * v)
-                    .sum::<f64>();
-            let numeric = (lp - lm) / (2.0 * eps);
-            let analytic = dg.as_slice()[idx];
-            let denom = analytic.abs().max(numeric.abs()).max(1.0);
-            assert!(
-                ((analytic - numeric) / denom).abs() < 1e-4,
-                "{variant:?} idx {idx}: analytic {analytic} vs numeric {numeric}"
-            );
+            assert_input_gradient(&mut m, &g, idx, dg.as_slice()[idx], &format!("{variant:?}"));
         }
     }
 
@@ -546,12 +589,13 @@ mod tests {
     fn attention_param_gradcheck() {
         let (mut m, n_od, _) = module(OvsVariant::Full);
         let g = Matrix::filled(n_od, 6, 10.0);
+        let mut ws = Workspace::new();
         m.zero_grad();
-        let q = m.forward(&g, false);
-        m.backward(&q);
+        let q = m.forward_ws(&g, &mut ws);
+        m.backward_ws(&q, &mut ws);
         // snapshot analytic grads for u and beta
         let (mut du, mut dbeta) = (None, None);
-        let (w, _) = (m.w, 0);
+        let w = m.w;
         m.visit_params(&mut |p, gr| {
             if p.shape() == (w, w) {
                 du = Some(gr.clone());
@@ -564,18 +608,10 @@ mod tests {
         let dbeta = dbeta.unwrap();
         let eps = 1e-5;
         // perturb u[0,0]
-        let loss = |m: &mut TodVolumeMapping, g: &Matrix| {
-            0.5 * m
-                .forward(g, false)
-                .as_slice()
-                .iter()
-                .map(|v| v * v)
-                .sum::<f64>()
-        };
         m.u.set(0, 0, m.u.get(0, 0) + eps);
-        let lp = loss(&mut m, &g);
+        let lp = loss(&mut m, &g, &mut ws);
         m.u.set(0, 0, m.u.get(0, 0) - 2.0 * eps);
-        let lm = loss(&mut m, &g);
+        let lm = loss(&mut m, &g, &mut ws);
         m.u.set(0, 0, m.u.get(0, 0) + eps);
         let numeric = (lp - lm) / (2.0 * eps);
         let denom = numeric.abs().max(du.get(0, 0).abs()).max(1.0);
@@ -586,9 +622,9 @@ mod tests {
         );
         // perturb beta[0, w] (center)
         m.beta.set(0, w, m.beta.get(0, w) + eps);
-        let lp = loss(&mut m, &g);
+        let lp = loss(&mut m, &g, &mut ws);
         m.beta.set(0, w, m.beta.get(0, w) - 2.0 * eps);
-        let lm = loss(&mut m, &g);
+        let lm = loss(&mut m, &g, &mut ws);
         m.beta.set(0, w, m.beta.get(0, w) + eps);
         let numeric = (lp - lm) / (2.0 * eps);
         let denom = numeric.abs().max(dbeta.get(0, w).abs()).max(1.0);
@@ -606,46 +642,24 @@ mod tests {
         let mut cfg = OvsConfig::tiny();
         cfg.k_routes = 2;
         let routes = RouteTable::build_with_k(&net, &ods, 600.0, 2).unwrap();
-        assert!(routes.max_routes() == 2);
-        // At least some ODs on a grid have two distinct routes.
+        // At least some ODs on a grid have two distinct routes, none more.
         assert!(ods.iter().any(|(id, _)| has_second_route(&routes, id)));
+        assert!((0..routes.n_links())
+            .all(|l| (routes.incident(LinkId(l)).iter()).all(|inc| inc.route_idx < 2)));
         let mut rng = Rng64::new(5);
         let mut m = TodVolumeMapping::new(routes, 6, &cfg, &mut rng);
         let mut g = Matrix::filled(ods.len(), 6, 8.0);
         for v in g.as_mut_slice() {
             *v += rng.uniform_in(-2.0, 2.0);
         }
-        let q = m.forward(&g, false);
+        let mut ws = Workspace::new();
+        let q = m.forward_ws(&g, &mut ws);
         assert_eq!(q.shape(), (net.num_links(), 6));
         assert!(q.as_slice().iter().all(|&v| v >= 0.0));
         // End-to-end input gradient check at a sample of coordinates.
-        let q = m.forward(&g, false);
-        let dg = m.backward(&q);
-        let eps = 1e-5;
+        let dg = m.backward_ws(&q, &mut ws);
         for &idx in &[0usize, 11, 40] {
-            let mut gp = g.clone();
-            gp.as_mut_slice()[idx] += eps;
-            let mut gm = g.clone();
-            gm.as_mut_slice()[idx] -= eps;
-            let lp = 0.5
-                * m.forward(&gp, false)
-                    .as_slice()
-                    .iter()
-                    .map(|v| v * v)
-                    .sum::<f64>();
-            let lm = 0.5
-                * m.forward(&gm, false)
-                    .as_slice()
-                    .iter()
-                    .map(|v| v * v)
-                    .sum::<f64>();
-            let numeric = (lp - lm) / (2.0 * eps);
-            let analytic = dg.as_slice()[idx];
-            let denom = analytic.abs().max(numeric.abs()).max(1.0);
-            assert!(
-                ((analytic - numeric) / denom).abs() < 1e-4,
-                "multi-route idx {idx}: analytic {analytic} vs numeric {numeric}"
-            );
+            assert_input_gradient(&mut m, &g, idx, dg.as_slice()[idx], "multi-route");
         }
     }
 
@@ -659,9 +673,10 @@ mod tests {
         let mut rng = Rng64::new(6);
         let mut m = TodVolumeMapping::new(routes, 6, &cfg, &mut rng);
         let g = Matrix::filled(ods.len(), 6, 10.0);
+        let mut ws = Workspace::new();
         m.zero_grad();
-        let q = m.forward(&g, false);
-        m.backward(&q);
+        let q = m.forward_ws(&g, &mut ws);
+        m.backward_ws(&q, &mut ws);
         let n_od = ods.len();
         let mut dshare = None;
         m.visit_params(&mut |p, gr| {
@@ -670,14 +685,6 @@ mod tests {
             }
         });
         let dshare = dshare.expect("share logits are visited in multi-route mode");
-        let loss = |m: &mut TodVolumeMapping, g: &Matrix| {
-            0.5 * m
-                .forward(g, false)
-                .as_slice()
-                .iter()
-                .map(|v| v * v)
-                .sum::<f64>()
-        };
         let eps = 1e-5;
         // check the first OD with two routes
         let od = ods
@@ -687,10 +694,10 @@ mod tests {
             .0;
         let r = od.index();
         m.share_logits.set(r, 0, m.share_logits.get(r, 0) + eps);
-        let lp = loss(&mut m, &g);
+        let lp = loss(&mut m, &g, &mut ws);
         m.share_logits
             .set(r, 0, m.share_logits.get(r, 0) - 2.0 * eps);
-        let lm = loss(&mut m, &g);
+        let lm = loss(&mut m, &g, &mut ws);
         m.share_logits.set(r, 0, m.share_logits.get(r, 0) + eps);
         let numeric = (lp - lm) / (2.0 * eps);
         let analytic = dshare.get(r, 0);

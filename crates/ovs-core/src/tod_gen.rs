@@ -17,7 +17,7 @@
 use crate::config::{OvsConfig, OvsVariant};
 use neural::layers::{ActKind, Activation, Dense, Layer, Sequential};
 use neural::rng::Rng64;
-use neural::Matrix;
+use neural::{Matrix, Workspace};
 
 /// The TOD generator: produces an `(N, T)` trip-count matrix.
 pub struct TodGeneration {
@@ -31,11 +31,12 @@ enum TodGenInner {
     /// Full model: fixed Gaussian seeds through a sigmoid FC stack.
     Structured { seeds: Matrix, net: Sequential },
     /// Ablation: a free parameter tensor (sigmoid-squashed so outputs stay
-    /// bounded, but with no shared structure across ODs).
+    /// bounded, but with no shared structure across ODs). `y` holds the
+    /// last forward's sigmoid outputs for backward.
     Free {
         logits: Matrix,
         grad: Matrix,
-        cache_y: Option<Matrix>,
+        y: Matrix,
     },
 }
 
@@ -46,7 +47,7 @@ impl TodGeneration {
             TodGenInner::Free {
                 logits: Matrix::zeros(n_od, t),
                 grad: Matrix::zeros(n_od, t),
-                cache_y: None,
+                y: Matrix::zeros(n_od, t),
             }
         } else {
             let mut seeds = Matrix::zeros(n_od, t);
@@ -72,36 +73,37 @@ impl TodGeneration {
         (self.n_od, self.t)
     }
 
-    /// Generates the TOD matrix (trip counts, in `[0, g_max]`).
-    pub fn forward(&mut self, train: bool) -> Matrix {
-        match &mut self.inner {
-            TodGenInner::Structured { seeds, net } => {
-                let mut g = net.forward(seeds, train);
-                g.scale(self.g_max);
+    /// Generates the TOD matrix (trip counts, in `[0, g_max]`) through
+    /// pooled buffers: no steady-state allocation. Return the result to
+    /// `ws`.
+    pub fn forward_ws(&mut self, ws: &mut Workspace) -> Matrix {
+        let mut g = match &mut self.inner {
+            TodGenInner::Structured { seeds, net } => net.forward_ws(seeds, ws),
+            TodGenInner::Free { logits, y, .. } => {
+                for (yv, &l) in y.as_mut_slice().iter_mut().zip(logits.as_slice()) {
+                    *yv = neural::activation::sigmoid(l);
+                }
+                let mut g = ws.take(self.n_od, self.t);
+                g.copy_from(y);
                 g
             }
-            TodGenInner::Free {
-                logits, cache_y, ..
-            } => {
-                let y = logits.map(neural::activation::sigmoid);
-                *cache_y = Some(y.clone());
-                let mut g = y;
-                g.scale(self.g_max);
-                g
-            }
-        }
+        };
+        g.scale(self.g_max);
+        g
     }
 
-    /// Backpropagates `d loss / d TOD` into the generator parameters.
-    pub fn backward(&mut self, d_tod: &Matrix) {
-        let mut d = d_tod.clone();
+    /// Backpropagates `d loss / d TOD` into the generator parameters,
+    /// drawing buffers from `ws`.
+    pub fn backward_ws(&mut self, d_tod: &Matrix, ws: &mut Workspace) {
+        let mut d = ws.take(self.n_od, self.t);
+        d.copy_from(d_tod);
         d.scale(self.g_max);
         match &mut self.inner {
             TodGenInner::Structured { net, .. } => {
-                let _ = net.backward(&d);
+                let dx = net.backward_ws(&d, ws);
+                ws.give(dx);
             }
-            TodGenInner::Free { grad, cache_y, .. } => {
-                let y = cache_y.as_ref().expect("backward before forward");
+            TodGenInner::Free { grad, y, .. } => {
                 for ((g, dv), &yv) in grad
                     .as_mut_slice()
                     .iter_mut()
@@ -112,6 +114,7 @@ impl TodGeneration {
                 }
             }
         }
+        ws.give(d);
     }
 
     /// Visits `(param, grad)` pairs.
@@ -173,7 +176,7 @@ mod tests {
     fn output_bounded_by_g_max() {
         let mut rng = Rng64::new(0);
         let mut gen = TodGeneration::new(6, 4, &cfg(), &mut rng);
-        let g = gen.forward(false);
+        let g = gen.forward_ws(&mut Workspace::new());
         assert_eq!(g.shape(), (6, 4));
         assert!(g.as_slice().iter().all(|&v| v >= 0.0 && v <= cfg().g_max));
     }
@@ -183,7 +186,7 @@ mod tests {
         let mut rng = Rng64::new(0);
         let c = cfg().with_variant(OvsVariant::NoTodGen);
         let mut gen = TodGeneration::new(6, 4, &c, &mut rng);
-        let g = gen.forward(false);
+        let g = gen.forward_ws(&mut Workspace::new());
         assert!(g.as_slice().iter().all(|&v| v >= 0.0 && v <= c.g_max));
         // at zero logits, output is g_max / 2
         assert!((g.get(0, 0) - c.g_max / 2.0).abs() < 1e-9);
@@ -192,19 +195,22 @@ mod tests {
     /// Fitting the generator to a target TOD must reduce the loss — this is
     /// exactly the paper's test-time procedure.
     fn fit(variant: OvsVariant) -> (f64, f64) {
-        use neural::loss::mse;
+        use neural::loss::mse_into;
         use neural::optim::Adam;
         let c = cfg().with_variant(variant);
         let mut rng = Rng64::new(1);
         let mut gen = TodGeneration::new(5, 4, &c, &mut rng);
         let target = Matrix::from_fn(5, 4, |r, t| 3.0 + (r as f64) + (t as f64));
         let mut opt = Adam::new(0.05);
-        let first = mse(&gen.forward(true), &target).0;
+        let mut ws = Workspace::new();
+        let mut grad = Matrix::zeros(5, 4);
+        let first = mse_into(&gen.forward_ws(&mut ws), &target, &mut grad);
         let mut last = first;
         for _ in 0..300 {
-            let g = gen.forward(true);
-            let (loss, grad) = mse(&g, &target);
-            gen.backward(&grad);
+            let g = gen.forward_ws(&mut ws);
+            let loss = mse_into(&g, &target, &mut grad);
+            ws.give(g);
+            gen.backward_ws(&grad, &mut ws);
             opt.step(&mut |f| gen.visit_params(f));
             gen.zero_grad();
             last = loss;
@@ -224,15 +230,56 @@ mod tests {
         assert!(last < first * 0.1, "loss {first} -> {last}");
     }
 
+    /// The free variant's backward against central differences of
+    /// `0.5 * ||g||^2` in each logit.
+    #[test]
+    fn free_variant_gradient_matches_finite_differences() {
+        let c = cfg().with_variant(OvsVariant::NoTodGen);
+        let mut gen = TodGeneration::new(2, 3, &c, &mut Rng64::new(4));
+        let mut k = 0.0;
+        gen.visit_params(&mut |p, _| {
+            p.map_inplace(|_| {
+                k += 0.7;
+                k - 2.0
+            })
+        });
+        let mut ws = Workspace::new();
+        let mut loss = |gen: &mut TodGeneration| {
+            let g = gen.forward_ws(&mut ws);
+            let l = 0.5 * g.as_slice().iter().map(|v| v * v).sum::<f64>();
+            (l, g)
+        };
+        let (_, g) = loss(&mut gen);
+        gen.backward_ws(&g, &mut Workspace::new());
+        let mut analytic = Vec::new();
+        gen.visit_params(&mut |_, gr| analytic.extend_from_slice(gr.as_slice()));
+        let eps = 1e-6;
+        for (idx, &a) in analytic.iter().enumerate() {
+            let mut nudge = |gen: &mut TodGeneration, by: f64| {
+                gen.visit_params(&mut |p, _| p.as_mut_slice()[idx] += by);
+                loss(gen).0
+            };
+            let lp = nudge(&mut gen, eps);
+            let lm = nudge(&mut gen, -2.0 * eps);
+            nudge(&mut gen, eps);
+            let numeric = (lp - lm) / (2.0 * eps);
+            assert!(
+                (a - numeric).abs() < 1e-5 * a.abs().max(1.0),
+                "logit {idx}: analytic {a} vs numeric {numeric}"
+            );
+        }
+    }
+
     #[test]
     fn gradients_flow_to_all_params() {
         let mut rng = Rng64::new(2);
         let mut gen = TodGeneration::new(4, 3, &cfg(), &mut rng);
-        let g = gen.forward(true);
-        gen.backward(&g); // d loss = g itself
+        let mut ws = Workspace::new();
+        let g = gen.forward_ws(&mut ws);
+        gen.backward_ws(&g, &mut ws); // d loss = g itself
         let mut any_zero = false;
         gen.visit_params(&mut |_, gr| {
-            if gr.norm() == 0.0 {
+            if gr.as_slice().iter().all(|&v| v == 0.0) {
                 any_zero = true;
             }
         });

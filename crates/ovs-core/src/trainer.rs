@@ -21,7 +21,7 @@ use crate::estimator::{
 };
 use crate::model::OvsModel;
 use neural::layers::ParamVisitor;
-use neural::loss::{huber, mse, mse_into};
+use neural::loss::{huber_into, mse_into};
 use neural::optim::{clip_grad_norm, Adam, AdamSnapshot};
 use neural::{Matrix, Workspace};
 use roadnet::{Result, RoadnetError, TodTensor};
@@ -387,11 +387,13 @@ impl Progress {
 
 /// Rewinds a stage to `state`: validates the stage tag, every weight shape
 /// and every Adam moment shape, then imports the weights and returns the
-/// loop state to continue from.
+/// loop state to continue from, its loss trace reserved for `epochs`
+/// steps so the step loop never grows it.
 fn load_stage(
     visit: &mut ParamVisitor<'_>,
     state: &StageState,
     expected: Stage,
+    epochs: usize,
 ) -> Result<Progress> {
     use checkpoint::module::{check_signature, import_visit, signature_visit};
     if state.stage != expected {
@@ -412,10 +414,12 @@ fn load_stage(
             .map_err(reject)?;
     }
     import_visit(visit, &state.weights).map_err(reject)?;
+    let mut losses = Vec::with_capacity(epochs.max(state.losses.len()));
+    losses.extend_from_slice(&state.losses);
     Ok(Progress {
         step: state.step,
         opt: Adam::from_snapshot(opt.clone()),
-        losses: state.losses.clone(),
+        losses,
         best: state.best,
         since_best: state.since_best,
     })
@@ -623,7 +627,7 @@ impl OvsTrainer {
             epochs: self.cfg.epochs_v2s,
             patience: None,
             step: Box::new(move |model, ws| {
-                let v_pred = model.v2s.forward_ws(&q_all, true, ws);
+                let v_pred = model.v2s.forward_ws(&q_all, ws);
                 let loss = mse_into(&v_pred, &v_all, &mut grad);
                 ws.give(v_pred);
                 let dq = model.v2s.backward_ws(&grad, ws);
@@ -669,8 +673,8 @@ impl OvsTrainer {
             step: Box::new(move |model, ws| {
                 let mut epoch_loss = 0.0;
                 for (g, v_target, q_target) in &samples {
-                    let q_pred = model.tod2v.forward(g, true);
-                    let v_pred = model.v2s.forward_ws(&q_pred, true, ws);
+                    let q_pred = model.tod2v.forward_ws(g, ws);
+                    let v_pred = model.v2s.forward_ws(&q_pred, ws);
                     let speed_loss = mse_into(&v_pred, v_target, &mut dv);
                     ws.give(v_pred);
                     let mut dq = model.v2s.backward_ws(&dv, ws);
@@ -686,7 +690,9 @@ impl OvsTrainer {
                         dq_vol.scale(scale);
                         dq.add_assign(&dq_vol);
                     }
-                    model.tod2v.backward(&dq);
+                    ws.give(q_pred);
+                    let dg = model.tod2v.backward_ws(&dq, ws);
+                    ws.give(dg);
                     ws.give(dq);
                     // Only the TOD2V parameters move; V2S gradients are
                     // discarded.
@@ -707,6 +713,7 @@ impl OvsTrainer {
     fn fit_plan<'p>(&'p self, input: &'p EstimatorInput<'_>, prior_mu: f64) -> StagePlan<'p> {
         let cfg = &self.cfg;
         let v_obs = link_to_matrix(input.observed_speed);
+        let mut dv = Matrix::zeros(v_obs.rows(), v_obs.cols());
         let prior_scale = cfg.w_prior * (cfg.v_max / cfg.g_max.max(1e-9)).powi(2);
         let limits: Vec<f64> = input
             .net
@@ -725,13 +732,12 @@ impl OvsTrainer {
             // budget.
             patience: Some((cfg.epochs_fit / 8).max(50)),
             step: Box::new(move |model, ws| {
-                let (g, q, v) = model.forward_full(true);
-                let (main, mut dv) = if cfg.fit_huber_delta > 0.0 {
-                    huber(&v, &v_obs, cfg.fit_huber_delta)
+                let (g, q, v) = model.forward_full(ws);
+                let mut total = if cfg.fit_huber_delta > 0.0 {
+                    huber_into(&v, &v_obs, cfg.fit_huber_delta, &mut dv)
                 } else {
-                    mse(&v, &v_obs)
+                    mse_into(&v, &v_obs, &mut dv)
                 };
-                let mut total = main;
 
                 // Speed-limit constraint (Eq. 13's w_v term): folded into
                 // the speed gradient before it enters V2S.
@@ -741,6 +747,7 @@ impl OvsTrainer {
                     d_lim.scale(cfg.w_speed_limit);
                     dv.add_assign(&d_lim);
                 }
+                ws.give(v);
 
                 // d loss / d q: through V2S plus the camera constraint.
                 let mut dq = model.v2s.backward_ws(&dv, ws);
@@ -752,9 +759,10 @@ impl OvsTrainer {
                         dq.add_assign(&d_cam);
                     }
                 }
+                ws.give(q);
 
                 // d loss / d g: through TOD2V plus the census constraint.
-                let mut dg = model.tod2v.backward(&dq);
+                let mut dg = model.tod2v.backward_ws(&dq, ws);
                 ws.give(dq);
                 if cfg.w_census > 0.0 {
                     if let Some(totals) = input.census_totals {
@@ -776,8 +784,10 @@ impl OvsTrainer {
                     }
                     total += prior_scale * prior_loss / n;
                 }
+                ws.give(g);
 
-                model.tod_gen.backward(&dg);
+                model.tod_gen.backward_ws(&dg, ws);
+                ws.give(dg);
                 // Frozen mappings: discard their gradients.
                 model.v2s.zero_grad();
                 model.tod2v.zero_grad();
@@ -807,7 +817,7 @@ impl OvsTrainer {
         opts: &mut RunOptions<'_>,
         done: &TrainReport,
     ) -> TrainResult<Vec<f64>> {
-        let (stage, visit) = (plan.stage, plan.visit);
+        let (stage, visit, epochs) = (plan.stage, plan.visit, plan.epochs);
         // A stage starts the way a rollback resumes: by rewinding to its
         // anchor — the resume state, or a fresh step-0 capture.
         let anchor = match resume {
@@ -821,7 +831,7 @@ impl OvsTrainer {
             }
             .capture(&mut |f| visit(model, f), stage),
         };
-        let mut p = load_stage(&mut |f| visit(model, f), &anchor, stage)?;
+        let mut p = load_stage(&mut |f| visit(model, f), &anchor, stage, epochs)?;
         let mx = StageMetrics::new(&self.obs, stage);
         let mut guard = StageGuard::new(opts.recovery, p.opt.lr(), anchor);
         // Pooled buffers make the steady-state loop allocation-free; reuse
@@ -829,7 +839,7 @@ impl OvsTrainer {
         // suite).
         let mut ws = Workspace::new();
         let mut steps_taken = 0usize;
-        while p.step < plan.epochs {
+        while p.step < epochs {
             let mut loss = (plan.step)(model, &mut ws);
             let mut norm = clip_grad_norm(&mut |f| visit(model, f), self.cfg.grad_clip);
             if let Some(tamper) = opts.tamper.as_mut() {
@@ -837,7 +847,7 @@ impl OvsTrainer {
             }
             if !loss.is_finite() || !norm.is_finite() {
                 let lr = guard.trip(&mx, stage, p.step)?;
-                p = load_stage(&mut |f| visit(model, f), &guard.last_good, stage)?;
+                p = load_stage(&mut |f| visit(model, f), &guard.last_good, stage, epochs)?;
                 p.opt.set_lr(lr);
                 visit(model, &mut |_, g| g.fill_zero());
                 continue;
@@ -1289,7 +1299,7 @@ mod tests {
         let trainer = OvsTrainer::new(cfg);
         let (mut model, report) = trainer.run(&input, RunOptions::default()).unwrap();
         assert!(report.final_fit().unwrap().is_finite());
-        let (_, _, v) = model.forward_full(false);
+        let (_, _, v) = model.forward_full(&mut Workspace::new());
         // Sigmoid-bounded output cannot exceed v_max anyway; the aux loss
         // must at least not destabilise anything.
         assert!(v.is_finite());

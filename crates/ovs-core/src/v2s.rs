@@ -54,19 +54,10 @@ impl VolumeSpeedMapping {
         }
     }
 
-    /// Maps link volumes `(M, T)` to link speeds `(M, T)` in m/s.
-    pub fn forward(&mut self, q: &Matrix, train: bool) -> Matrix {
-        self.forward_ws(q, train, &mut Workspace::new())
-    }
-
-    /// Backpropagates `d loss / d speed` and returns `d loss / d volume`.
-    pub fn backward(&mut self, dv: &Matrix) -> Matrix {
-        self.backward_ws(dv, &mut Workspace::new())
-    }
-
-    /// [`forward`](Self::forward) through pooled buffers: no steady-state
-    /// allocation. Return the result to `ws` when done.
-    pub fn forward_ws(&mut self, q: &Matrix, train: bool, ws: &mut Workspace) -> Matrix {
+    /// Maps link volumes `(M, T)` to link speeds `(M, T)` in m/s through
+    /// pooled buffers: no steady-state allocation. Return the result to
+    /// `ws` when done.
+    pub fn forward_ws(&mut self, q: &Matrix, ws: &mut Workspace) -> Matrix {
         let (m, t) = q.shape();
         let inv_q = 1.0 / self.q_norm;
         let mut x = ws.take3(m, t, 1);
@@ -75,7 +66,7 @@ impl VolumeSpeedMapping {
         for (o, &v) in x.as_mut_slice().iter_mut().zip(q.as_slice()) {
             *o = v * inv_q;
         }
-        let y = self.net.forward_ws(&x, train, ws);
+        let y = self.net.forward_ws(&x, ws);
         ws.give3(x);
         let mut v = ws.take(m, t);
         v.as_mut_slice().copy_from_slice(y.as_slice());
@@ -84,8 +75,9 @@ impl VolumeSpeedMapping {
         v
     }
 
-    /// [`backward`](Self::backward) through pooled buffers: no
-    /// steady-state allocation. Return the result to `ws`.
+    /// Backpropagates `d loss / d speed` and returns `d loss / d volume`
+    /// through pooled buffers: no steady-state allocation. Return the
+    /// result to `ws`.
     pub fn backward_ws(&mut self, dv: &Matrix, ws: &mut Workspace) -> Matrix {
         let (m, t) = dv.shape();
         let mut dy = ws.take3(m, t, 1);
@@ -120,7 +112,7 @@ impl VolumeSpeedMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neural::loss::mse;
+    use neural::loss::mse_into;
     use neural::optim::Adam;
 
     fn cfg(variant: OvsVariant) -> OvsConfig {
@@ -133,7 +125,7 @@ mod tests {
         let c = cfg(OvsVariant::Full);
         let mut m = VolumeSpeedMapping::new(&c, &mut rng);
         let q = Matrix::filled(5, 6, 100.0);
-        let v = m.forward(&q, false);
+        let v = m.forward_ws(&q, &mut Workspace::new());
         assert_eq!(v.shape(), (5, 6));
         assert!(v.as_slice().iter().all(|&s| s >= 0.0 && s <= c.v_max));
     }
@@ -146,13 +138,16 @@ mod tests {
         let mut m = VolumeSpeedMapping::new(&c, &mut rng);
         // synthetic law: v = v_max * exp(-q / 40)
         let q = Matrix::from_fn(8, 6, |r, t| (r * 6 + t) as f64 * 3.0);
-        let target = q.map(|qv| c.v_max * (-qv / 40.0).exp());
+        let mut target = q.clone();
+        target.map_inplace(|qv| c.v_max * (-qv / 40.0).exp());
         let mut opt = Adam::new(0.01);
+        let mut ws = Workspace::new();
+        let mut grad = Matrix::zeros(8, 6);
         let mut last = f64::INFINITY;
         for _ in 0..400 {
-            let pred = m.forward(&q, true);
-            let (loss, grad) = mse(&pred, &target);
-            m.backward(&grad);
+            let pred = m.forward_ws(&q, &mut ws);
+            let loss = mse_into(&pred, &target, &mut grad);
+            m.backward_ws(&grad, &mut ws);
             opt.step(&mut |f| m.visit_params(f));
             m.zero_grad();
             last = loss;
@@ -178,8 +173,9 @@ mod tests {
         let c = cfg(OvsVariant::Full);
         let mut m = VolumeSpeedMapping::new(&c, &mut rng);
         let q = Matrix::from_fn(2, 4, |r, t| 10.0 + (r + t) as f64 * 5.0);
-        let v = m.forward(&q, false);
-        let dq = m.backward(&v); // loss = 0.5 ||v||^2
+        let mut ws = Workspace::new();
+        let v = m.forward_ws(&q, &mut ws);
+        let dq = m.backward_ws(&v, &mut ws); // loss = 0.5 ||v||^2
         let eps = 1e-5;
         for &idx in &[0usize, 3, 7] {
             let mut qp = q.clone();
@@ -187,13 +183,13 @@ mod tests {
             let mut qm = q.clone();
             qm.as_mut_slice()[idx] -= eps;
             let lp = 0.5
-                * m.forward(&qp, false)
+                * m.forward_ws(&qp, &mut ws)
                     .as_slice()
                     .iter()
                     .map(|v| v * v)
                     .sum::<f64>();
             let lm = 0.5
-                * m.forward(&qm, false)
+                * m.forward_ws(&qm, &mut ws)
                     .as_slice()
                     .iter()
                     .map(|v| v * v)

@@ -34,14 +34,6 @@ impl OdPair {
             destination,
         })
     }
-
-    /// The reverse direction of this pair.
-    pub fn reversed(self) -> Self {
-        Self {
-            origin: self.destination,
-            destination: self.origin,
-        }
-    }
 }
 
 /// An ordered set of OD pairs; the index of a pair is the paper's OD index
@@ -156,15 +148,6 @@ mod tests {
     fn od_pair_rejects_same_region() {
         assert!(OdPair::new(RegionId(1), RegionId(1)).is_err());
         assert!(OdPair::new(RegionId(0), RegionId(1)).is_ok());
-    }
-
-    #[test]
-    fn reversed_swaps_endpoints() {
-        let p = OdPair::new(RegionId(0), RegionId(2)).unwrap();
-        let r = p.reversed();
-        assert_eq!(r.origin, RegionId(2));
-        assert_eq!(r.destination, RegionId(0));
-        assert_eq!(r.reversed(), p);
     }
 
     #[test]

@@ -243,7 +243,12 @@ mod tests {
         assert_eq!(r.links.len(), 1);
         assert!(r.is_connected(&net));
         assert!(r.is_simple(&net));
-        assert!((r.cost - r.length_m(&net)).abs() < 1e-9);
+        let length_m: f64 = r
+            .links
+            .iter()
+            .map(|l| net.links()[l.index()].length_m)
+            .sum();
+        assert!((r.cost - length_m).abs() < 1e-9);
     }
 
     #[test]

@@ -31,15 +31,6 @@ impl Route {
         out
     }
 
-    /// Total length of the route in metres.
-    pub fn length_m(&self, net: &RoadNetwork) -> f64 {
-        self.links
-            .iter()
-            .filter_map(|&l| net.links().get(l.index()))
-            .map(|l| l.length_m)
-            .sum()
-    }
-
     /// True when consecutive links share endpoints (the route is connected).
     // lint: allow(dead_api) — invariant checker the routing tests assert on every route
     pub fn is_connected(&self, net: &RoadNetwork) -> bool {

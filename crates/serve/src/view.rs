@@ -44,7 +44,6 @@ pub struct ModelView {
     tod: TodTensor,
     speed: LinkTensor,
     volume: LinkTensor,
-    masked_rmse: f64,
     version_json: String,
     kpis_json: String,
     links_json: String,
@@ -82,7 +81,6 @@ impl ModelView {
             tod,
             speed: out.speed,
             volume: out.volume,
-            masked_rmse,
             version_json,
             kpis_json,
             links_json,
@@ -104,11 +102,6 @@ impl ModelView {
     /// The quoted validator every cacheable endpoint reports.
     pub fn etag(&self) -> &str {
         &self.etag
-    }
-
-    /// Masked speed RMSE of the re-simulated fields vs the observations.
-    pub fn masked_rmse(&self) -> f64 {
-        self.masked_rmse
     }
 
     /// Prerendered `/version` body.

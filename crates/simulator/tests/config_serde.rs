@@ -34,7 +34,11 @@ fn scenario_round_trips() {
     ]);
     let json = serde_json::to_string(&s).unwrap();
     let back: Scenario = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.disruptions().len(), 2);
+    // The two disrupted links, and only those, keep their factors.
+    for l in 0..10 {
+        let link = roadnet::LinkId(l);
+        assert_eq!(back.factors(link) != (1.0, 1.0, 1.0), l == 3 || l == 7);
+    }
     assert_eq!(
         back.factors(roadnet::LinkId(3)),
         s.factors(roadnet::LinkId(3))
