@@ -1,8 +1,7 @@
-//! # bench — experiment binaries and micro-benchmarks
+//! # bench — experiment binaries
 //!
-//! One binary per paper table/figure (see DESIGN.md §3 for the index) and
-//! Criterion micro-benchmarks for the hot paths. This library holds the
-//! shared experiment profile machinery.
+//! One binary per paper table/figure (see DESIGN.md §3 for the index).
+//! This library holds the shared experiment profile machinery.
 //!
 //! Profiles are selected with the `CITYOD_PROFILE` environment variable:
 //!

@@ -4,11 +4,12 @@
 //! im2col), a training step touches the heap zero times.
 //! Every layer type runs in at least one of the stacks below.
 //!
-//! A counting `#[global_allocator]` wraps `System`; the whole file is one
-//! `#[test]` so no sibling test thread can pollute the counter.
+//! A counting `#[global_allocator]` wraps `System`. The count is kept per
+//! thread, so sibling tests running in parallel cannot pollute each
+//! other's counts, and each stack gets a test of its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use neural::layers::{
     ActKind, Activation, Conv1d, Dense, Layer, Lstm, SeqActivation, SeqLayer, SeqSequential,
@@ -23,15 +24,25 @@ use neural::workspace::Workspace;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread; const-initialised and without a
+    /// destructor, so reading it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System` plus a relaxed counter bump; every
+/// Counts one allocation against the calling thread (none once its
+/// thread-locals are gone during thread exit).
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: pure pass-through to `System` plus a thread-local counter bump; every
 // call forwards the caller's layout/pointer unchanged, so `System`'s own
 // GlobalAlloc contract is what holds the invariants.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwards the unmodified layout to `System.alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: caller upholds GlobalAlloc's contract; layout unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -45,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // SAFETY: forwards the unmodified arguments to `System.realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` came from `System.alloc`; layout/new_size forwarded
         // unchanged per the GlobalAlloc contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -55,8 +66,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Allocations the calling thread has made so far.
 fn heap_allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 fn flat_step(
@@ -157,13 +169,10 @@ fn assert_seq_stack_allocation_free(
     );
 }
 
-/// One test covering every stack: interleaved tests in this binary would
-/// share the global counter, so everything runs on one thread here.
+/// Flat Dense stack (the TOD generation shape).
 #[test]
-fn training_steps_are_allocation_free_after_warmup() {
+fn dense_stack_steps_without_allocating_after_warmup() {
     let mut rng = Rng64::new(7);
-
-    // Flat Dense stack (the TOD generation shape).
     let mut dense = Sequential::new(vec![
         Box::new(Dense::new(3, 16, &mut rng)) as Box<dyn Layer>,
         Box::new(Activation::new(ActKind::Tanh)),
@@ -171,29 +180,41 @@ fn training_steps_are_allocation_free_after_warmup() {
         Box::new(Activation::new(ActKind::Sigmoid)),
     ]);
     assert_flat_stack_allocation_free("dense stack", &mut dense, (8, 3, 2), &mut rng);
+}
 
-    // LSTM sequence stack (the paper's V2S shape).
-    let mut lstm = SeqSequential::new(vec![
-        Box::new(Lstm::new(1, 8, &mut rng)) as Box<dyn SeqLayer>,
-        Box::new(Lstm::new(8, 8, &mut rng)),
-        Box::new(TimeDistributed::new(Dense::new(8, 1, &mut rng))),
+/// The paper's V2S shape at `OvsConfig::tiny()` width.
+fn v2s_stack(rng: &mut Rng64) -> SeqSequential {
+    SeqSequential::new(vec![
+        Box::new(Lstm::new(1, 8, rng)) as Box<dyn SeqLayer>,
+        Box::new(Lstm::new(8, 8, rng)),
+        Box::new(TimeDistributed::new(Dense::new(8, 1, rng))),
         Box::new(SeqActivation::new(ActKind::Sigmoid)),
-    ]);
+    ])
+}
+
+/// LSTM sequence stack on a small batch.
+#[test]
+fn lstm_stack_steps_without_allocating_after_warmup() {
+    let mut rng = Rng64::new(8);
+    let mut lstm = v2s_stack(&mut rng);
     assert_seq_stack_allocation_free("LSTM stack", &mut lstm, (16, 6, 1, 1), &mut rng);
+}
 
-    // The same V2S stack at `OvsConfig::tiny()` width and the recover
-    // benchmark's batch: Manhattan's 360 links x 4 training samples over
-    // 6 intervals. Its gate products, (1440, 8) @ (8, 32), are the
-    // kernel sizes where a thread fan-out would spawn (and allocate).
-    let mut v2s = SeqSequential::new(vec![
-        Box::new(Lstm::new(1, 8, &mut rng)) as Box<dyn SeqLayer>,
-        Box::new(Lstm::new(8, 8, &mut rng)),
-        Box::new(TimeDistributed::new(Dense::new(8, 1, &mut rng))),
-        Box::new(SeqActivation::new(ActKind::Sigmoid)),
-    ]);
+/// The same V2S stack at the recover benchmark's batch: Manhattan's 360
+/// links x 4 training samples over 6 intervals. Its gate products,
+/// (1440, 8) @ (8, 32), are the kernel sizes where a thread fan-out would
+/// spawn (and allocate).
+#[test]
+fn recover_v2s_stack_steps_without_allocating_after_warmup() {
+    let mut rng = Rng64::new(9);
+    let mut v2s = v2s_stack(&mut rng);
     assert_seq_stack_allocation_free("recover V2S stack", &mut v2s, (1440, 6, 1, 1), &mut rng);
+}
 
-    // The Route-e convolution stack as TOD2V builds it.
+/// The Route-e convolution stack as TOD2V builds it.
+#[test]
+fn route_conv_stack_steps_without_allocating_after_warmup() {
+    let mut rng = Rng64::new(10);
     let mut conv = SeqSequential::new(vec![
         Box::new(Conv1d::new(1, 4, 3, &mut rng)) as Box<dyn SeqLayer>,
         Box::new(SeqActivation::new(ActKind::Relu)),

@@ -9,19 +9,22 @@
 //! * **cameras** constrain the volume series of a few instrumented links:
 //!   `l_aux = mean over instrumented cells (q_{j,t} - obs_{j,t})^2`.
 //!
-//! Both return `(loss, gradient)` so the trainer can fold them into the
-//! overall objective `l = l_main + w_g l_g + w_q l_q` (Eq. 13).
+//! Each writes its gradient into a caller-owned buffer (every cell
+//! overwritten) and returns the loss, so the test-time fit folds them into
+//! the overall objective `l = l_main + w_g l_g + w_q l_q` (Eq. 13) without
+//! allocating.
 
 use neural::Matrix;
 use roadnet::LinkId;
 
 /// Census constraint on daily OD totals. `g` is the generated TOD
-/// `(N, T)`; `totals` the LEHD daily counts per OD. Returns the loss and
-/// `d loss / d g`.
-pub fn census_loss(g: &Matrix, totals: &[f64]) -> (f64, Matrix) {
+/// `(N, T)`; `totals` the LEHD daily counts per OD. Writes `d loss / d g`
+/// into `grad` (same shape as `g`) and returns the loss.
+// lint: hot — the zero-alloc test-time fit's census term
+pub fn census_loss_into(g: &Matrix, totals: &[f64], grad: &mut Matrix) -> f64 {
     assert_eq!(g.rows(), totals.len(), "census totals must cover every OD");
+    assert_eq!(grad.shape(), g.shape(), "census gradient shape mismatch");
     let n = g.rows().max(1) as f64;
-    let mut grad = Matrix::zeros(g.rows(), g.cols());
     let mut loss = 0.0;
     for (i, &target) in totals.iter().enumerate() {
         let row_sum: f64 = g.row(i).iter().sum();
@@ -32,22 +35,29 @@ pub fn census_loss(g: &Matrix, totals: &[f64]) -> (f64, Matrix) {
             *v = dv;
         }
     }
-    (loss / n, grad)
+    loss / n
 }
 
 /// Camera constraint on instrumented link volumes. `q` is the predicted
 /// volume `(M, T)`; `links`/`observations` the instrumented links and
-/// their observed series. Returns the loss and `d loss / d q` (zero on
-/// uninstrumented links).
-pub fn camera_loss(q: &Matrix, links: &[LinkId], observations: &[Vec<f64>]) -> (f64, Matrix) {
+/// their observed series. Writes `d loss / d q` into `grad` (same shape as
+/// `q`; zero on uninstrumented links) and returns the loss.
+// lint: hot — the zero-alloc test-time fit's camera term
+pub fn camera_loss_into(
+    q: &Matrix,
+    links: &[LinkId],
+    observations: &[Vec<f64>],
+    grad: &mut Matrix,
+) -> f64 {
     assert_eq!(
         links.len(),
         observations.len(),
         "one observation series per instrumented link"
     );
-    let mut grad = Matrix::zeros(q.rows(), q.cols());
+    assert_eq!(grad.shape(), q.shape(), "camera gradient shape mismatch");
+    grad.fill_zero();
     if links.is_empty() {
-        return (0.0, grad);
+        return 0.0;
     }
     let cells = (links.len() * q.cols()).max(1) as f64;
     let mut loss = 0.0;
@@ -59,34 +69,108 @@ pub fn camera_loss(q: &Matrix, links: &[LinkId], observations: &[Vec<f64>]) -> (
             grad.set(l.index(), t, 2.0 * diff / cells);
         }
     }
-    (loss / cells, grad)
+    loss / cells
 }
 
 /// Speed-limit constraint (Table II's static speed-level data): predicted
-/// speeds must not exceed the legal limits. Returns
-/// `mean over cells of max(0, v - limit)^2` and its gradient. Zero loss
-/// whenever predictions are physical, so the term only activates when the
-/// learned V2S extrapolates badly.
-pub fn speed_limit_loss(v: &Matrix, limits: &[f64]) -> (f64, Matrix) {
+/// speeds must not exceed the legal limits. Writes the gradient of
+/// `mean over cells of max(0, v - limit)^2` into `grad` (same shape as
+/// `v`) and returns the loss. Zero loss whenever predictions are physical,
+/// so the term only activates when the learned V2S extrapolates badly.
+// lint: hot — the zero-alloc test-time fit's speed-limit term
+pub fn speed_limit_loss_into(v: &Matrix, limits: &[f64], grad: &mut Matrix) -> f64 {
     assert_eq!(v.rows(), limits.len(), "one speed limit per link required");
+    assert_eq!(
+        grad.shape(),
+        v.shape(),
+        "speed-limit gradient shape mismatch"
+    );
     let cells = v.len().max(1) as f64;
-    let mut grad = Matrix::zeros(v.rows(), v.cols());
     let mut loss = 0.0;
     for (j, &limit) in limits.iter().enumerate() {
         for t in 0..v.cols() {
             let excess = v.get(j, t) - limit;
-            if excess > 0.0 {
+            let d = if excess > 0.0 {
                 loss += excess * excess;
-                grad.set(j, t, 2.0 * excess / cells);
-            }
+                2.0 * excess / cells
+            } else {
+                0.0
+            };
+            grad.set(j, t, d);
         }
     }
-    (loss / cells, grad)
+    loss / cells
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // Fresh-buffer forms of the three losses, as the tests read them.
+    fn census_loss(g: &Matrix, totals: &[f64]) -> (f64, Matrix) {
+        let mut grad = Matrix::zeros(g.rows(), g.cols());
+        (census_loss_into(g, totals, &mut grad), grad)
+    }
+
+    fn camera_loss(q: &Matrix, links: &[LinkId], obs: &[Vec<f64>]) -> (f64, Matrix) {
+        let mut grad = Matrix::zeros(q.rows(), q.cols());
+        (camera_loss_into(q, links, obs, &mut grad), grad)
+    }
+
+    fn speed_limit_loss(v: &Matrix, limits: &[f64]) -> (f64, Matrix) {
+        let mut grad = Matrix::zeros(v.rows(), v.cols());
+        (speed_limit_loss_into(v, limits, &mut grad), grad)
+    }
+
+    /// A buffer left over from an unrelated step: every cell non-zero.
+    fn dirty(rows: usize, cols: usize) -> Matrix {
+        Matrix::filled(rows, cols, f64::NAN)
+    }
+
+    fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+        a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn census_overwrites_a_dirty_buffer() {
+        let g = Matrix::from_vec(2, 3, vec![1.0, 2.0, 0.5, 4.0, 1.0, 2.0]).unwrap();
+        let totals = [5.0, 6.0];
+        let (loss, fresh) = census_loss(&g, &totals);
+        let mut grad = dirty(2, 3);
+        let l = census_loss_into(&g, &totals, &mut grad);
+        assert_eq!(l.to_bits(), loss.to_bits());
+        assert!(same_bits(&grad, &fresh));
+    }
+
+    #[test]
+    fn camera_overwrites_a_dirty_buffer() {
+        let q = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+        let links = [LinkId(1)];
+        let obs = vec![vec![3.0, 0.0]];
+        let (loss, fresh) = camera_loss(&q, &links, &obs);
+        let mut grad = dirty(3, 2);
+        let l = camera_loss_into(&q, &links, &obs, &mut grad);
+        assert_eq!(l.to_bits(), loss.to_bits());
+        assert!(same_bits(&grad, &fresh));
+        // No cameras at all still clears the buffer.
+        let mut grad = dirty(3, 2);
+        assert_eq!(camera_loss_into(&q, &[], &[], &mut grad), 0.0);
+        assert!(grad.as_slice().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn speed_limit_overwrites_a_dirty_buffer() {
+        let v = Matrix::from_vec(2, 2, vec![10.0, 8.0, 10.0, 14.0]).unwrap();
+        let limits = [9.0, 12.0];
+        let (loss, fresh) = speed_limit_loss(&v, &limits);
+        let mut grad = dirty(2, 2);
+        let l = speed_limit_loss_into(&v, &limits, &mut grad);
+        assert_eq!(l.to_bits(), loss.to_bits());
+        assert!(same_bits(&grad, &fresh));
+    }
 
     #[test]
     fn census_zero_when_totals_match() {

@@ -14,7 +14,7 @@
 //! "Epochs" here are gradient steps; stages 1-2 cycle through the training
 //! corpus one sample per step.
 
-use crate::aux::{camera_loss, census_loss, speed_limit_loss};
+use crate::aux::{camera_loss_into, census_loss_into, speed_limit_loss_into};
 use crate::config::OvsConfig;
 use crate::estimator::{
     link_to_matrix, matrix_to_tod, tod_to_matrix, validate_input, EstimatorInput, TodEstimator,
@@ -713,7 +713,12 @@ impl OvsTrainer {
     fn fit_plan<'p>(&'p self, input: &'p EstimatorInput<'_>, prior_mu: f64) -> StagePlan<'p> {
         let cfg = &self.cfg;
         let v_obs = link_to_matrix(input.observed_speed);
-        let mut dv = Matrix::zeros(v_obs.rows(), v_obs.cols());
+        let (m, t) = v_obs.shape();
+        let mut dv = Matrix::zeros(m, t);
+        // The auxiliary terms' gradients, overwritten by each step's loss.
+        let mut d_lim = Matrix::zeros(m, t);
+        let mut d_cam = Matrix::zeros(m, t);
+        let mut d_cen = Matrix::zeros(input.census_totals.map_or(0, <[f64]>::len), t);
         let prior_scale = cfg.w_prior * (cfg.v_max / cfg.g_max.max(1e-9)).powi(2);
         let limits: Vec<f64> = input
             .net
@@ -742,7 +747,7 @@ impl OvsTrainer {
                 // Speed-limit constraint (Eq. 13's w_v term): folded into
                 // the speed gradient before it enters V2S.
                 if cfg.w_speed_limit > 0.0 {
-                    let (l_lim, mut d_lim) = speed_limit_loss(&v, &limits);
+                    let l_lim = speed_limit_loss_into(&v, &limits, &mut d_lim);
                     total += cfg.w_speed_limit * l_lim;
                     d_lim.scale(cfg.w_speed_limit);
                     dv.add_assign(&d_lim);
@@ -753,7 +758,7 @@ impl OvsTrainer {
                 let mut dq = model.v2s.backward_ws(&dv, ws);
                 if cfg.w_camera > 0.0 {
                     if let Some((links, obs)) = input.cameras {
-                        let (l_cam, mut d_cam) = camera_loss(&q, links, obs);
+                        let l_cam = camera_loss_into(&q, links, obs, &mut d_cam);
                         total += cfg.w_camera * l_cam;
                         d_cam.scale(cfg.w_camera);
                         dq.add_assign(&d_cam);
@@ -766,7 +771,7 @@ impl OvsTrainer {
                 ws.give(dq);
                 if cfg.w_census > 0.0 {
                     if let Some(totals) = input.census_totals {
-                        let (l_cen, mut d_cen) = census_loss(&g, totals);
+                        let l_cen = census_loss_into(&g, totals, &mut d_cen);
                         total += cfg.w_census * l_cen;
                         d_cen.scale(cfg.w_census);
                         dg.add_assign(&d_cen);

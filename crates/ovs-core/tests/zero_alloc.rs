@@ -3,10 +3,9 @@
 //! driver's buffer pool, the Adam moment slots and the layers' caches, a
 //! V2S, TOD2V or test-time fit step touches the heap zero times.
 //!
-//! A counting `#[global_allocator]` wraps `System`; the whole file is one
-//! `#[test]` so no sibling test can pollute the count. The count is kept
-//! per thread, so the test harness's own bookkeeping on its main thread
-//! cannot land in it either; training runs on the calling thread. It is
+//! A counting `#[global_allocator]` wraps `System`. The count is kept per
+//! thread, so neither a sibling test nor the test harness's own
+//! bookkeeping can land in it; training runs on the calling thread. It is
 //! read from the trainer's tamper tap, which runs once per step right
 //! after the backward pass, into a buffer reserved before the run.
 
@@ -14,6 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use datagen::{Dataset, TodPattern};
+use ovs_core::estimator::EstimatorInputBuilder;
 use ovs_core::trainer::{OvsTrainer, Stage};
 use ovs_core::{EstimatorInput, OvsConfig, RunOptions};
 
@@ -64,10 +64,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Steps each stage runs before its steps must stop allocating.
 const WARMUP_STEPS: usize = 3;
 
-/// One test for all three stages, so nothing else runs in this binary
-/// while it counts.
-#[test]
-fn every_stage_steps_without_allocating_after_warmup() {
+fn dataset() -> Dataset {
     let spec = datagen::dataset::DatasetSpec {
         t: 4,
         interval_s: 120.0,
@@ -75,14 +72,24 @@ fn every_stage_steps_without_allocating_after_warmup() {
         demand_scale: 0.2,
         seed: 9,
     };
-    let ds = Dataset::synthetic(TodPattern::Gaussian, &spec).unwrap();
-    let input = EstimatorInput::builder(&ds.net, &ds.ods)
+    Dataset::synthetic(TodPattern::Gaussian, &spec).unwrap()
+}
+
+fn input_builder(ds: &Dataset) -> EstimatorInputBuilder<'_> {
+    EstimatorInput::builder(&ds.net, &ds.ods)
         .interval_s(ds.sim_config.interval_s)
         .sim_seed(ds.sim_config.seed)
         .train(&ds.train)
         .observed_speed(&ds.observed_speed)
-        .build();
-    let cfg = OvsConfig::tiny();
+}
+
+/// Trains on `input` under `cfg` and asserts that every step of each of
+/// `stages` after the warmup allocates nothing.
+fn assert_steady_state_is_allocation_free(
+    input: &EstimatorInput<'_>,
+    cfg: OvsConfig,
+    stages: &[Stage],
+) {
     let budget = cfg.epochs_v2s + cfg.epochs_tod2v + cfg.epochs_fit;
 
     // (stage, step, allocations so far), one entry per step.
@@ -92,7 +99,7 @@ fn every_stage_steps_without_allocating_after_warmup() {
     };
     let (_, report) = OvsTrainer::new(cfg)
         .run(
-            &input,
+            input,
             RunOptions {
                 tamper: Some(&mut tap),
                 ..RunOptions::default()
@@ -101,11 +108,12 @@ fn every_stage_steps_without_allocating_after_warmup() {
         .unwrap();
     assert!(taps.len() <= budget, "the tap buffer never regrew");
 
-    for (stage, trace) in [
-        (Stage::V2s, &report.v2s_losses),
-        (Stage::Tod2v, &report.tod2v_losses),
-        (Stage::Fit, &report.fit_losses),
-    ] {
+    for &stage in stages {
+        let trace = match stage {
+            Stage::V2s => &report.v2s_losses,
+            Stage::Tod2v => &report.tod2v_losses,
+            Stage::Fit => &report.fit_losses,
+        };
         // Allocations between the tap of step k and that of step k + 1
         // are step k + 1's: the optimiser step and bookkeeping of step k,
         // then the forward and backward of step k + 1.
@@ -128,4 +136,30 @@ fn every_stage_steps_without_allocating_after_warmup() {
             stage.tag()
         );
     }
+}
+
+#[test]
+fn every_stage_steps_without_allocating_after_warmup() {
+    let ds = dataset();
+    let input = input_builder(&ds).build();
+    assert_steady_state_is_allocation_free(
+        &input,
+        OvsConfig::tiny(),
+        &[Stage::V2s, Stage::Tod2v, Stage::Fit],
+    );
+}
+
+/// The fit with all three auxiliary terms of Eq. 13 switched on: census
+/// totals, camera volumes and the speed-limit penalty.
+#[test]
+fn fit_with_every_aux_loss_steps_without_allocating_after_warmup() {
+    let ds = dataset();
+    let input = input_builder(&ds)
+        .census(ds.census.as_slice())
+        .cameras(&ds.cameras.links, &ds.cameras.volumes)
+        .build();
+    assert!(!ds.cameras.is_empty());
+    let mut cfg = OvsConfig::tiny().with_aux_weights(0.5, 0.5);
+    cfg.w_speed_limit = 1.0;
+    assert_steady_state_is_allocation_free(&input, cfg, &[Stage::Fit]);
 }

@@ -8,7 +8,7 @@
 //! * a directed road-network graph with per-link attributes ([`network`]),
 //! * parameterised network generators and the four city presets of the
 //!   paper's Table III ([`generators`], [`presets`]),
-//! * fastest / k-shortest / time-dependent routing ([`routing`]),
+//! * fastest and k-shortest routing ([`routing`]),
 //! * the traffic tensors the paper manipulates: the temporal
 //!   origin-destination tensor `G` (N_od x T) and per-link observation
 //!   tensors (M x T) ([`tensor`]).

@@ -2,31 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// How vehicles pick their route at departure (§IV-C: "people will choose
-/// the shortest or fastest route based on real-time traffic conditions").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RoutingPolicy {
-    /// Shortest path by physical length, fixed per OD.
-    Shortest,
-    /// Fastest path at free-flow speeds, fixed per OD.
-    FreeFlowFastest,
-    /// Fastest path under the speeds observed during the previous completed
-    /// interval ("real-time traffic conditions"); falls back to free-flow
-    /// for the first interval.
-    TimeDependent,
-}
-
-/// Signal control strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SignalControl {
-    /// Two-phase fixed-time plans (the default; matches CityFlow's
-    /// synthetic-grid plans).
-    FixedTime,
-    /// Two-phase vehicle actuation: green holds while demand keeps
-    /// arriving, gaps out otherwise (see `signal::ActuatedPlan`).
-    Actuated,
-}
-
 /// Configuration for one simulation run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -44,8 +19,6 @@ pub struct SimConfig {
     /// RNG seed: controls spawn-node choice within regions and arrival
     /// jitter.
     pub seed: u64,
-    /// Routing policy at departure.
-    pub routing: RoutingPolicy,
     /// Maximum vehicle acceleration, m/s^2.
     pub max_accel: f64,
     /// Comfortable deceleration bound used by the safe-gap rule, m/s^2.
@@ -54,11 +27,6 @@ pub struct SimConfig {
     pub saturation_flow_per_lane: f64,
     /// Traffic-signal cycle length in seconds (fixed-time control).
     pub signal_cycle_s: f64,
-    /// Signal control strategy.
-    pub signal_control: SignalControl,
-    /// Fraction of spawned vehicles that are trucks (longer footprint,
-    /// slower acceleration). 0 reproduces the paper's car-only fleet.
-    pub truck_fraction: f64,
     /// Record one [`crate::engine::TripRecord`] per spawned vehicle
     /// (needed by the taxi-trajectory sampling pipeline; off by default to
     /// keep large runs lean).
@@ -73,13 +41,10 @@ impl Default for SimConfig {
             intervals: 12,
             cooldown_s: 600.0,
             seed: 0,
-            routing: RoutingPolicy::FreeFlowFastest,
             max_accel: 2.0,
             max_decel: 4.5,
             saturation_flow_per_lane: 0.5,
             signal_cycle_s: 30.0,
-            signal_control: SignalControl::FixedTime,
-            truck_fraction: 0.0,
             record_trips: false,
         }
     }

@@ -18,15 +18,17 @@
 //!
 //! The run is fully deterministic given `SimConfig::seed`.
 
-use crate::config::{RoutingPolicy, SignalControl, SimConfig};
+use crate::config::SimConfig;
 use crate::demand::{DemandSpawner, SpawnRequest};
 use crate::incident::{IncidentKind, IncidentSchedule, IncidentTarget};
 use crate::observe::Observer;
 use crate::scenario::Scenario;
-use crate::signal::{ActuatedPlan, SignalPlan};
-use crate::vehicle::{follow, Vehicle, VehicleClass, VehicleId};
+use crate::signal::SignalPlan;
+use crate::vehicle::{follow, Vehicle, VehicleId};
 use roadnet::routing::{shortest_path_tree, ShortestPathTree};
-use roadnet::{LinkId, LinkTensor, NodeId, OdSet, Result, RoadNetwork, RoadnetError, TodTensor};
+use roadnet::{
+    Link, LinkId, LinkTensor, NodeId, OdSet, Result, RoadNetwork, RoadnetError, TodTensor,
+};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -48,9 +50,8 @@ struct SourceRoutes {
 /// source. A tree answers every destination with exactly the route an
 /// early-exit search for that pair finds (see [`ShortestPathTree`]), so
 /// the cache decides only how often Dijkstra runs, never which route a
-/// trip takes. It is valid while link costs and closures stay fixed: the
-/// run clears it at every incident boundary, and the time-dependent
-/// policy's cache also at every interval boundary.
+/// trip takes. It is valid while the closure mask stays fixed: the run
+/// clears it at every incident boundary.
 #[derive(Clone, Default)]
 struct RouteCache {
     sources: Vec<Option<SourceRoutes>>,
@@ -162,8 +163,8 @@ pub struct SimOutput {
     pub trips: Vec<TripRecord>,
 }
 
-/// A configured simulation, reusable across TOD tensors (route caches for
-/// static policies persist between runs).
+/// A configured simulation, reusable across TOD tensors (the route cache
+/// persists between runs).
 ///
 /// `Clone` is cheap relative to a run (at most one tree per source node,
 /// with the routes themselves shared via `Arc`), which lets parallel data
@@ -183,8 +184,8 @@ pub struct Simulation<'a> {
     capacity: Vec<usize>,
     sat_flow_per_tick: Vec<f64>,
     lanes: Vec<f64>,
-    /// Route cache for the static routing policies.
-    static_routes: RouteCache,
+    /// Free-flow-fastest route cache.
+    routes: RouteCache,
     /// Scheduled mid-run perturbations; empty means the machinery is
     /// skipped entirely.
     incidents: IncidentSchedule,
@@ -269,7 +270,7 @@ impl<'a> Simulation<'a> {
             capacity,
             sat_flow_per_tick: sat_flow,
             lanes,
-            static_routes: RouteCache::default(),
+            routes: RouteCache::default(),
             incidents: IncidentSchedule::default(),
             obs: obs::global().clone(),
         })
@@ -350,20 +351,9 @@ impl<'a> Simulation<'a> {
         // Requests that could not enter this tick; swapped with `pending`
         // at the end of the demand phase, so neither queue reallocates.
         let mut still_pending: VecDeque<SpawnRequest> = VecDeque::new();
-        let mut actuated = match self.cfg.signal_control {
-            SignalControl::Actuated => Some(ActuatedPlan::new(self.net)),
-            SignalControl::FixedTime => None,
-        };
         let mut stats = SimStats::default();
         let mut next_vid = 0u64;
         let mut trips: Vec<TripRecord> = Vec::new();
-        // Dedicated stream for class assignment keeps spawn-node choices
-        // identical whether or not trucks are enabled.
-        use rand::{Rng as _, SeedableRng as _};
-        let mut class_rng = rand::rngs::StdRng::seed_from_u64(self.cfg.seed ^ 0x5EED_70C5);
-        // Route cache for the time-dependent policy, cleared whenever a
-        // new interval starts.
-        let mut dyn_routes = RouteCache::default();
         // Incident machinery: effective per-link state starts as a copy of
         // the static vectors and is only recomputed when the schedule's
         // active set changes (onset/clearance boundaries).
@@ -382,11 +372,6 @@ impl<'a> Simulation<'a> {
 
         for tick in 0..self.cfg.total_ticks() {
             let interval = (tick / tpi) as usize;
-            if tick % tpi == 0 {
-                // Time-dependent costs read the previous interval's mean
-                // speeds, which are final once this interval starts.
-                dyn_routes.clear();
-            }
 
             if has_incidents {
                 // Tick 0 applies incidents already active at the start;
@@ -404,8 +389,7 @@ impl<'a> Simulation<'a> {
                     // Routes derived under the previous network state are
                     // stale the moment the active set changes: re-derive
                     // against the perturbed (or restored) network.
-                    self.static_routes.clear();
-                    dyn_routes.clear();
+                    self.routes.clear();
                 }
             }
 
@@ -414,14 +398,7 @@ impl<'a> Simulation<'a> {
                 spawner.tick(tod, interval, tpi, &mut pending)?;
             }
             while let Some(req) = pending.pop_front() {
-                let route = self.route_for(
-                    req,
-                    interval,
-                    &observer,
-                    &mut dyn_routes,
-                    &inc_state.closed,
-                    inc_state.any_closed,
-                );
+                let route = self.route_for(req, &inc_state.closed, inc_state.any_closed);
                 let Some(route) = route else {
                     stats.unroutable += 1;
                     continue;
@@ -434,13 +411,6 @@ impl<'a> Simulation<'a> {
                 let cap = inc_state.capacity.get(first.index()).copied().unwrap_or(0);
                 match links.get_mut(first.index()) {
                     Some(deque) if entrance_clear(deque, cap) => {
-                        let class = if self.cfg.truck_fraction > 0.0
-                            && class_rng.gen::<f64>() < self.cfg.truck_fraction
-                        {
-                            VehicleClass::Truck
-                        } else {
-                            VehicleClass::Car
-                        };
                         let veh = Vehicle {
                             id: VehicleId(next_vid),
                             route,
@@ -448,7 +418,6 @@ impl<'a> Simulation<'a> {
                             pos_m: 0.0,
                             speed_mps: 0.0,
                             spawn_tick: tick,
-                            class,
                         };
                         next_vid += 1;
                         deque.push_back(veh);
@@ -478,24 +447,24 @@ impl<'a> Simulation<'a> {
             for (li, ((deque, &len), &desired)) in link_rows {
                 let mut speed_sum = 0.0;
                 let mut count = 0usize;
-                // (position, footprint) of the vehicle ahead.
-                let mut leader: Option<(f64, f64)> = None;
+                // Position of the vehicle ahead.
+                let mut leader: Option<f64> = None;
                 for veh in deque.iter_mut() {
                     let headroom = match leader {
                         None => len - veh.pos_m,
-                        Some((lp, lf)) => (lp - lf - veh.pos_m).max(0.0),
+                        Some(lp) => (lp - Link::VEHICLE_FOOTPRINT_M - veh.pos_m).max(0.0),
                     };
                     let (v, dx) = follow(
                         veh.speed_mps,
                         desired,
                         headroom,
-                        self.cfg.max_accel * veh.class.accel_factor(),
+                        self.cfg.max_accel,
                         self.cfg.max_decel,
                         dt,
                     );
                     veh.speed_mps = v;
                     veh.pos_m = (veh.pos_m + dx).min(len);
-                    leader = Some((veh.pos_m, veh.class.footprint_m()));
+                    leader = Some(veh.pos_m);
                     speed_sum += v;
                     count += 1;
                 }
@@ -503,18 +472,6 @@ impl<'a> Simulation<'a> {
             }
 
             // --- 3. transfers ----------------------------------------------
-            // Actuated control: detect queues within 30 m of each stop
-            // line, then advance the controllers one tick.
-            if let Some(plan) = actuated.as_mut() {
-                let len_m = &self.len_m;
-                plan.update(&|lid: LinkId| {
-                    let li = lid.index();
-                    match (links.get(li).and_then(|d| d.front()), len_m.get(li)) {
-                        (Some(v), Some(&len)) => v.pos_m >= len - 30.0,
-                        _ => false,
-                    }
-                });
-            }
             let resets = len_before
                 .iter_mut()
                 .zip(entries.iter_mut())
@@ -562,14 +519,10 @@ impl<'a> Simulation<'a> {
                         false
                     } else if let Some(frozen) = inc_state.stuck_at.get(li).copied().flatten() {
                         // Mild outage: the controller is frozen in the
-                        // phase it held at onset (actuated control loses
-                        // its detectors too, so the fixed plan decides).
+                        // phase it held at onset.
                         self.plan.is_green(LinkId(li), frozen)
                     } else {
-                        match &actuated {
-                            Some(plan) => plan.is_green(LinkId(li)),
-                            None => self.plan.is_green(LinkId(li), tick),
-                        }
+                        self.plan.is_green(LinkId(li), tick)
                     };
                     if !green {
                         tally.red_checks += 1;
@@ -777,67 +730,22 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Resolves the route for a spawn request under the configured policy.
-    /// Links closed by an active incident are masked out of every search;
-    /// caches are only consulted within one closure regime (the run loop
-    /// clears them at every schedule boundary).
+    /// Resolves the free-flow-fastest route for a spawn request. Links
+    /// closed by an active incident are masked out of the search; the cache
+    /// is only consulted within one closure regime (the run loop clears it
+    /// at every schedule boundary).
     fn route_for(
         &mut self,
         req: SpawnRequest,
-        interval: usize,
-        observer: &Observer,
-        dyn_routes: &mut RouteCache,
         closed: &[bool],
         any_closed: bool,
     ) -> Option<SharedRoute> {
         let masked = |l: LinkId| any_closed && closed.get(l.index()).copied().unwrap_or(false);
         let net = self.net;
-        let free_flow = |l: &roadnet::Link| l.free_flow_time_s();
-        match self.cfg.routing {
-            RoutingPolicy::Shortest => self.static_routes.route(net, req.from, req.to, || {
-                shortest_path_tree(net, req.from, &|l| l.length_m, &masked)
-            }),
-            RoutingPolicy::FreeFlowFastest => {
-                self.static_routes.route(net, req.from, req.to, || {
-                    shortest_path_tree(net, req.from, &free_flow, &masked)
-                })
-            }
-            RoutingPolicy::TimeDependent => dyn_routes.route(net, req.from, req.to, || {
-                if interval == 0 {
-                    return shortest_path_tree(net, req.from, &free_flow, &masked);
-                }
-                let prev = (interval - 1).min(self.cfg.intervals.saturating_sub(1));
-                let desired = &self.desired_mps;
-                let cost = |l: &roadnet::Link| {
-                    // The 0.5 m/s floor also covers the (unreachable)
-                    // out-of-range link id, keeping the cost finite.
-                    let v_max = desired
-                        .get(l.id.index())
-                        .copied()
-                        .unwrap_or(MIN_ROUTING_SPEED_MPS);
-                    observed_travel_time_s(l.length_m, observer.mean_speed(l.id, prev), v_max)
-                };
-                shortest_path_tree(net, req.from, &cost, &masked)
-            }),
-        }
+        self.routes.route(net, req.from, req.to, || {
+            shortest_path_tree(net, req.from, &|l| l.free_flow_time_s(), &masked)
+        })
     }
-}
-
-/// Slowest speed (m/s) the time-dependent policy routes with, so a link
-/// observed as fully stopped keeps a finite travel time.
-const MIN_ROUTING_SPEED_MPS: f64 = 0.5;
-
-/// Travel time (s) of a `length_m` link under the time-dependent policy:
-/// the observed mean speed, capped at the link's desired speed `v_max`
-/// and floored at [`MIN_ROUTING_SPEED_MPS`]. A missing observation (not
-/// finite, or not positive) falls back to `v_max`.
-fn observed_travel_time_s(length_m: f64, observed_mps: f64, v_max: f64) -> f64 {
-    let v = if observed_mps.is_finite() && observed_mps > 0.0 {
-        observed_mps.min(v_max).max(MIN_ROUTING_SPEED_MPS)
-    } else {
-        v_max
-    };
-    length_m / v
 }
 
 /// Re-queues a vehicle at the head of `links[li]`; a no-op when `li` is
@@ -857,14 +765,14 @@ fn bump(counts: &mut [u64], i: usize) {
 
 /// True when a new vehicle fits at the link's entrance: the link is under
 /// capacity and the most recently entered vehicle has cleared the stop bar
-/// by its own footprint.
+/// by one vehicle footprint.
 fn entrance_clear(deque: &VecDeque<Vehicle>, capacity: usize) -> bool {
     if deque.len() >= capacity {
         return false;
     }
     match deque.back() {
         None => true,
-        Some(last) => last.pos_m >= last.class.footprint_m(),
+        Some(last) => last.pos_m >= Link::VEHICLE_FOOTPRINT_M,
     }
 }
 
@@ -1007,25 +915,6 @@ mod tests {
         let mut sim = Simulation::new(&net, &ods, quick_cfg(2)).unwrap();
         assert!(sim.run(&TodTensor::zeros(3, 2)).is_err());
         assert!(sim.run(&TodTensor::zeros(ods.len(), 5)).is_err());
-    }
-
-    #[test]
-    fn time_dependent_routing_runs() {
-        let (net, ods) = setup();
-        let tod = TodTensor::filled(ods.len(), 2, 2.0);
-        let out = Simulation::new(
-            &net,
-            &ods,
-            SimConfig {
-                routing: RoutingPolicy::TimeDependent,
-                ..quick_cfg(2)
-            },
-        )
-        .unwrap()
-        .run(&tod)
-        .unwrap();
-        assert!(out.stats.spawned > 0);
-        assert!(out.stats.is_conserved());
     }
 
     #[test]
@@ -1241,6 +1130,82 @@ mod tests {
     }
 
     #[test]
+    fn stuck_phase_outage_holds_the_onset_phase() {
+        use roadnet::network::NetworkBuilder;
+        use roadnet::{OdPair, Point, RegionId};
+        // Corridor a -> b -> c with one signalised node, b. Its approach
+        // is horizontal: green in the first half of each 30-tick cycle.
+        let mut b = NetworkBuilder::new();
+        let nodes: Vec<NodeId> = (0..3)
+            .map(|i| b.add_node(Point::new(i as f64 * 300.0, 0.0)))
+            .collect();
+        b.add_link(nodes[0], nodes[1], 1, 10.0).unwrap();
+        b.add_link(nodes[1], nodes[2], 1, 10.0).unwrap();
+        b.set_signalized(nodes[0], false).unwrap();
+        b.set_signalized(nodes[2], false).unwrap();
+        let net = b.assign_regions_grid(1, 3).build().unwrap();
+        let mut ods = OdSet::new();
+        ods.push(OdPair::new(RegionId(0), RegionId(2)).unwrap())
+            .unwrap();
+        let exit = LinkId(1);
+        let t = 6;
+        let tod = TodTensor::filled(1, t, 15.0);
+        let cfg = SimConfig::default().with_intervals(t).with_interval_s(60.0);
+        let total = cfg.total_ticks();
+        let outage = |onset_tick: u64, duration_ticks: u64| {
+            IncidentSchedule::new(vec![ScheduledIncident {
+                kind: IncidentKind::SignalOutage,
+                target: IncidentTarget::Node(nodes[1]),
+                onset_tick,
+                duration_ticks,
+                severity: 0.3,
+            }])
+        };
+        let run = |schedule: Option<IncidentSchedule>| {
+            let reg = obs::Registry::new();
+            let mut sim = Simulation::new(&net, &ods, cfg.clone())
+                .unwrap()
+                .with_registry(reg.clone());
+            if let Some(s) = schedule {
+                sim = sim.with_incidents(s).unwrap();
+            }
+            let out = sim.run(&tod).unwrap();
+            assert!(out.stats.is_conserved(), "{:?}", out.stats);
+            (reg, out)
+        };
+        let (clean_reg, clean) = run(None);
+        assert!(counter_value(&clean_reg, crate::metrics::SIGNAL_RED_TICKS) > 0);
+
+        // Onset at tick 135 (phase 15 of 30: red) for 180 ticks: the
+        // approach stays red through intervals 3 and 4, which lie wholly
+        // inside the outage, and discharges again once it clears.
+        let (_, held_red) = run(Some(outage(135, 180)));
+        for interval in [3, 4] {
+            assert!(clean.volume.get(exit, interval) > 0.0);
+            assert_eq!(held_red.volume.get(exit, interval), 0.0, "{interval}");
+        }
+        assert!(
+            held_red.volume.get(exit, 5) > 0.0,
+            "cleared outage discharges"
+        );
+
+        // Onset at tick 0 (phase 0: green) for the whole run: the approach
+        // never shows red, so trips finish faster than under the fixed plan.
+        let (green_reg, held_green) = run(Some(outage(0, total)));
+        assert_eq!(
+            counter_value(&green_reg, crate::metrics::SIGNAL_RED_TICKS),
+            0
+        );
+        assert!(counter_value(&green_reg, crate::metrics::TRANSFER_CROSSINGS) > 0);
+        assert!(
+            held_green.stats.mean_travel_time_s() < clean.stats.mean_travel_time_s(),
+            "{} vs {}",
+            held_green.stats.mean_travel_time_s(),
+            clean.stats.mean_travel_time_s()
+        );
+    }
+
+    #[test]
     fn incident_schedule_is_validated() {
         let (net, ods) = setup();
         let bad = IncidentSchedule::new(vec![ScheduledIncident {
@@ -1305,59 +1270,5 @@ mod tests {
             let mtt = out.stats.mean_travel_time_s();
             assert!(mtt > 0.0 && mtt < 3600.0, "mean travel time {mtt}");
         }
-    }
-
-    #[test]
-    fn missing_observation_routes_at_the_desired_speed() {
-        for missing in [0.0, -3.0, f64::NAN, f64::INFINITY] {
-            assert_eq!(
-                observed_travel_time_s(300.0, missing, 15.0),
-                20.0,
-                "{missing}"
-            );
-        }
-    }
-
-    #[test]
-    fn observed_speed_cannot_exceed_the_desired_speed() {
-        assert_eq!(observed_travel_time_s(300.0, 100.0, 15.0), 20.0);
-        assert_eq!(observed_travel_time_s(300.0, 10.0, 15.0), 30.0);
-    }
-
-    #[test]
-    fn stopped_link_keeps_a_finite_travel_time() {
-        let t = observed_travel_time_s(300.0, 1e-12, 15.0);
-        assert_eq!(t, 300.0 / MIN_ROUTING_SPEED_MPS);
-    }
-
-    #[test]
-    fn congestion_redirects_the_time_dependent_route() {
-        use roadnet::network::NetworkBuilder;
-        use roadnet::Point;
-        // Diamond a -> {b, c} -> d with equal arms.
-        let mut b = NetworkBuilder::new();
-        let a = b.add_node(Point::new(0.0, 0.0));
-        let north = b.add_node(Point::new(100.0, 100.0));
-        let south = b.add_node(Point::new(100.0, -100.0));
-        let d = b.add_node(Point::new(200.0, 0.0));
-        for (x, y) in [(a, north), (north, d), (a, south), (south, d)] {
-            b.add_road(x, y, 1, 15.0).unwrap();
-        }
-        let net = b.build().unwrap();
-        let (north_arm, south_arm) = (net.out_links(a)[0], net.out_links(a)[1]);
-        let route_with_jam = |jammed: LinkId| {
-            let cost = |l: &roadnet::Link| {
-                let observed = if l.id == jammed { 1.0 } else { 15.0 };
-                observed_travel_time_s(l.length_m, observed, l.speed_limit_mps)
-            };
-            shortest_path_tree(&net, a, &cost, &|_| false)
-                .unwrap()
-                .route_to(&net, d)
-                .unwrap()
-        };
-        let r = route_with_jam(north_arm);
-        assert!(r.links.contains(&south_arm) && !r.links.contains(&north_arm));
-        let r = route_with_jam(south_arm);
-        assert!(r.links.contains(&north_arm) && !r.links.contains(&south_arm));
     }
 }

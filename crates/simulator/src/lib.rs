@@ -45,7 +45,7 @@ pub mod scenario;
 pub mod signal;
 pub mod vehicle;
 
-pub use config::{RoutingPolicy, SignalControl, SimConfig};
+pub use config::SimConfig;
 pub use engine::{SimOutput, SimStats, Simulation};
 pub use incident::{IncidentKind, IncidentSchedule, IncidentTarget, ScheduledIncident};
 pub use scenario::{LinkDisruption, Scenario};

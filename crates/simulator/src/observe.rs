@@ -127,24 +127,6 @@ impl Observer {
         }
     }
 
-    /// Mean speed accumulated so far for `(link, interval)`. Exact once the
-    /// interval has completed; partial (biased low) while it is in
-    /// progress. Used by time-dependent routing, which only queries
-    /// completed intervals.
-    pub fn mean_speed(&self, link: LinkId, interval: usize) -> f64 {
-        if interval >= self.t {
-            return f64::NAN;
-        }
-        let mut sum = self.speed_sum.get(link, interval);
-        // The queried interval may still live in the scratch (routing asks
-        // for the just-completed interval before its flush is triggered by
-        // the first recording of the new one).
-        if interval == self.cur {
-            sum += self.speed_scratch.get(link.index()).copied().unwrap_or(0.0);
-        }
-        sum / self.ticks_per_interval as f64
-    }
-
     /// Finalises into `(volume, speed, occupancy)` tensors. Occupancy is
     /// the time-mean vehicle count on the link per interval — the density
     /// axis of a macroscopic fundamental diagram.

@@ -10,44 +10,6 @@
 use roadnet::LinkId;
 use serde::{Deserialize, Serialize};
 
-/// Physical space one car occupies when queued (vehicle length plus
-/// standstill gap), metres. Matches [`roadnet::Link::VEHICLE_FOOTPRINT_M`].
-pub const FOOTPRINT_M: f64 = 7.5;
-
-/// Queued footprint of a truck, metres.
-pub const TRUCK_FOOTPRINT_M: f64 = 15.0;
-
-/// Vehicle class: trucks are longer and accelerate more slowly, which
-/// lowers effective capacity on their routes — a realism knob
-/// (`SimConfig::truck_fraction`) beyond the paper's car-only fleets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum VehicleClass {
-    /// Passenger car.
-    Car,
-    /// Heavy vehicle.
-    Truck,
-}
-
-impl VehicleClass {
-    /// Queued footprint in metres.
-    #[inline]
-    pub fn footprint_m(self) -> f64 {
-        match self {
-            VehicleClass::Car => FOOTPRINT_M,
-            VehicleClass::Truck => TRUCK_FOOTPRINT_M,
-        }
-    }
-
-    /// Multiplier on the acceleration bound.
-    #[inline]
-    pub fn accel_factor(self) -> f64 {
-        match self {
-            VehicleClass::Car => 1.0,
-            VehicleClass::Truck => 0.5,
-        }
-    }
-}
-
 /// Unique vehicle identifier (dense per simulation run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct VehicleId(pub u64);
@@ -67,8 +29,6 @@ pub struct Vehicle {
     pub speed_mps: f64,
     /// Tick at which the vehicle entered the network.
     pub spawn_tick: u64,
-    /// Vehicle class (car or truck).
-    pub class: VehicleClass,
 }
 
 impl Vehicle {
@@ -162,12 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn class_attributes() {
-        assert!(VehicleClass::Truck.footprint_m() > VehicleClass::Car.footprint_m());
-        assert!(VehicleClass::Truck.accel_factor() < VehicleClass::Car.accel_factor());
-    }
-
-    #[test]
     fn vehicle_route_accessors() {
         let v = Vehicle {
             id: VehicleId(0),
@@ -176,7 +130,6 @@ mod tests {
             pos_m: 0.0,
             speed_mps: 0.0,
             spawn_tick: 0,
-            class: VehicleClass::Car,
         };
         assert_eq!(v.route[v.leg], LinkId(3));
         assert_eq!(v.next_link(), Some(LinkId(5)));

@@ -11,7 +11,7 @@ use obs::Registry;
 use roadnet::presets::synthetic_grid;
 use roadnet::{OdSet, RoadNetwork, TodTensor};
 use simulator::metrics as m;
-use simulator::{RoutingPolicy, SimConfig, SimOutput, Simulation};
+use simulator::{SimConfig, SimOutput, Simulation};
 
 fn setup() -> (RoadNetwork, OdSet) {
     let net = synthetic_grid();
@@ -55,19 +55,6 @@ fn conservation_law_holds_at_every_step() {
         );
         assert!(out.stats.is_conserved());
     }
-}
-
-#[test]
-fn conservation_holds_under_dynamic_routing() {
-    let cfg = SimConfig {
-        routing: RoutingPolicy::TimeDependent,
-        ..SimConfig::default()
-            .with_intervals(2)
-            .with_interval_s(120.0)
-    };
-    let (reg, _) = run_with_registry(cfg, 4.0, 2);
-    assert_eq!(counter(&reg, m::CONSERVATION_VIOLATIONS), 0);
-    assert_eq!(counter(&reg, m::LINK_CONSERVATION_VIOLATIONS), 0);
 }
 
 #[test]

@@ -4,7 +4,10 @@
 
 use roadnet::network::NetworkBuilder;
 use roadnet::{LinkId, NodeId, OdPair, OdSet, Point, RegionId, TodTensor};
-use simulator::{LinkDisruption, Scenario, SimConfig, Simulation};
+use simulator::{
+    metrics, IncidentKind, IncidentSchedule, IncidentTarget, LinkDisruption, Scenario,
+    ScheduledIncident, SimConfig, Simulation,
+};
 
 /// A corridor of `n` links in a row (one-way), one region per node, with
 /// unsignalised intermediate nodes so only car-following dynamics act.
@@ -181,122 +184,67 @@ fn cooldown_lets_late_vehicles_finish() {
 }
 
 #[test]
-fn time_dependent_routing_avoids_disruption() {
-    // Diamond network: a -> {b | c} -> d, equal free-flow costs. Road work
-    // on the north branch should shift time-dependent traffic south after
-    // the first interval.
+fn closure_reroutes_free_flow_traffic_around_the_diamond() {
+    // Diamond a -> {north | south} -> d with a shorter north arm, so every
+    // a -> d trip takes it at free flow. Closing the north arm's first link
+    // for interval 1 must push that interval's trips south, and only that
+    // interval's.
     let mut b = NetworkBuilder::new();
     let na = b.add_node(Point::new(0.0, 0.0));
-    let nb = b.add_node(Point::new(500.0, 400.0));
-    let nc = b.add_node(Point::new(500.0, -400.0));
+    let north = b.add_node(Point::new(500.0, 300.0));
+    let south = b.add_node(Point::new(500.0, -400.0));
     let nd = b.add_node(Point::new(1000.0, 0.0));
-    b.add_road(na, nb, 1, 10.0).unwrap();
-    b.add_road(nb, nd, 1, 10.0).unwrap();
-    b.add_road(na, nc, 1, 10.0).unwrap();
-    b.add_road(nc, nd, 1, 10.0).unwrap();
-    let net = b.assign_regions_grid(1, 2).build().unwrap();
-    // region 0 holds a & (one of b/c), region 1 the rest; use node-based
-    // OD via regions at the two extremes.
-    let ods = OdSet::all_pairs(&net);
-    let tod = TodTensor::filled(ods.len(), 3, 10.0);
-    let north_out = net.out_links(na)[0];
-
-    let scenario = Scenario::with_disruptions(vec![LinkDisruption::incident(north_out)]);
-    let cfg_td = SimConfig {
-        routing: simulator::RoutingPolicy::TimeDependent,
-        ..SimConfig::default()
-            .with_intervals(3)
-            .with_interval_s(300.0)
+    b.add_road(na, north, 1, 10.0).unwrap();
+    b.add_road(north, nd, 1, 10.0).unwrap();
+    b.add_road(na, south, 1, 10.0).unwrap();
+    b.add_road(south, nd, 1, 10.0).unwrap();
+    // One region per column: {a}, {north, south}, {d}.
+    let net = b.assign_regions_grid(1, 3).build().unwrap();
+    let ods = one_od(0, 2);
+    let link = |from: NodeId, to: NodeId| {
+        *net.out_links(from)
+            .iter()
+            .find(|&&l| net.links()[l.index()].to == to)
+            .unwrap()
     };
-    let out = Simulation::with_scenario(&net, &ods, cfg_td, scenario.clone())
-        .unwrap()
-        .run(&tod)
-        .unwrap();
-    // With time-dependent routing, later intervals put less volume on the
-    // incident link than the first (drivers re-route around it).
-    let v0 = out.volume.get(north_out, 0);
-    let v2 = out.volume.get(north_out, 2);
-    assert!(
-        v2 <= v0,
-        "rerouting should not increase incident-link volume: {v0} -> {v2}"
-    );
-}
-
-#[test]
-fn trucks_slow_the_network() {
-    let (net, ods) = corridor(5);
+    let (north_arm, south_arm) = (link(na, north), link(na, south));
     let t = 3;
-    let tod = TodTensor::filled(1, t, 60.0);
-    let mean_speed = |truck_fraction: f64| {
-        let cfg = SimConfig {
-            truck_fraction,
-            ..cfg(t)
-        };
-        let out = Simulation::new(&net, &ods, cfg).unwrap().run(&tod).unwrap();
-        out.speed.total() / out.speed.as_slice().len() as f64
-    };
-    let cars_only = mean_speed(0.0);
-    let mixed = mean_speed(0.5);
-    assert!(
-        mixed < cars_only,
-        "trucks must reduce mean speed: {mixed} vs {cars_only}"
-    );
-}
+    let tod = TodTensor::filled(1, t, 10.0);
+    let cfg = cfg(t);
+    let tpi = cfg.ticks_per_interval();
 
-#[test]
-fn truck_fraction_zero_is_bit_identical_to_default() {
-    let (net, ods) = corridor(4);
-    let tod = TodTensor::filled(1, 2, 10.0);
-    let a = Simulation::new(&net, &ods, cfg(2))
+    let clean = Simulation::new(&net, &ods, cfg.clone())
         .unwrap()
         .run(&tod)
         .unwrap();
-    let b = Simulation::new(
-        &net,
-        &ods,
-        SimConfig {
-            truck_fraction: 0.0,
-            ..cfg(2)
-        },
-    )
-    .unwrap()
-    .run(&tod)
-    .unwrap();
-    assert_eq!(a.speed, b.speed);
-    assert_eq!(a.volume, b.volume);
-}
+    assert!(clean.volume.get(north_arm, 1) > 0.0);
+    assert!(clean.volume.row(south_arm).iter().all(|&v| v == 0.0));
 
-#[test]
-fn actuated_signals_beat_fixed_time_on_asymmetric_demand() {
-    // A one-way corridor with signalised nodes carries all the demand;
-    // the cross streets are empty. Fixed-time control wastes half of every
-    // cycle on the empty phase; actuation should hold green for the
-    // corridor and move traffic faster.
-    use simulator::SignalControl;
-    let mut b = NetworkBuilder::new();
-    let nodes: Vec<NodeId> = (0..=5)
-        .map(|i| b.add_node(Point::new(i as f64 * 300.0, 0.0)))
-        .collect();
-    for w in nodes.windows(2) {
-        b.add_link(w[0], w[1], 1, 10.0).unwrap();
-    }
-    let net = b.assign_regions_grid(1, 6).build().unwrap();
-    let ods = one_od(0, net.num_regions() - 1);
-    let tod = TodTensor::filled(1, 2, 25.0);
-    let run = |control: SignalControl| {
-        let cfg = SimConfig {
-            signal_control: control,
-            ..cfg(2)
-        };
-        let out = Simulation::new(&net, &ods, cfg).unwrap().run(&tod).unwrap();
-        out.speed.total() / out.speed.as_slice().len() as f64
-    };
-    let fixed = run(SignalControl::FixedTime);
-    let actuated = run(SignalControl::Actuated);
+    let reg = obs::Registry::new();
+    let closed = Simulation::new(&net, &ods, cfg)
+        .unwrap()
+        .with_registry(reg.clone())
+        .with_incidents(IncidentSchedule::new(vec![ScheduledIncident {
+            kind: IncidentKind::Closure,
+            target: IncidentTarget::Link(north_arm),
+            onset_tick: tpi,
+            duration_ticks: tpi,
+            severity: 1.0,
+        }]))
+        .unwrap()
+        .run(&tod)
+        .unwrap();
+    assert_eq!(closed.volume.get(north_arm, 1), 0.0);
     assert!(
-        actuated > fixed,
-        "actuation must help one-sided demand: {actuated} vs fixed {fixed}"
+        closed.volume.get(south_arm, 1) > 0.0,
+        "trips re-route south"
     );
+    assert_eq!(closed.volume.get(south_arm, 0), 0.0);
+    assert_eq!(closed.volume.get(south_arm, 2), 0.0, "and return north");
+    assert_eq!(closed.stats.unroutable, 0);
+    assert!(closed.stats.is_conserved(), "{:?}", closed.stats);
+    assert_eq!(reg.counter(metrics::CONSERVATION_VIOLATIONS).get(), 0);
+    assert_eq!(reg.counter(metrics::LINK_CONSERVATION_VIOLATIONS).get(), 0);
 }
 
 #[test]
@@ -323,7 +271,7 @@ fn fundamental_diagram_emerges() {
     let mut occs: Vec<f64> = samples.iter().map(|s| s.0).collect();
     occs.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let median = occs[occs.len() / 2];
-    let mean_speed = |pred: &dyn Fn(f64) -> bool| {
+    let mean_link_speed = |pred: &dyn Fn(f64) -> bool| {
         let sel: Vec<f64> = samples
             .iter()
             .filter(|(o, _)| pred(*o))
@@ -331,8 +279,8 @@ fn fundamental_diagram_emerges() {
             .collect();
         sel.iter().sum::<f64>() / sel.len().max(1) as f64
     };
-    let sparse = mean_speed(&|o| o <= median);
-    let dense = mean_speed(&|o| o > median);
+    let sparse = mean_link_speed(&|o| o <= median);
+    let dense = mean_link_speed(&|o| o > median);
     assert!(
         dense < sparse,
         "dense links must be slower: {dense} vs {sparse}"

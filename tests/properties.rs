@@ -70,7 +70,7 @@ fn congestion_monotonicity() {
     let cfg = SimConfig::default()
         .with_intervals(3)
         .with_interval_s(300.0);
-    let mean_speed = |scale: f64| {
+    let mean_link_speed = |scale: f64| {
         let tod = TodTensor::filled(ods.len(), 3, scale);
         let out = Simulation::new(&net, &ods, cfg.clone())
             .unwrap()
@@ -78,9 +78,9 @@ fn congestion_monotonicity() {
             .unwrap();
         out.speed.total() / out.speed.as_slice().len() as f64
     };
-    let light = mean_speed(1.0);
-    let medium = mean_speed(8.0);
-    let heavy = mean_speed(25.0);
+    let light = mean_link_speed(1.0);
+    let medium = mean_link_speed(8.0);
+    let heavy = mean_link_speed(25.0);
     assert!(medium <= light + 1e-9, "{medium} vs {light}");
     assert!(heavy < medium, "{heavy} vs {medium}");
 }

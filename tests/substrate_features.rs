@@ -1,5 +1,5 @@
 //! Integration coverage of the substrate extensions: taxi sampling,
-//! vehicle classes, actuated signals, exports, multi-route OVS.
+//! exports, multi-route OVS.
 
 use city_od::datagen::dataset::DatasetSpec;
 use city_od::datagen::taxi::{record_all_trips, trips_to_tod};
@@ -9,8 +9,7 @@ use city_od::ovs_core::trainer::OvsEstimator;
 use city_od::ovs_core::OvsConfig;
 use city_od::roadnet::export::to_geojson_fields;
 use city_od::roadnet::presets::synthetic_grid;
-use city_od::roadnet::{OdSet, TodTensor};
-use city_od::simulator::{SignalControl, SimConfig, Simulation};
+use city_od::roadnet::TodTensor;
 
 fn spec() -> DatasetSpec {
     DatasetSpec {
@@ -40,24 +39,6 @@ fn taxi_pipeline_reconstructs_demand_from_trips() {
         .rmse(&TodTensor::zeros(ds.n_od(), ds.n_intervals()))
         .unwrap();
     assert!(err < zero_err * 0.3, "trip records carry the demand: {err}");
-}
-
-#[test]
-fn mixed_fleet_and_actuated_signals_compose() {
-    let net = synthetic_grid();
-    let ods = OdSet::all_pairs(&net);
-    let tod = TodTensor::filled(ods.len(), 2, 3.0);
-    let cfg = SimConfig {
-        truck_fraction: 0.3,
-        signal_control: SignalControl::Actuated,
-        ..SimConfig::default()
-            .with_intervals(2)
-            .with_interval_s(120.0)
-    };
-    let out = Simulation::new(&net, &ods, cfg).unwrap().run(&tod).unwrap();
-    assert!(out.stats.is_conserved());
-    assert!(out.speed.is_finite());
-    assert!(out.occupancy.is_non_negative());
 }
 
 #[test]
