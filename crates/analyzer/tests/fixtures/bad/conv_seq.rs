@@ -1,13 +1,10 @@
-//! BAD fixture: Conv1d kernel/stride misuse — an even kernel in the
-//! same-padded constructor (construction panics on the odd-kernel
-//! assert) and a strided chain that exhausts the declared sequence:
-//! 10 → (10-4)/3+1 = 3, then a kernel of 7 cannot fit 3 steps.
+//! BAD fixture: Conv1d kernel misuse — an even kernel in the same-padded
+//! constructor panics on its odd-kernel assert, in or out of a stack.
 
 pub fn build(rng: &mut Rng) -> SeqSequential {
     let _panics = Conv1d::new(1, 1, 4, rng);
-    // lint: seq_len(10)
     SeqSequential::new(vec![
-        Box::new(Conv1d::strided(1, 4, 4, 3, rng)),
-        Box::new(Conv1d::strided(4, 1, 7, 1, rng)),
+        Box::new(Conv1d::new(1, 4, 3, rng)),
+        Box::new(Conv1d::new(4, 1, 3, rng)),
     ])
 }

@@ -1,13 +1,11 @@
-//! OK fixture: strided convolutions whose kernels keep fitting the
-//! declared sequence length — 24 → (24-5)/2+1 = 10 → (10-3)/1+1 = 8 —
-//! with length-preserving layers in between.
+//! OK fixture: same-padded convolutions with odd kernels, chained by
+//! channel with a length-preserving activation in between.
 
 pub fn build(rng: &mut Rng) -> SeqSequential {
-    // lint: seq_len(24)
     SeqSequential::new(vec![
         Box::new(Conv1d::new(1, 4, 3, rng)),
-        Box::new(Conv1d::strided(4, 4, 5, 2, rng)),
+        Box::new(Conv1d::new(4, 4, 5, rng)),
         Box::new(SeqActivation::new(ActKind::Relu)),
-        Box::new(Conv1d::strided(4, 1, 3, 1, rng)),
+        Box::new(Conv1d::new(4, 1, 1, rng)),
     ])
 }

@@ -127,21 +127,12 @@ fn bad_shape_mismatch_is_caught() {
 }
 
 #[test]
-fn bad_conv_seq_catches_even_kernel_and_underflow() {
+fn bad_conv_seq_catches_even_kernel() {
     let f = load("bad/conv_seq.rs");
     let findings = check_files(std::slice::from_ref(&f), Some(Rule::Shape));
-    assert_eq!(
-        kinds(&findings),
-        vec!["conv-even-kernel", "conv-seq-underflow"]
-    );
-    let under = findings
-        .iter()
-        .find(|f| f.kind == "conv-seq-underflow")
-        .unwrap();
-    // Flagged at the layer whose kernel no longer fits, with the chained
-    // remaining length in the message.
-    assert!(f.snippet(under.line).contains("7"));
-    assert!(under.message.contains("only `3` steps"));
+    assert_eq!(kinds(&findings), vec!["conv-even-kernel"]);
+    // Flagged at the constructor whose kernel is even.
+    assert!(f.snippet(findings[0].line).contains("Conv1d::new(1, 1, 4"));
 }
 
 #[test]

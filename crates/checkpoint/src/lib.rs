@@ -55,7 +55,7 @@ pub use snapshot::{
     default_watch_interval_ms, Snapshot, SnapshotSource, SnapshotWatcher,
     DEFAULT_WATCH_INTERVAL_MS, WATCH_BACKOFF_CAP, WATCH_INTERVAL_ENV,
 };
-pub use store::{ArtifactStore, PinGuard, Provenance};
+pub use store::{ArtifactStore, Provenance};
 
 use std::fmt;
 

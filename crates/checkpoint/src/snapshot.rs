@@ -25,7 +25,7 @@
 
 use crate::format::{crc32, Artifact};
 use crate::retry::{is_transient, Clock, RetryPolicy};
-use crate::store::{ArtifactStore, PinGuard, Provenance};
+use crate::store::{ArtifactStore, Provenance};
 use crate::{CheckpointError, Result};
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -260,9 +260,6 @@ pub struct SnapshotWatcher {
     interval_ms: u64,
     empty_streak: AtomicU32,
     current: Mutex<Option<Snapshot>>,
-    // Pin on the installed snapshot's artifact: an in-process gc of the
-    // watched family can never collect the version readers are holding.
-    pin: Mutex<Option<PinGuard>>,
 }
 
 impl SnapshotWatcher {
@@ -278,7 +275,6 @@ impl SnapshotWatcher {
             interval_ms: default_watch_interval_ms(),
             empty_streak: AtomicU32::new(0),
             current: Mutex::new(None),
-            pin: Mutex::new(None),
         }
     }
 
@@ -352,12 +348,7 @@ impl SnapshotWatcher {
             None => true,
         };
         if changed {
-            // Pin the incoming version before releasing the old pin so an
-            // in-process gc can never catch the family unpinned.
-            // lint: allow(concurrency) — lock order is always `current` then the store's internal lock, never the reverse, so pinning under the guard cannot deadlock.
-            let fresh_pin = self.store.pin(fresh.name()).ok();
             *cur = Some(fresh);
-            *self.pin.lock().unwrap_or_else(|p| p.into_inner()) = fresh_pin;
             obs::global().counter("snapshot_watcher_swaps_total").inc();
         }
         Ok(changed)
@@ -681,8 +672,8 @@ mod tests {
     }
 
     #[test]
-    fn watcher_pins_current_version_against_gc() {
-        let store = tmp_store("pin");
+    fn watcher_serves_its_snapshot_after_gc_removes_the_file() {
+        let store = tmp_store("gc");
         let prov = Provenance::new("snap-test", "{}", 0);
         let clock = RecordingClock::new();
         let watcher = SnapshotWatcher::new(
@@ -692,22 +683,26 @@ mod tests {
         );
         store.save_versioned("fam", &builder(1.0), &prov).unwrap();
         assert!(watcher.poll(&clock).unwrap());
-        assert!(store.is_pinned("fam-v001"));
+        let installed = watcher.current().expect("v001 installed");
 
-        // Two newer versions land; gc keep=1 may not touch the pinned
-        // v001 (still installed in the watcher) nor v003 (newest good).
+        // Two newer versions land and gc keep=1 reaps everything but the
+        // newest good version, the installed v001 included.
         store.save_versioned("fam", &builder(2.0), &prov).unwrap();
         store.save_versioned("fam", &builder(3.0), &prov).unwrap();
-        assert_eq!(store.gc("fam", 1).unwrap(), ["fam-v002"]);
-        assert!(store.names().unwrap().contains(&"fam-v001".to_string()));
+        assert_eq!(store.gc("fam", 1).unwrap(), ["fam-v001", "fam-v002"]);
+        assert!(!store.artifact_path("fam-v001").exists());
 
-        // The watcher advances to v003: the pin moves with it and v001
-        // becomes collectable.
+        // The installed snapshot lives in memory: readers still get v001,
+        // sections and all, until the next poll.
+        let still = watcher.current().expect("still installed");
+        assert_eq!(still.name(), "fam-v001");
+        assert!(still.same_content(&installed));
+        assert_eq!(still.artifact().kind(), "snap-test");
+        assert_eq!(still.artifact().matrix("w").unwrap().get(0, 0), 1.0);
+
+        // The next poll moves to the newest good version gc kept.
         assert!(watcher.poll(&clock).unwrap());
         assert_eq!(watcher.current().unwrap().name(), "fam-v003");
-        assert!(store.is_pinned("fam-v003"));
-        assert!(!store.is_pinned("fam-v001"));
-        assert_eq!(store.gc("fam", 1).unwrap(), ["fam-v001"]);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -19,45 +19,7 @@ use crate::format::{audit_bytes, ArtifactAudit, ArtifactBuilder};
 use crate::snapshot::Snapshot;
 use crate::{CheckpointError, Result};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-
-/// Process-global pin refcounts, keyed by `(store dir, artifact name)`.
-/// Pinned artifacts are invisible to [`ArtifactStore::gc`], which is what
-/// lets a long-lived reader (a [`crate::snapshot::SnapshotWatcher`]) hold
-/// its current version while a writer garbage-collects the same family
-/// from another thread of the same process.
-static PINS: Mutex<BTreeMap<(PathBuf, String), usize>> = Mutex::new(BTreeMap::new());
-
-/// RAII pin on one artifact: while any guard for a name is alive,
-/// [`ArtifactStore::gc`] refuses to remove that artifact. Obtained from
-/// [`ArtifactStore::pin`]; dropping the guard releases the pin.
-#[derive(Debug)]
-pub struct PinGuard {
-    dir: PathBuf,
-    name: String,
-}
-
-impl PinGuard {
-    /// The pinned artifact's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl Drop for PinGuard {
-    fn drop(&mut self) {
-        let mut pins = PINS.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        let key = (self.dir.clone(), self.name.clone());
-        if let Some(count) = pins.get_mut(&key) {
-            *count -= 1;
-            if *count == 0 {
-                pins.remove(&key);
-            }
-        }
-    }
-}
 
 /// Environment variable overriding the default store directory.
 pub const STORE_ENV: &str = "CITYOD_ARTIFACTS";
@@ -355,41 +317,16 @@ impl ArtifactStore {
         Ok(versions_of(family, self.names()?))
     }
 
-    /// Pins an artifact against garbage collection for the guard's
-    /// lifetime. Pins are per-process and refcounted: the same name can
-    /// be pinned by several readers, and the artifact becomes collectable
-    /// again only when every guard has been dropped.
-    pub fn pin(&self, name: &str) -> Result<PinGuard> {
-        Self::validate_name(name)?;
-        let mut pins = PINS.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        *pins
-            .entry((self.dir.clone(), name.to_string()))
-            .or_insert(0) += 1;
-        Ok(PinGuard {
-            dir: self.dir.clone(),
-            name: name.to_string(),
-        })
-    }
-
-    /// True while at least one [`PinGuard`] for `name` is alive in this
-    /// process.
-    pub fn is_pinned(&self, name: &str) -> bool {
-        PINS.lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .contains_key(&(self.dir.clone(), name.to_string()))
-    }
-
     /// Garbage-collects a version family, keeping only the newest `keep`
     /// versions. Returns the names removed.
     ///
-    /// Two classes of version survive regardless of `keep`:
-    ///
-    /// * the newest version that verifies clean — that is the version a
-    ///   [`crate::snapshot::SnapshotWatcher`]'s next poll resolves to, so
-    ///   collecting it would race the reader into an empty family (the
-    ///   newest version *by number* is not enough: when it is corrupt,
-    ///   readers fall back to the newest good one);
-    /// * any version currently pinned via [`ArtifactStore::pin`].
+    /// The newest version that verifies clean survives regardless of
+    /// `keep`: that is the version a [`crate::snapshot::SnapshotWatcher`]'s
+    /// next poll resolves to, so collecting it would race the reader into
+    /// an empty family (the newest version *by number* is not enough: when
+    /// it is corrupt, readers fall back to the newest good one). A
+    /// watcher's installed [`Snapshot`] is fully in memory, so removing
+    /// its file does not disturb it.
     pub fn gc(&self, family: &str, keep: usize) -> Result<Vec<String>> {
         Self::validate_name(family)?;
         let versions = self.family_versions(family)?;
@@ -401,7 +338,7 @@ impl ArtifactStore {
         let drop_count = versions.len().saturating_sub(keep);
         let mut removed = Vec::with_capacity(drop_count);
         for (_, name) in versions.into_iter().take(drop_count) {
-            if newest_good.as_ref() == Some(&name) || self.is_pinned(&name) {
+            if newest_good.as_ref() == Some(&name) {
                 obs::global().counter("store_gc_retained_total").inc();
                 continue;
             }
@@ -512,32 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_skips_pinned_versions_until_released() {
-        let store = tmp_store("gc-pin");
-        let prov = Provenance::new("test-kind", "{}", 1);
-        for _ in 0..4 {
-            store
-                .save_versioned("model", &sample_builder(), &prov)
-                .unwrap();
-        }
-        let guard = store.pin("model-v001").unwrap();
-        assert!(store.is_pinned("model-v001"));
-        // keep=1 would normally remove v001-v003; the pin protects v001.
-        assert_eq!(store.gc("model", 1).unwrap(), ["model-v002", "model-v003"]);
-        assert!(store.names().unwrap().contains(&"model-v001".to_string()));
-        // Refcounted: a second guard keeps the pin alive after the first
-        // drops.
-        let guard2 = store.pin("model-v001").unwrap();
-        drop(guard);
-        assert!(store.is_pinned("model-v001"));
-        drop(guard2);
-        assert!(!store.is_pinned("model-v001"));
-        assert_eq!(store.gc("model", 1).unwrap(), ["model-v001"]);
-        assert_eq!(store.names().unwrap(), ["model-v004"]);
-        let _ = std::fs::remove_dir_all(store.dir());
-    }
-
-    #[test]
     fn gc_retains_newest_good_version_when_newest_is_corrupt() {
         let store = tmp_store("gc-newest-good");
         let prov = Provenance::new("test-kind", "{}", 1);
@@ -577,7 +488,6 @@ mod tests {
             assert!(store.audit(bad).is_err(), "{bad}");
             assert!(store.quarantine(bad).is_err(), "{bad}");
             assert!(store.remove(bad).is_err(), "{bad}");
-            assert!(store.pin(bad).is_err(), "{bad}");
             assert!(store.gc(bad, 0).is_err(), "{bad}");
         }
         assert!(clock.sleeps().is_empty(), "a bad name is never retried");

@@ -477,7 +477,7 @@ fn matmul_block_tiled(a: &Matrix, rhs: &Matrix, out: &mut [f64], tp: usize, tj: 
 /// `a` is `(k, m)`, so output row `i` is column `i` of `a`.
 ///
 /// Loop order is `jb -> pb -> ib -> p -> i -> j`: reading
-/// `a.row(p)[ib..]` keeps the strided-transpose access contiguous,
+/// `a.row(p)[ib..]` keeps the transposed access contiguous,
 /// while the `ib` blocking keeps the touched output rows cache-resident
 /// across a `p` run. Per output element the `p` order is ascending, so
 /// results match the untiled kernel bit-for-bit.

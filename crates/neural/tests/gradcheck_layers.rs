@@ -13,6 +13,11 @@ use neural::{Matrix, Tensor3};
 const EPS: f64 = 1e-5;
 const TOL: f64 = 1e-6;
 
+/// `Conv1d` `(kernel, sequence length)` cases: kernels 1, 3 and 5 pad 0,
+/// 1 and 2 steps at each end, and at t = 3 every 5-tap window spills
+/// past both ends of the sequence.
+const CONV_CASES: &[(usize, usize)] = &[(3, 6), (1, 5), (5, 7), (5, 3)];
+
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = Rng64::new(seed);
     let mut m = Matrix::zeros(rows, cols);
@@ -72,17 +77,27 @@ fn softmax_input_gradient_survives_large_logits() {
 #[test]
 fn conv1d_input_gradient_matches_finite_differences() {
     let mut rng = Rng64::new(21);
-    let mut layer = Conv1d::new(2, 3, 3, &mut rng);
-    let x = random_tensor(2, 6, 2, 22);
-    assert!(check_seq_layer_input(&mut layer, &x, EPS, TOL));
+    for &(k, t) in CONV_CASES {
+        let mut layer = Conv1d::new(2, 3, k, &mut rng);
+        let x = random_tensor(2, t, 2, 22);
+        assert!(
+            check_seq_layer_input(&mut layer, &x, EPS, TOL),
+            "k = {k}, t = {t}"
+        );
+    }
 }
 
 #[test]
 fn conv1d_param_gradients_match_finite_differences() {
     let mut rng = Rng64::new(23);
-    let mut layer = Conv1d::new(2, 3, 3, &mut rng);
-    let x = random_tensor(2, 6, 2, 24);
-    assert!(check_seq_layer_params(&mut layer, &x, EPS, TOL));
+    for &(k, t) in CONV_CASES {
+        let mut layer = Conv1d::new(2, 3, k, &mut rng);
+        let x = random_tensor(2, t, 2, 24);
+        assert!(
+            check_seq_layer_params(&mut layer, &x, EPS, TOL),
+            "k = {k}, t = {t}"
+        );
+    }
 }
 
 #[test]

@@ -16,8 +16,6 @@
 //! (per-index RNG streams in datagen and fault, results gathered in
 //! index order). Threads only change wall-clock.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 /// Name of the environment variable consulted for the default thread
 /// count when no `--threads` flag is given.
 pub const THREADS_ENV: &str = "CITYOD_THREADS";
@@ -92,8 +90,6 @@ impl Parallelism {
     }
 }
 
-static GLOBAL_INIT: AtomicUsize = AtomicUsize::new(0);
-
 /// Configures the process-global worker count: an explicit `requested`
 /// value (e.g. from `--threads`) wins, else `CITYOD_THREADS`, else the
 /// machine parallelism. Returns the effective count. Safe to call more
@@ -109,21 +105,13 @@ pub fn init_global(requested: Option<usize>) -> usize {
             p => p.threads(),
         },
     };
-    if rayon::ThreadPoolBuilder::new()
+    match rayon::ThreadPoolBuilder::new()
         .num_threads(wanted)
         .build_global()
-        .is_ok()
     {
-        GLOBAL_INIT.store(wanted, Ordering::SeqCst);
-        wanted
-    } else {
+        Ok(()) => wanted,
         // Already initialised (by us or by an embedding application).
-        let prior = GLOBAL_INIT.load(Ordering::SeqCst);
-        if prior != 0 {
-            prior
-        } else {
-            rayon::current_num_threads()
-        }
+        Err(_) => rayon::current_num_threads(),
     }
 }
 
@@ -145,6 +133,18 @@ mod tests {
         // Auto leaves the ambient configuration untouched.
         let ambient = rayon::current_num_threads();
         assert_eq!(Parallelism::Auto.run(rayon::current_num_threads), ambient);
+    }
+
+    #[test]
+    fn a_second_init_reports_the_size_the_first_pinned() {
+        // Pinning the machine parallelism leaves the ambient count that
+        // the other tests of this process read unchanged.
+        let pinned = init_global(Some(machine_threads()));
+        assert_eq!(pinned, machine_threads());
+        assert_eq!(rayon::current_num_threads(), pinned);
+        // rayon's global pool cannot be resized: a later request is a
+        // no-op that reports the pinned size, not its own.
+        assert_eq!(init_global(Some(1)), pinned);
     }
 
     #[test]
